@@ -37,5 +37,7 @@ class NotConverged(DegensinkError):
 
 
 class OverflowDetected(DegensinkError):
-    """A scaling potential became non-finite and rescaling could not
-    recover it."""
+    """A scaling potential of the literal recursion ``sinkhorn_step``
+    became non-finite and its (c, 1/c) rescaling could not recover it.
+    ``run_sinkhorn`` and the penalized solvers absorb their potentials into
+    a log-kernel instead and do not raise it."""

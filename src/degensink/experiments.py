@@ -17,7 +17,7 @@ from .instances import (
     staircase_instance,
 )
 from .measures import total_mass, tv_distance
-from .sinkhorn import StopConfig, run_sinkhorn
+from .sinkhorn import StopConfig, current_P, current_Q, init_state, run_sinkhorn, sinkhorn_step
 from .support import approx_support_algorithm1, default_thresholds, masked_solve
 from .unbalanced import sweep_epsilon, sweep_lambda
 from .scalability import classify_exact, feasibility_flow
@@ -52,21 +52,13 @@ def appendix_a_checkpoints(checkpoints=APPENDIX_CHECKPOINTS):
     r, mu, nu = appendix_a_instance()
     wanted = set(checkpoints)
     out = {}
-    a = np.ones(3)
-    b = np.ones(3)
-    last = max(wanted)
-    for m in range(1, last // 2 + 2):
-        b_prev = b.copy()
-        a = mu / (r @ b)
+    state = init_state(3, 3)
+    for m in range(1, (max(wanted) + 1) // 2 + 1):
+        state = sinkhorn_step(state, r, mu, nu)
         if 2 * m - 1 in wanted:
-            out[2 * m - 1] = {"a": a.copy(), "b": b_prev.copy(),
-                              "P": a[:, None] * b_prev[None, :] * r}
-        b = nu / (r.T @ a)
+            out[2 * m - 1] = {"a": state.a, "b": state.b_prev, "P": current_P(state, r)}
         if 2 * m in wanted:
-            out[2 * m] = {"a": a.copy(), "b": b.copy(),
-                          "Q": a[:, None] * b[None, :] * r}
-        if 2 * m >= last:
-            break
+            out[2 * m] = {"a": state.a, "b": state.b, "Q": current_Q(state, r)}
     return out
 
 

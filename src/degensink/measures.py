@@ -75,13 +75,13 @@ def marginal_col(r):
 
 
 def _entropy_terms(p, r):
-    """fsum of p*log(p/r) over the support of p, or +inf if p is not
+    """Sum of p*log(p/r) over the support of p, or +inf if p is not
     absolutely continuous w.r.t. r."""
     sup = p > 0
     if np.any(sup & (r == 0.0)):
         return math.inf
     ps = p[sup]
-    return math.fsum(ps * np.log(ps / r[sup]))
+    return float(np.sum(ps * np.log(ps / r[sup])))
 
 
 def rel_entropy(p, r):
@@ -97,7 +97,7 @@ def rel_entropy(p, r):
     core = _entropy_terms(p.ravel(), r.ravel())
     if core == math.inf:
         return math.inf
-    val = core + total_mass(r) - total_mass(p)
+    val = core + float(r.sum() - p.sum())
     # Rounding can push tiny true values below zero; the functional is >= 0.
     return max(val, 0.0)
 
@@ -158,9 +158,10 @@ def geometric_mean(p, q):
 
 
 def tv_distance(p, q):
-    """Entrywise L1 distance sum_ij |p_ij - q_ij|."""
+    """Entrywise L1 distance sum_ij |p_ij - q_ij|, as a numpy pairwise sum:
+    solvers call it every iteration, so it does not use ``math.fsum``."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    return math.fsum(np.abs(p - q).ravel())
+    return float(np.abs(p - q).sum())

@@ -335,10 +335,23 @@ def feasibility_flow(r, mu, nu):
 
 
 def _min_cut_witness(r, mu, nu):
-    """Row subset A with mu(A) > nu(F(A)), from the minimum cut."""
+    """Row subset A with mu(A) > nu(F(A)): the rows reachable from the
+    source in the residual graph of a maximum flow.
+
+    A residual capacity below 1e-12 M(mu) counts as saturated; an exact
+    ``flow == capacity`` test can miss a float edge saturated one ulp short.
+    """
     g = _flow_network(r, mu, nu)
-    _, (source_side, _) = nx.minimum_cut(g, "s", "t")
-    return tuple(sorted(i for kind, i in source_side - {"s"} if kind == "r"))
+    _, flow = nx.maximum_flow(g, "s", "t")
+    tol = 1e-12 * max(total_mass(mu), 1.0)
+    residual = nx.DiGraph()
+    residual.add_node("s")
+    for x, y, cap in g.edges(data="capacity", default=math.inf):
+        if cap - flow[x][y] > tol:
+            residual.add_edge(x, y)
+        if flow[x][y] > tol:
+            residual.add_edge(y, x)
+    return tuple(sorted(node[1] for node in nx.descendants(residual, "s") if node[0] == "r"))
 
 
 def feasible_coupling(r, mu, nu):

@@ -15,11 +15,13 @@ and modified first marginal mu* = lim row(Q^n) respectively, and their
 componentwise geometric mean R* solves the problem between the geometric
 mean marginals sqrt(mu* mu) and sqrt(nu* nu).
 
-In that degenerate regime some potentials diverge.  Two defenses are
-built in: a (c, 1/c) rescaling that recentres the geometric mean of the
-positive entries of ``a`` at 1 (removes uniform drift without changing
-any product a_i b_j), and a switch of the same recursion to log-domain
-evaluation when the recentred dynamic range still exceeds float capacity.
+In that degenerate regime some potentials diverge.  ``run_sinkhorn`` and
+the penalized solvers share one absorption-stabilized kernel (Schmitzer,
+SIAM J. Sci. Comput. 2019): scaled potentials a, b are updated at
+matrix-vector speed and folded into a log-kernel whenever they leave a
+fixed window.  ``sinkhorn_step`` keeps the literal recursion, with a
+(c, 1/c) rescaling that recentres the geometric mean of the positive
+entries of ``a`` at 1 (no product a_i b_j changes).
 """
 
 import math
@@ -62,7 +64,7 @@ MODE_ITERATE_DELTA = "iterate-delta"
 
 _RESCALE_HI = 1e150
 _RESCALE_LO = 1e-150
-_LOG_SWITCH = 1e120
+_ABSORB = 1e50
 _ZERO_STREAK = 50
 
 
@@ -98,8 +100,10 @@ class SinkhornState:
 
     ``b_prev`` is the b vector from before the latest b-update, so that
     the coupling P^n = a (x) b_prev . R of the most recent a-update can be
-    reconstructed.  ``overflow_flag`` records that drift rescaling fired
-    at least once.
+    reconstructed.  ``overflow_flag`` records that the potentials left
+    their stable range at least once: in ``sinkhorn_step`` that the drift
+    rescaling fired, in a :func:`run_sinkhorn` report that the kernel
+    absorbed its scaled potentials at least once.
     """
 
     a: np.ndarray
@@ -264,38 +268,77 @@ class SolveReport:
     rate_r_squared: float | None = None
 
 
+def _lse_rows(mat):
+    """Row-wise log-sum-exp; a row of -inf gives -inf."""
+    mx = mat.max(axis=1)
+    out = np.full(mat.shape[0], -np.inf)
+    fin = np.isfinite(mx)
+    if fin.any():
+        out[fin] = mx[fin] + np.log(np.exp(mat[fin] - mx[fin][:, None]).sum(axis=1))
+    return out
+
+
 class _LogIteration:
-    """The same recursion evaluated on log-potentials (overflow-proof)."""
+    """The scaling recursion, stabilized by absorption.
 
-    def __init__(self, r, mu, nu, log_a, log_b):
+    With log-potentials u = U + log a, v = V + log b and the kernel
+    K = R . exp(U (+) V), a step is two matrix-vector products:
+    a = (mu / K b)^kappa_row . exp((kappa_row - 1) U), then the same for b.
+    kappa = 1 is the exact projection, kappa = lam/(1+lam) the proximal
+    step of a KL penalty of weight lam (Chizat-Peyre-Schmitzer-Vialard,
+    Math. Comp. 2018).  Scaled potentials outside [1/_ABSORB, _ABSORB]
+    are absorbed into U, V and K is rebuilt from log R, so no float
+    overflows however far u and v diverge.  Massless rows and columns keep
+    a zero scaling.
+    """
+
+    def __init__(self, r, mu, nu, kappa=(1.0, 1.0)):
+        self.mu, self.nu = mu, nu
+        self.kappa_row, self.kappa_col = kappa
+        self.rows = slice(None) if (mu > 0).all() else mu > 0
+        self.cols = slice(None) if (nu > 0).all() else nu > 0
+        # massless rows/columns get the scaling 0/(den + 1) = 0, never 0/0
+        self.pad_row = (mu == 0).astype(float)
+        self.pad_col = (nu == 0).astype(float)
         with np.errstate(divide="ignore"):
-            self.log_r = np.log(np.asarray(r, dtype=float))
-            self.log_mu = np.where(mu > 0, np.log(np.where(mu > 0, mu, 1.0)), -np.inf)
-            self.log_nu = np.where(nu > 0, np.log(np.where(nu > 0, nu, 1.0)), -np.inf)
-        self.u = log_a.copy()
-        self.v = log_b.copy()
-        self.v_prev = log_b.copy()
+            # a rebuilt kernel is zero on massless rows and columns; the
+            # first step uses R itself, like the literal recursion's b^0 = 1
+            self.log_r = np.log(r * (mu > 0)[:, None] * (nu > 0)[None, :])
+        self.k = r
+        self.u_abs = np.zeros(mu.size)
+        self.v_abs = np.zeros(nu.size)
+        self.damp_row = self.damp_col = 1.0
+        self.a = np.ones(mu.size)
+        self.b = self.b_prev = np.ones(nu.size)
+        self.absorbed = False
 
-    @staticmethod
-    def _lse_rows(mat):
-        mx = mat.max(axis=1)
-        out = np.full(mat.shape[0], -np.inf)
-        fin = np.isfinite(mx)
-        if fin.any():
-            shifted = mat[fin] - mx[fin][:, None]
-            out[fin] = mx[fin] + np.log(np.exp(shifted).sum(axis=1))
-        return out
+    def _absorb(self):
+        self.u_abs[self.rows] += np.log(self.a[self.rows])
+        self.v_abs[self.cols] += np.log(self.b[self.cols])
+        self.b = 1.0 - self.pad_col
+        self.k = np.exp(self.log_r + self.u_abs[:, None] + self.v_abs[None, :])
+        self.damp_row = np.exp((self.kappa_row - 1.0) * self.u_abs)
+        self.damp_col = np.exp((self.kappa_col - 1.0) * self.v_abs)
+        self.absorbed = True
 
     def step(self):
-        self.v_prev = self.v.copy()
-        self.u = self.log_mu - self._lse_rows(self.log_r + self.v[None, :])
-        self.v = self.log_nu - self._lse_rows((self.log_r + self.u[:, None]).T)
+        # initial=1 lies inside the window and covers all-massless sides
+        if max(self.a.max(initial=1.0), self.b.max(initial=1.0)) > _ABSORB or \
+                min(self.a[self.rows].min(initial=1.0), self.b[self.cols].min(initial=1.0)) < 1.0 / _ABSORB:
+            self._absorb()
+        self.b_prev = self.b
+        self.a = (self.mu / (self.k @ self.b + self.pad_row)) ** self.kappa_row * self.damp_row
+        self.b = (self.nu / (self.k.T @ self.a + self.pad_col)) ** self.kappa_col * self.damp_col
 
     def couplings(self):
-        with np.errstate(over="ignore"):
-            p = np.exp(self.u[:, None] + self.v_prev[None, :] + self.log_r)
-            q = np.exp(self.u[:, None] + self.v[None, :] + self.log_r)
-        return p, q
+        """P = a (x) b_prev . K and Q = a (x) b . K."""
+        ak = self.a[:, None] * self.k
+        return ak * self.b_prev[None, :], ak * self.b[None, :]
+
+    def logs(self):
+        """Log-potentials (u, v, v_prev); -inf where the scaling is zero."""
+        return (self.u_abs + _safe_log(self.a), self.v_abs + _safe_log(self.b),
+                self.v_abs + _safe_log(self.b_prev))
 
 
 def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
@@ -341,45 +384,29 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
     stall_tol = 1e-15 * max(mass, 1.0)
     below = np.zeros(r.shape, dtype=np.int64)
     trace = []
-    state = init_state(mu.size, nu.size)
-    log_iter = None
+    kernel = _LogIteration(r, mu, nu)
     prev_p = prev_q = None
-    p = current_P(state, r)
-    q = current_Q(state, r)
     converged = False
     stall_run = 0
-    iterations = 0
 
     for n in range(1, cfg.max_iter + 1):
-        if log_iter is None:
-            state = sinkhorn_step(state, r, mu, nu)
-            p = current_P(state, r)
-            q = current_Q(state, r)
-            log_a, log_b_prev = _safe_log(state.a), _safe_log(state.b_prev)
-            pos = state.a[state.a > 0]
-            posb = state.b[state.b > 0]
-            wide = (pos.size and (pos.max() > _LOG_SWITCH or pos.min() < 1.0 / _LOG_SWITCH)) or \
-                   (posb.size and (posb.max() > _LOG_SWITCH or posb.min() < 1.0 / _LOG_SWITCH))
-            if wide:
-                log_iter = _LogIteration(r, mu, nu, _safe_log(state.a), _safe_log(state.b))
-        else:
-            log_iter.step()
-            p, q = log_iter.couplings()
-            log_a, log_b_prev = log_iter.u, log_iter.v_prev
-        iterations = n
+        kernel.step()
+        p, q = kernel.couplings()
 
         isbelow = p < z_tol
-        below = np.where(isbelow, below + 1, 0)
+        below += isbelow
+        below *= isbelow
 
-        if cfg.mode == MODE_BALANCED_GAP:
-            gap = _gap_balanced_from_logs(log_a, log_b_prev, p, r, mu, nu)
-        elif cfg.mode == MODE_UNBALANCED_GAP:
-            gap = _gap_unbalanced_from_logs(log_a, log_b_prev, p, r, mu, nu, cfg.lam)
+        if cfg.mode == MODE_ITERATE_DELTA or stall_exit:
+            move = math.inf if prev_p is None else max(tv_distance(p, prev_p), tv_distance(q, prev_q))
+        if cfg.mode == MODE_ITERATE_DELTA:
+            gap = move
         else:
-            if prev_p is None:
-                gap = math.inf
+            log_a, _, log_b_prev = kernel.logs()
+            if cfg.mode == MODE_BALANCED_GAP:
+                gap = _gap_balanced_from_logs(log_a, log_b_prev, p, r, mu, nu)
             else:
-                gap = max(tv_distance(p, prev_p), tv_distance(q, prev_q))
+                gap = _gap_unbalanced_from_logs(log_a, log_b_prev, p, r, mu, nu, cfg.lam)
         trace.append((n, gap))
 
         if tv_reference is not None and tv_out is not None:
@@ -389,25 +416,20 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
             converged = True
             break
 
-        if stall_exit and prev_p is not None:
-            move = max(tv_distance(p, prev_p), tv_distance(q, prev_q))
-            if move <= stall_tol:
-                stall_run += 1
-            else:
-                stall_run = 0
+        if stall_exit:
+            stall_run = stall_run + 1 if move <= stall_tol else 0
             if stall_run >= _ZERO_STREAK and n >= 2 * _ZERO_STREAK and \
                     bool((below[isbelow] >= _ZERO_STREAK).all()):
                 break
         prev_p, prev_q = p, q
 
-    if log_iter is not None:
-        with np.errstate(over="ignore"):
-            state = replace(state, a=np.exp(log_iter.u), b=np.exp(log_iter.v),
-                            b_prev=np.exp(log_iter.v_prev), iteration=iterations,
-                            overflow_flag=True)
-    state = replace(state, last_gap=trace[-1][1] if trace else math.inf)
+    u, v, v_prev = kernel.logs()
+    with np.errstate(over="ignore"):
+        state = SinkhornState(a=np.exp(u), b=np.exp(v), b_prev=np.exp(v_prev),
+                              iteration=n, last_gap=trace[-1][1],
+                              overflow_flag=kernel.absorbed)
 
-    structural = (r > 0) & ~(isbelow & (below >= min(_ZERO_STREAK, iterations)))
+    structural = (r > 0) & ~(isbelow & (below >= min(_ZERO_STREAK, n)))
     r_star = geometric_mean(p, q)
     z = total_mass(r_star)
     classification = None
@@ -428,7 +450,7 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
         mu_g=np.sqrt(marginal_row(q) * mu),
         nu_g=np.sqrt(marginal_col(p) * nu),
         z_norm=z,
-        iterations=iterations,
+        iterations=n,
         converged=converged,
         structural_support=structural,
         gap_trace=trace,

@@ -25,7 +25,7 @@ from .scalability import (
     reduce_to_full_support,
     support_graph,
 )
-from .sinkhorn import StopConfig, run_sinkhorn
+from .sinkhorn import StopConfig, _lse_rows, run_sinkhorn
 
 __all__ = [
     "ThetaSetResult",
@@ -285,14 +285,6 @@ def approx_support_algorithm1(r, mu, nu, thresholds=None, stop_cfg=None):
     steps = []
     total_inner = 0
     converged = True
-
-    def _lse_rows(mat):
-        mx = mat.max(axis=1)
-        out = np.full(mat.shape[0], -np.inf)
-        fin = np.isfinite(mx)
-        if fin.any():
-            out[fin] = mx[fin] + np.log(np.exp(mat[fin] - mx[fin][:, None]).sum(axis=1))
-        return out
 
     while active_rows.size:
         # log-potential scaling on the active indicator block: immune to the

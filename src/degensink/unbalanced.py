@@ -8,9 +8,12 @@ penalizes both marginals with the symmetric exponent on both updates; as
 lam grows its solution converges to the componentwise geometric mean of
 the two limit couplings of the constrained problem.
 
-Both solvers work on log-potentials throughout: the true scaling vectors
-of the penalized problems grow like exp(lam |log(mu*/mu)| / 2) on
-degenerate instances, far beyond float64 for lam in the thousands.
+Both solvers run on the absorption-stabilized kernel of
+:mod:`degensink.sinkhorn` with per-side exponents: the true scaling
+vectors of the penalized problems grow like exp(lam |log(mu*/mu)| / 2) on
+degenerate instances, far beyond float64 for lam in the thousands, so the
+kernel keeps the scaled potentials in a fixed window and absorbs the rest
+into its log-potentials.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ from .measures import (
     tv_distance,
 )
 from .scalability import check_assumption1
-from .sinkhorn import StopConfig, run_sinkhorn
+from .sinkhorn import StopConfig, _LogIteration, run_sinkhorn
 
 __all__ = [
     "PenaltyConfig",
@@ -67,23 +70,6 @@ class PenaltyConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-def _log_arrays(r, mu, nu):
-    with np.errstate(divide="ignore"):
-        log_r = np.log(r)
-    log_mu = np.where(mu > 0, np.log(np.where(mu > 0, mu, 1.0)), -np.inf)
-    log_nu = np.where(nu > 0, np.log(np.where(nu > 0, nu, 1.0)), -np.inf)
-    return log_r, log_mu, log_nu
-
-
-def _lse_rows(mat):
-    mx = mat.max(axis=1)
-    out = np.full(mat.shape[0], -np.inf)
-    fin = np.isfinite(mx)
-    if fin.any():
-        out[fin] = mx[fin] + np.log(np.exp(mat[fin] - mx[fin][:, None]).sum(axis=1))
-    return out
-
-
 def solve_schu_lambda(r, mu, nu, cfg):
     """Solve the one-sided penalized problem
 
@@ -106,20 +92,15 @@ def solve_schu_lambda(r, mu, nu, cfg):
         raise Assumption1Violated("the scaling iteration is undefined for this triple")
     lam = float(cfg.lam)
     eps = 1e-3 if cfg.epsilon_tol is None else cfg.epsilon_tol
-    q_exp = lam / (1.0 + lam)
-    log_r, log_mu, log_nu = _log_arrays(r, mu, nu)
-    u = np.zeros(mu.size)
-    v = np.zeros(nu.size)
+    kernel = _LogIteration(r, mu, nu, (1.0, lam / (1.0 + lam)))
     stat_tol = 1e-13 * max(total_mass(mu), 1.0)
     offset = total_mass(r) - total_mass(mu)
+    sup_mu, sup_nu = mu > 0, nu > 0
     p_old = None
     for _ in range(cfg.max_iter):
-        v_prev = v.copy()
-        u = log_mu - _lse_rows(log_r + v[None, :])
-        v = q_exp * (log_nu - _lse_rows((log_r + u[:, None]).T))
-        with np.errstate(over="ignore"):
-            p = np.exp(u[:, None] + v_prev[None, :] + log_r)
-        sup_mu, sup_nu = mu > 0, nu > 0
+        kernel.step()
+        p, _ = kernel.couplings()
+        u, _, v_prev = kernel.logs()
         pen = float(np.sum(nu[sup_nu] * (1.0 - np.exp(-v_prev[sup_nu] / lam))))
         gap = (rel_entropy_coupling(p, r)
                + lam * (rel_entropy(marginal_col(p), nu) - pen)
@@ -156,16 +137,12 @@ def solve_two_sided(r, mu, nu, cfg):
     lam = float(cfg.lam)
     eps = 1e-10 if cfg.epsilon_tol is None else cfg.epsilon_tol
     q_exp = lam / (1.0 + lam)
-    log_r, log_mu, log_nu = _log_arrays(r, mu, nu)
-    u = np.zeros(mu.size)
-    v = np.zeros(nu.size)
-    p_old = r.copy()
+    kernel = _LogIteration(r, mu, nu, (q_exp, q_exp))
+    p_old = r
     res_tol = 1e-8 * max(total_mass(mu), total_mass(nu), 1.0)
     for _ in range(cfg.max_iter):
-        u = q_exp * (log_mu - _lse_rows(log_r + v[None, :]))
-        v = q_exp * (log_nu - _lse_rows((log_r + u[:, None]).T))
-        with np.errstate(over="ignore"):
-            p = np.exp(u[:, None] + v[None, :] + log_r)
+        kernel.step()
+        _, p = kernel.couplings()
         if tv_distance(p, p_old) <= eps:
             if stationarity_residual(p, r, mu, nu, lam) <= res_tol:
                 return p

@@ -46,6 +46,13 @@ PRINTED_CHECKPOINTS = {
 }
 
 
+def log_arrays(r, mu, nu):
+    """log R, log mu and log nu, with -inf at the zeros: the inputs of the
+    plain log-domain reference recursions."""
+    with np.errstate(divide="ignore"):
+        return np.log(r), np.log(mu), np.log(nu)
+
+
 def printed_close(value, printed):
     """Match a computed value against a printed figure: within one unit in
     the second significant digit (the source mixes rounding and

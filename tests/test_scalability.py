@@ -181,3 +181,20 @@ def test_classify_beyond_cap():
     ones = np.ones(25)
     with pytest.raises(DimensionTooLarge):
         classify_exact(eye, ones, ones, cap=20)
+
+
+def test_min_cut_witness_violates_hall_on_relabelled_staircase():
+    # the 4-block 200x200 staircase is NonScalable above the enumeration
+    # cap; under these relabellings an exact flow == capacity reading of
+    # the min cut gave empty or Hall-satisfying witnesses
+    from degensink.instances import block_ratio_schedule, staircase_instance
+
+    r0, mu0, nu0, _, _ = staircase_instance(200, [50] * 4, block_ratio_schedule(4))
+    for seed in (2, 5, 6, 7):
+        rng = np.random.default_rng(seed)
+        pr, pc = rng.permutation(200), rng.permutation(200)
+        r, mu, nu = r0[np.ix_(pr, pc)], mu0[pr], nu0[pc]
+        out = classify_exact(r, mu, nu)
+        assert out.tag == "NonScalable" and out.witness
+        img = sorted(forward_image(support_graph(r), out.witness))
+        assert mu[list(out.witness)].sum() > nu[img].sum()

@@ -20,7 +20,8 @@ from degensink import (
     run_sinkhorn,
     sinkhorn_step,
 )
-from degensink.sinkhorn import SinkhornState, StopConfig
+from degensink.instances import block_ratio_schedule, staircase_instance
+from degensink.sinkhorn import SinkhornState, StopConfig, _LogIteration, _lse_rows
 from conftest import (
     MU_G,
     MU_STAR,
@@ -32,6 +33,7 @@ from conftest import (
     S_MASK,
     Z_NORM,
     assert_printed,
+    log_arrays,
     random_instance,
 )
 
@@ -250,18 +252,59 @@ def test_check_optimality(appendix):
 
 
 def test_log_domain_switch_keeps_iterating(appendix):
-    # a long run on the degenerate instance overflows the linear-domain
-    # potentials around iteration ~1100; the run must survive well beyond
-    # the switch point (it may stop earlier only because the iterates have
-    # become bit-identical, which satisfies the delta criterion exactly)
+    # on the degenerate instance the potentials leave float range around
+    # iteration ~1100; the run must survive well beyond that point (it may
+    # stop earlier only because the iterates have become bit-identical,
+    # which satisfies the delta criterion exactly)
     r, mu, nu = appendix
     rep = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=0.0, max_iter=3000, mode="iterate-delta"))
     assert rep.iterations > 500
     assert rep.iterations == 3000 or rep.gap_trace[-1][1] == 0.0
-    assert rep.state.overflow_flag  # the log-domain path engaged
+    assert rep.state.overflow_flag  # the kernel absorbed its potentials
     assert np.isfinite(rep.p_star).all()
     np.testing.assert_allclose(rep.p_star, P_STAR, atol=1e-9)
     assert np.array_equal(rep.structural_support, S_MASK)
+
+
+def _log_domain_couplings(r, mu, nu, n):
+    """P^n and Q^n of the plain log-domain recursion."""
+    log_r, log_mu, log_nu = log_arrays(r, mu, nu)
+    u, v = np.zeros(mu.size), np.zeros(nu.size)
+    for _ in range(n):
+        v_prev = v
+        u = log_mu - _lse_rows(log_r + v[None, :])
+        v = log_nu - _lse_rows((log_r + u[:, None]).T)
+    return np.exp(u[:, None] + v_prev[None, :] + log_r), np.exp(u[:, None] + v[None, :] + log_r)
+
+
+@pytest.mark.parametrize("instance, cfg, absorbs", [
+    # the unbalanced gap stays positive on the worked example, so a 0
+    # threshold runs the full max_iter
+    ("appendix", StopConfig(epsilon_tol=0.0, max_iter=3000, mode="unbalanced-gap"), True),
+    ("appendix", StopConfig(epsilon_tol=0.0, max_iter=50, mode="unbalanced-gap"), False),
+    ("staircase10", StopConfig(epsilon_tol=1e-9, max_iter=100_000, mode="iterate-delta"), True),
+    ("massless", StopConfig(epsilon_tol=1e-12, max_iter=1000, mode="iterate-delta"), False),
+], ids=["appendix-3000", "appendix-50", "staircase10", "massless"])
+def test_absorbing_kernel_matches_log_domain(instance, cfg, absorbs, appendix, monkeypatch):
+    if instance == "appendix":
+        r, mu, nu = appendix
+    elif instance == "staircase10":
+        r, mu, nu, _, _ = staircase_instance(100, [10] * 10, block_ratio_schedule(10))
+    else:  # a row and a column without mass
+        r = np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 3.0], [0.0, 2.0, 1.0]])
+        mu, nu = np.array([0.0, 2.0, 1.0]), np.array([1.0, 0.0, 2.0])
+    absorptions = []
+    absorb = _LogIteration._absorb
+    monkeypatch.setattr(_LogIteration, "_absorb",
+                        lambda kernel: (absorptions.append(kernel), absorb(kernel)))
+    rep = run_sinkhorn(r, mu, nu, cfg)
+    assert len(absorptions) >= 2 if absorbs else not absorptions
+    assert rep.state.overflow_flag == bool(absorptions)
+    p_ref, q_ref = _log_domain_couplings(r, mu, nu, rep.iterations)
+    # atol: near underflow the reference exp(u + v + log r) is itself only
+    # accurate to about 1e-12 relative
+    np.testing.assert_allclose(rep.p_star, p_ref, rtol=1e-12, atol=1e-12 * p_ref.max())
+    np.testing.assert_allclose(rep.q_star, q_ref, rtol=1e-12, atol=1e-12 * q_ref.max())
 
 
 def test_standalone_linear_step_eventually_overflows(appendix):

@@ -18,9 +18,9 @@ from degensink import (
     sweep_lambda,
     tv_distance,
 )
-from degensink.sinkhorn import StopConfig
-from degensink.unbalanced import SIDE_SECOND, _log_arrays, _lse_rows
-from conftest import MU_G, NU_G, NU_STAR, R_STAR, Z_NORM
+from degensink.sinkhorn import StopConfig, _lse_rows
+from degensink.unbalanced import SIDE_SECOND
+from conftest import MU_G, NU_G, NU_STAR, R_STAR, Z_NORM, log_arrays
 
 TIGHT = StopConfig(epsilon_tol=1e-13 * 6, max_iter=10_000, mode="iterate-delta")
 
@@ -87,7 +87,7 @@ def test_two_sided_objective_monotone(appendix):
     r, mu, nu = appendix
     lam = 100.0
     q_exp = lam / (1.0 + lam)
-    log_r, log_mu, log_nu = _log_arrays(r, mu, nu)
+    log_r, log_mu, log_nu = log_arrays(r, mu, nu)
     u = np.zeros(3)
     v = np.zeros(3)
     prev = penalized_objective(np.exp(u[:, None] + v[None, :] + log_r), r, mu, nu, lam)
@@ -97,6 +97,29 @@ def test_two_sided_objective_monotone(appendix):
         cur = penalized_objective(np.exp(u[:, None] + v[None, :] + log_r), r, mu, nu, lam)
         assert cur <= prev + 1e-10
         prev = cur
+
+
+def test_two_sided_matches_log_domain_reference(appendix):
+    r, mu, nu = appendix
+    lam = 1e3
+    q_exp = lam / (1.0 + lam)
+    log_r, log_mu, log_nu = log_arrays(r, mu, nu)
+    u = np.zeros(3)
+    v = np.zeros(3)
+    p_old, eps = r, 1e-10
+    for _ in range(500_000):
+        u = q_exp * (log_mu - _lse_rows(log_r + v[None, :]))
+        v = q_exp * (log_nu - _lse_rows((log_r + u[:, None]).T))
+        p = np.exp(u[:, None] + v[None, :] + log_r)
+        if tv_distance(p, p_old) <= eps:
+            if stationarity_residual(p, r, mu, nu, lam) <= 1e-8 * 6:
+                break
+            eps *= 1e-2
+        p_old = p
+    else:
+        pytest.fail("log-domain reference did not converge")
+    sol = solve_two_sided(r, mu, nu, PenaltyConfig(lam=lam))
+    np.testing.assert_allclose(sol, p, rtol=0, atol=1e-10)
 
 
 def test_epsilon_fill(appendix):
