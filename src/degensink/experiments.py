@@ -4,7 +4,6 @@ distance of penalized / filled-reference solutions to the limit).
 """
 
 import io
-import math
 
 import numpy as np
 
@@ -17,7 +16,15 @@ from .instances import (
     staircase_instance,
 )
 from .measures import total_mass, tv_distance
-from .sinkhorn import StopConfig, current_P, current_Q, init_state, run_sinkhorn, sinkhorn_step
+from .sinkhorn import (
+    StopConfig,
+    _LogIteration,
+    current_P,
+    current_Q,
+    init_state,
+    run_sinkhorn,
+    sinkhorn_step,
+)
 from .support import approx_support_algorithm1, default_thresholds, masked_solve
 from .unbalanced import sweep_epsilon, sweep_lambda
 from .scalability import classify_exact, feasibility_flow
@@ -97,30 +104,25 @@ def run_appendix_a():
 def _naive_threshold_solve(r, mu, nu, cfg):
     """Scaling run that permanently zeroes reference entries whose scaling
     density a_i b_j falls below the minimal factor m_i (per-entry variant
-    of the row-dropping detector).  Returns (P, Q, reference_used, iterations)."""
-    r = np.asarray(r, dtype=float).copy()
-    thresholds = default_thresholds(r, mu)
-    a = np.ones(mu.size)
-    b = np.ones(nu.size)
+    of the row-dropping detector): after each step the kernel is
+    restricted to the live entries with u_i + v_j >= log m_i.  Stops on
+    the successive-iterate criterion of ``cfg``.  Returns
+    (P, Q, reference_used, iterations)."""
+    r = np.asarray(r, dtype=float)
+    log_m = np.log(default_thresholds(r, mu))[:, None]
+    kernel = _LogIteration(r, mu, nu)
     p_old = q_old = None
     iterations = cfg.max_iter
     for n in range(1, cfg.max_iter + 1):
-        b_prev = b.copy()
-        a = np.where(mu > 0, mu / np.maximum(r @ b, 1e-300), 0.0)
-        b = np.where(nu > 0, nu / np.maximum(r.T @ a, 1e-300), 0.0)
-        pos = a > 0
-        scale = math.exp(-float(np.log(a[pos]).mean()))
-        a, b, b_prev = a * scale, b / scale, b_prev / scale
-        with np.errstate(invalid="ignore"):
-            density = a[:, None] * b[None, :]
-        r[(r > 0) & (density < thresholds[:, None])] = 0.0
-        p = a[:, None] * b_prev[None, :] * r
-        q = a[:, None] * b[None, :] * r
+        kernel.step()
+        u, v, _ = kernel.logs()
+        kernel.restrict((kernel.log_r > -np.inf) & (u[:, None] + v[None, :] >= log_m))
+        p, q = kernel.couplings()
         if p_old is not None and max(tv_distance(p, p_old), tv_distance(q, q_old)) <= cfg.epsilon_tol:
             iterations = n
             break
         p_old, q_old = p, q
-    return p, q, r, iterations
+    return p, q, r * (kernel.log_r > -np.inf), iterations
 
 
 def experiment_iterations_vs_zeros(block_range, size=100, cfg=None, stop_cfg=None):
@@ -145,7 +147,7 @@ def experiment_iterations_vs_zeros(block_range, size=100, cfg=None, stop_cfg=Non
         plain = run_sinkhorn(r, mu, nu, cfg)
         p_naive, _, _, iters_naive = _naive_threshold_solve(r, mu, nu, cfg)
         approx = approx_support_algorithm1(r, mu, nu, stop_cfg=stop_cfg)
-        masked = masked_solve(r, mu, nu, approx.mask, cfg, estimate_rate=False)
+        masked = masked_solve(r, mu, nu, approx.mask, cfg)
         extra_zeros = int((r > 0).sum() - approx.mask.sum())
         rows.append({
             "n_blocks": int(n_blocks),

@@ -20,6 +20,7 @@ from .errors import InfeasibleProjection
 __all__ = [
     "as_measure",
     "as_coupling",
+    "as_triple",
     "total_mass",
     "marginal_row",
     "marginal_col",
@@ -57,6 +58,16 @@ def as_coupling(entries):
     if r.size and r.min() < 0:
         raise ValueError("coupling entries must be nonnegative")
     return r.copy()
+
+
+def as_triple(r, mu, nu):
+    """Validate a reference coupling and its two target marginals with
+    :func:`as_coupling` and :func:`as_measure`, and check that the shape
+    of ``r`` is (len(mu), len(nu))."""
+    r, mu, nu = as_coupling(r), as_measure(mu), as_measure(nu)
+    if r.shape != (mu.size, nu.size):
+        raise ValueError("inconsistent shapes")
+    return r, mu, nu
 
 
 def total_mass(m):

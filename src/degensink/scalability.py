@@ -19,7 +19,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import Assumption1Violated, DimensionTooLarge
-from .measures import marginal_col, marginal_row, total_mass
+from .measures import as_triple, marginal_col, marginal_row, total_mass
 
 __all__ = [
     "support_graph",
@@ -223,9 +223,7 @@ def classify_exact(r, mu, nu, cap=SUBSET_ENUMERATION_CAP):
     from ApproximatelyScalable genuinely needs enumeration, so that case
     raises DimensionTooLarge.
     """
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    r, mu, nu = as_triple(r, mu, nu)
     if not check_assumption1(r, mu, nu):
         raise Assumption1Violated("classification undefined: assumption check failed")
     m_mu, m_nu = total_mass(mu), total_mass(nu)
@@ -320,9 +318,7 @@ def feasibility_flow(r, mu, nu):
     feasible iff the max flow carries the whole mass of mu.  Requires
     balanced masses.
     """
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    r, mu, nu = as_triple(r, mu, nu)
     m_mu, m_nu = total_mass(mu), total_mass(nu)
     tol = 1e-9 * max(m_mu, 1.0)
     if abs(m_mu - m_nu) > tol:

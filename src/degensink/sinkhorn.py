@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import Assumption1Violated, OverflowDetected
 from .measures import (
+    as_triple,
     geometric_mean,
     marginal_col,
     marginal_row,
@@ -247,7 +248,10 @@ class SolveReport:
     and ``mu_g``/``nu_g`` their componentwise geometric means with the
     targets.  ``structural_support`` marks entries of R judged to survive
     in the limit (an entry is a structural zero after staying below
-    z_tol = 1e-12 M(mu) for 50 consecutive iterations)."""
+    z_tol = 1e-12 M(mu) for 50 consecutive iterations).  ``rate_slope`` and
+    ``rate_r_squared`` are set by :func:`degensink.support.masked_solve`:
+    the least-squares slope of log10 of the successive moves in
+    ``gap_trace`` against n, and the R^2 of that fit."""
 
     p_star: np.ndarray
     q_star: np.ndarray
@@ -268,16 +272,6 @@ class SolveReport:
     rate_r_squared: float | None = None
 
 
-def _lse_rows(mat):
-    """Row-wise log-sum-exp; a row of -inf gives -inf."""
-    mx = mat.max(axis=1)
-    out = np.full(mat.shape[0], -np.inf)
-    fin = np.isfinite(mx)
-    if fin.any():
-        out[fin] = mx[fin] + np.log(np.exp(mat[fin] - mx[fin][:, None]).sum(axis=1))
-    return out
-
-
 class _LogIteration:
     """The scaling recursion, stabilized by absorption.
 
@@ -289,17 +283,12 @@ class _LogIteration:
     Math. Comp. 2018).  Scaled potentials outside [1/_ABSORB, _ABSORB]
     are absorbed into U, V and K is rebuilt from log R, so no float
     overflows however far u and v diverge.  Massless rows and columns keep
-    a zero scaling.
+    a zero scaling; :meth:`restrict` zeroes reference entries as it goes.
     """
 
     def __init__(self, r, mu, nu, kappa=(1.0, 1.0)):
-        self.mu, self.nu = mu, nu
         self.kappa_row, self.kappa_col = kappa
-        self.rows = slice(None) if (mu > 0).all() else mu > 0
-        self.cols = slice(None) if (nu > 0).all() else nu > 0
-        # massless rows/columns get the scaling 0/(den + 1) = 0, never 0/0
-        self.pad_row = (mu == 0).astype(float)
-        self.pad_col = (nu == 0).astype(float)
+        self._set_masses(mu, nu)
         with np.errstate(divide="ignore"):
             # a rebuilt kernel is zero on massless rows and columns; the
             # first step uses R itself, like the literal recursion's b^0 = 1
@@ -312,6 +301,23 @@ class _LogIteration:
         self.b = self.b_prev = np.ones(nu.size)
         self.absorbed = False
 
+    def _set_masses(self, mu, nu):
+        self.mu, self.nu = mu, nu
+        self.rows = slice(None) if (mu > 0).all() else mu > 0
+        self.cols = slice(None) if (nu > 0).all() else nu > 0
+        # massless rows/columns get the scaling 0/(den + 1) = 0, never 0/0
+        self.pad_row = (mu == 0).astype(float)
+        self.pad_col = (nu == 0).astype(float)
+
+    def restrict(self, keep):
+        """Zero the reference outside the boolean entry mask ``keep``;
+        rows and columns left without an entry become massless."""
+        self.log_r = np.where(keep, self.log_r, -np.inf)
+        self.k = self.k * keep
+        support = self.log_r > -np.inf
+        self._set_masses(np.where(support.any(axis=1), self.mu, 0.0),
+                         np.where(support.any(axis=0), self.nu, 0.0))
+
     def _absorb(self):
         self.u_abs[self.rows] += np.log(self.a[self.rows])
         self.v_abs[self.cols] += np.log(self.b[self.cols])
@@ -321,14 +327,23 @@ class _LogIteration:
         self.damp_col = np.exp((self.kappa_col - 1.0) * self.v_abs)
         self.absorbed = True
 
-    def step(self):
+    def update_a(self):
+        """The a half-update (P^n of :meth:`couplings`), absorbing first
+        when a scaled potential has left the window."""
         # initial=1 lies inside the window and covers all-massless sides
         if max(self.a.max(initial=1.0), self.b.max(initial=1.0)) > _ABSORB or \
                 min(self.a[self.rows].min(initial=1.0), self.b[self.cols].min(initial=1.0)) < 1.0 / _ABSORB:
             self._absorb()
         self.b_prev = self.b
         self.a = (self.mu / (self.k @ self.b + self.pad_row)) ** self.kappa_row * self.damp_row
+
+    def update_b(self):
+        """The b half-update (Q^n of :meth:`couplings`)."""
         self.b = (self.nu / (self.k.T @ self.a + self.pad_col)) ** self.kappa_col * self.damp_col
+
+    def step(self):
+        self.update_a()
+        self.update_b()
 
     def couplings(self):
         """P = a (x) b_prev . K and Q = a (x) b . K."""
@@ -342,7 +357,7 @@ class _LogIteration:
 
 
 def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
-                 z_tol_factor=1e-12, tv_reference=None, tv_out=None):
+                 z_tol_factor=1e-12):
     """Run the scaling iteration until the configured criterion fires.
 
     Parameters
@@ -363,18 +378,14 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
         support detection, where further iterations cannot change any
         decision but the diverging potentials eventually exhaust float
         range.
-    tv_reference, tv_out : optional
-        When given, append tv_distance(P^n, tv_reference) to ``tv_out``
-        each iteration (used for convergence-rate estimation).
 
     Returns a :class:`SolveReport`; ``converged`` is False when max_iter
-    (or a stall exit) was reached without meeting the criterion.
+    (or a stall exit) was reached without meeting the criterion.  Under
+    the iterate-delta mode ``gap_trace`` holds the successive moves
+    max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})).  Raises ValueError on
+    inconsistent shapes and on NaN, infinite or negative input.
     """
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if r.shape != (mu.size, nu.size):
-        raise ValueError("inconsistent shapes")
+    r, mu, nu = as_triple(r, mu, nu)
     if not check_assumption1(r, mu, nu):
         raise Assumption1Violated("the scaling iteration is undefined for this triple")
     cfg = cfg or StopConfig()
@@ -408,9 +419,6 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
             else:
                 gap = _gap_unbalanced_from_logs(log_a, log_b_prev, p, r, mu, nu, cfg.lam)
         trace.append((n, gap))
-
-        if tv_reference is not None and tv_out is not None:
-            tv_out.append(tv_distance(p, tv_reference))
 
         if gap <= cfg.epsilon_tol:
             converged = True

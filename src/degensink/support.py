@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Assumption2Violated, DimensionTooLarge, NotConverged
-from .measures import marginal_col, marginal_row, total_mass
+from .measures import as_triple, marginal_col, marginal_row, total_mass
 from .scalability import (
     SUBSET_ENUMERATION_CAP,
     connected_components,
     reduce_to_full_support,
     support_graph,
 )
-from .sinkhorn import StopConfig, _lse_rows, run_sinkhorn
+from .sinkhorn import MODE_ITERATE_DELTA, StopConfig, _LogIteration, run_sinkhorn
 
 __all__ = [
     "ThetaSetResult",
@@ -44,11 +44,7 @@ _REL_TOL = 1e-12
 
 
 def _require_full_support(r, mu, nu):
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if r.shape != (mu.size, nu.size):
-        raise ValueError("inconsistent shapes")
+    r, mu, nu = as_triple(r, mu, nu)
     if mu.size == 0 or nu.size == 0:
         raise Assumption2Violated("empty ground set")
     if (mu <= 0).any() or (nu <= 0).any() or (marginal_row(r) <= 0).any() or (marginal_col(r) <= 0).any():
@@ -266,9 +262,7 @@ def approx_support_algorithm1(r, mu, nu, thresholds=None, stop_cfg=None):
     isolated scalable block, recording zeros for the remaining rows on the
     removed columns, and the procedure recurses on the rest.
     """
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    r, mu, nu = as_triple(r, mu, nu)
     stop_cfg = stop_cfg or StopConfig()
     eps = stop_cfg.epsilon_tol
     inner_cap = 10 * stop_cfg.max_iter
@@ -276,8 +270,8 @@ def approx_support_algorithm1(r, mu, nu, thresholds=None, stop_cfg=None):
     reduced, mu_r, nu_r, row_map, col_map = reduce_to_full_support(r, mu, nu)
     indicator = (reduced > 0).astype(float)
     n, m = indicator.shape
-    m_full = np.asarray(thresholds, dtype=float)[row_map] if thresholds is not None \
-        else default_thresholds(indicator, mu_r)
+    log_m = np.log(np.asarray(thresholds, dtype=float)[row_map] if thresholds is not None
+                   else default_thresholds(indicator, mu_r))
 
     active_rows = np.arange(n)
     active_cols = np.arange(m)
@@ -287,57 +281,38 @@ def approx_support_algorithm1(r, mu, nu, thresholds=None, stop_cfg=None):
     converged = True
 
     while active_rows.size:
-        # log-potential scaling on the active indicator block: immune to the
+        # the absorbing kernel on the active indicator block: immune to the
         # potential drift of mass-unbalanced subproblems at any run length
-        rbar = indicator[np.ix_(active_rows, active_cols)].copy()
-        rows_u = active_rows.copy()
-        cols_v = active_cols.copy()
-        mubar = mu_r[rows_u].copy()
-        nubar = nu_r[cols_v].copy()
-        log_mloc = np.log(m_full[rows_u])
-        with np.errstate(divide="ignore"):
-            log_rbar = np.log(rbar)
-        u = np.zeros(rows_u.size)
-        v = np.zeros(cols_v.size)
+        block = indicator[np.ix_(active_rows, active_cols)]
+        kernel = _LogIteration(block, mu_r[active_rows], nu_r[active_cols])
+        kernel.restrict(block > 0)
+        log_m_block = log_m[active_rows]
         it = 0
         while True:
-            v_prev = v.copy()
-            lse = _lse_rows(log_rbar + v[None, :])
-            keep = np.isfinite(lse)
-            u = np.where(keep, np.log(mubar) - np.where(keep, lse, 0.0), -np.inf)
-            with np.errstate(over="ignore"):
-                p = np.exp(u[:, None] + v_prev[None, :] + log_rbar)
-            err = float(np.abs(p.sum(axis=0) / mubar.sum() - nubar / nubar.sum()).sum())
+            kernel.update_a()
+            p, _ = kernel.couplings()
+            err = float(np.abs(p.sum(axis=0) / kernel.mu.sum() - kernel.nu / kernel.nu.sum()).sum())
             if err <= eps:
                 break
             if it >= inner_cap:
                 converged = False
                 break
             it += 1
-            log_prod = np.where(rbar > 0, u[:, None] + v[None, :], np.inf)
-            keep &= ~(log_prod.min(axis=1) < log_mloc)
-            if not keep.any():
+            u, _, v_prev = kernel.logs()
+            # massless rows have no support entry, so their minimum is inf
+            log_prod = np.where(kernel.log_r > -np.inf, u[:, None] + v_prev[None, :], np.inf)
+            low = log_prod.min(axis=1) < log_m_block
+            if not (kernel.mu[~low] > 0).any():
                 raise NotConverged("approximate support detection dropped every row "
                                    "(thresholds too large for this instance)")
-            if not keep.all():
-                rows_u = rows_u[keep]
-                rbar = rbar[keep]
-                log_rbar = log_rbar[keep]
-                mubar = mubar[keep]
-                log_mloc = log_mloc[keep]
-                u = u[keep]
-            lse_c = _lse_rows((log_rbar + u[:, None]).T)
-            keep_c = np.isfinite(lse_c)
-            v = np.where(keep_c, np.log(nubar) - np.where(keep_c, lse_c, 0.0), -np.inf)
-            if not keep_c.all():
-                cols_v = cols_v[keep_c]
-                rbar = rbar[:, keep_c]
-                log_rbar = log_rbar[:, keep_c]
-                nubar = nubar[keep_c]
-                v = v[keep_c]
+            if low.any():
+                kernel.restrict(~low[:, None])
+            kernel.update_b()
         total_inner += it
 
-        comps = connected_components(rbar > 0)
+        live_rows, live_cols = kernel.mu > 0, kernel.nu > 0
+        rows_u, cols_v = active_rows[live_rows], active_cols[live_cols]
+        comps = connected_components((kernel.log_r > -np.inf)[np.ix_(live_rows, live_cols)])
         ratios = []
         for comp_rows, comp_cols in comps:
             num = float(mu_r[rows_u[list(comp_rows)]].sum()) if comp_rows else 0.0
@@ -364,8 +339,8 @@ def approx_support_algorithm1(r, mu, nu, thresholds=None, stop_cfg=None):
 
 
 def _fit_rate(tvs):
-    """Least-squares slope and R^2 of log10 TV against iteration index over
-    the last max(20, half) usable points."""
+    """Least-squares slope and R^2 of log10 tvs[n-1] against the iteration
+    index n over the last max(20, half) usable points."""
     tvs = np.asarray(tvs, dtype=float)
     idx = np.arange(1, tvs.size + 1)
     usable = (tvs > 1e-250) & np.isfinite(tvs)
@@ -387,13 +362,16 @@ def _fit_rate(tvs):
     return slope, r2
 
 
-def masked_solve(r, mu, nu, mask, cfg=None, estimate_rate=True):
+def masked_solve(r, mu, nu, mask, cfg=None):
     """Scaling run on R restricted to ``mask`` (which must be contained in
     the support of R), with a convergence-rate estimate.
 
     Masking R to the limit support does not change the limits but restores
-    a linear rate; the report carries the least-squares slope of
-    log10 TV(P^n, p_star) against n and the R^2 of that fit.
+    a linear rate.  Under the iterate-delta criterion (the default) the
+    report carries the least-squares slope of log10 of the successive
+    moves max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})) against n, and the R^2 of
+    that fit; these moves decay at the same geometric rate as
+    TV(P^n, P*).  Under the gap criteria the rate fields stay None.
     """
     r = np.asarray(r, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -401,15 +379,9 @@ def masked_solve(r, mu, nu, mask, cfg=None, estimate_rate=True):
         raise ValueError("mask shape mismatch")
     if (mask & ~(r > 0)).any():
         raise ValueError("mask is not contained in the support of R")
-    masked = r * mask
     cfg = cfg or StopConfig(epsilon_tol=1e-12 * max(total_mass(mu), 1.0),
-                            max_iter=100_000, mode="iterate-delta")
-    report = run_sinkhorn(masked, mu, nu, cfg)
-    if estimate_rate:
-        tvs = []
-        run_sinkhorn(masked, mu, nu,
-                     StopConfig(epsilon_tol=0.0, max_iter=report.iterations,
-                                mode="iterate-delta"),
-                     tv_reference=report.p_star, tv_out=tvs)
-        report.rate_slope, report.rate_r_squared = _fit_rate(tvs)
+                            max_iter=100_000, mode=MODE_ITERATE_DELTA)
+    report = run_sinkhorn(r * mask, mu, nu, cfg)
+    if cfg.mode == MODE_ITERATE_DELTA:
+        report.rate_slope, report.rate_r_squared = _fit_rate([gap for _, gap in report.gap_trace])
     return report

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import Assumption1Violated, NotConverged
 from .measures import (
+    as_triple,
     marginal_col,
     marginal_row,
     rel_entropy,
@@ -30,7 +31,7 @@ from .measures import (
     tv_distance,
 )
 from .scalability import check_assumption1
-from .sinkhorn import StopConfig, _LogIteration, run_sinkhorn
+from .sinkhorn import StopConfig, _LogIteration, _gap_unbalanced_from_logs, run_sinkhorn
 
 __all__ = [
     "PenaltyConfig",
@@ -85,9 +86,7 @@ def solve_schu_lambda(r, mu, nu, cfg):
     """
     if cfg.sides != SIDE_SECOND:
         raise ValueError("solve_schu_lambda requires a second-marginal-only config")
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    r, mu, nu = as_triple(r, mu, nu)
     if not check_assumption1(r, mu, nu):
         raise Assumption1Violated("the scaling iteration is undefined for this triple")
     lam = float(cfg.lam)
@@ -95,16 +94,12 @@ def solve_schu_lambda(r, mu, nu, cfg):
     kernel = _LogIteration(r, mu, nu, (1.0, lam / (1.0 + lam)))
     stat_tol = 1e-13 * max(total_mass(mu), 1.0)
     offset = total_mass(r) - total_mass(mu)
-    sup_mu, sup_nu = mu > 0, nu > 0
     p_old = None
     for _ in range(cfg.max_iter):
         kernel.step()
         p, _ = kernel.couplings()
         u, _, v_prev = kernel.logs()
-        pen = float(np.sum(nu[sup_nu] * (1.0 - np.exp(-v_prev[sup_nu] / lam))))
-        gap = (rel_entropy_coupling(p, r)
-               + lam * (rel_entropy(marginal_col(p), nu) - pen)
-               - float(np.sum(mu[sup_mu] * u[sup_mu])))
+        gap = _gap_unbalanced_from_logs(u, v_prev, p, r, mu, nu, lam)
         if abs(gap - offset) <= eps:
             return p
         if p_old is not None and tv_distance(p, p_old) <= stat_tol:
@@ -129,9 +124,7 @@ def solve_two_sided(r, mu, nu, cfg):
     """
     if cfg.sides != SIDE_BOTH:
         raise ValueError("solve_two_sided requires a both-marginals config")
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    r, mu, nu = as_triple(r, mu, nu)
     if not check_assumption1(r, mu, nu):
         raise Assumption1Violated("the scaling iteration is undefined for this triple")
     lam = float(cfg.lam)

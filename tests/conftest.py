@@ -53,6 +53,16 @@ def log_arrays(r, mu, nu):
         return np.log(r), np.log(mu), np.log(nu)
 
 
+def _lse_rows(mat):
+    """Row-wise log-sum-exp; a row of -inf gives -inf."""
+    mx = mat.max(axis=1)
+    out = np.full(mat.shape[0], -np.inf)
+    fin = np.isfinite(mx)
+    if fin.any():
+        out[fin] = mx[fin] + np.log(np.exp(mat[fin] - mx[fin][:, None]).sum(axis=1))
+    return out
+
+
 def printed_close(value, printed):
     """Match a computed value against a printed figure: within one unit in
     the second significant digit (the source mixes rounding and

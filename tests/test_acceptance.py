@@ -170,7 +170,7 @@ def test_criterion_06_algorithm1_agreement():
             # limit densities of the indicator problem, via the (fast,
             # linear-rate) masked solve on the known limit support
             dens = dg.masked_solve(indicator, mu, nu, exact,
-                                   _tight(mu.sum(), 20_000), estimate_rate=False).p_star
+                                   _tight(mu.sum(), 20_000)).p_star
             thresholds = dg.default_thresholds(indicator, mu)
             ok = all(not exact[i].any() or dens[i][exact[i]].min() >= 2 * thresholds[i]
                      for i in range(r.shape[0]))

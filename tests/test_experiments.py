@@ -46,6 +46,14 @@ def test_iterations_vs_zeros_small():
     assert rows[2]["iters_naive"] < rows[2]["iters_plain"]
 
 
+def test_iterations_vs_zeros_counts_at_size_100():
+    # pinned counts of the three methods on the 100x100 staircases
+    rows = experiment_iterations_vs_zeros([4, 6, 10], size=100)
+    assert [row["iters_plain"] for row in rows] == [195, 482, 1323]
+    assert [row["iters_naive"] for row in rows] == [56, 125, 336]
+    assert [row["iters_preproc"] for row in rows] == [67, 157, 511]
+
+
 @pytest.mark.slow
 def test_fig6_full_size():
     lam_rows, eps_rows, classification = experiment_fig6(size=100)

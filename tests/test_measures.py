@@ -17,6 +17,16 @@ from degensink import (
     total_mass,
     tv_distance,
 )
+from degensink import (
+    approx_support_algorithm1,
+    classify_exact,
+    exact_support_procedure,
+    feasibility_flow,
+    run_sinkhorn,
+    solve_schu_lambda,
+    solve_two_sided,
+)
+from degensink.unbalanced import SIDE_SECOND, PenaltyConfig
 from conftest import P_STAR, Q_STAR, R_STAR
 
 
@@ -178,3 +188,28 @@ def test_projection_conserves_mass():
         mu = rng.uniform(0.0, 2.0, 3) * (marginal_row(r) > 0)
         p = project_first_marginal(r, mu)
         assert total_mass(p) == pytest.approx(total_mass(mu), abs=1e-12)
+
+
+ENTRY_POINTS = {
+    "run_sinkhorn": run_sinkhorn,
+    "solve_schu_lambda": lambda r, mu, nu: solve_schu_lambda(
+        r, mu, nu, PenaltyConfig(lam=10.0, sides=SIDE_SECOND)),
+    "solve_two_sided": lambda r, mu, nu: solve_two_sided(r, mu, nu, PenaltyConfig(lam=10.0)),
+    "approx_support_algorithm1": approx_support_algorithm1,
+    "exact_support_procedure": exact_support_procedure,
+    "classify_exact": classify_exact,
+    "feasibility_flow": feasibility_flow,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("where", ["R", "mu"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_entry_points_reject_invalid_input(entry, where, bad, appendix):
+    r, mu, nu = (np.array(x, dtype=float) for x in appendix)
+    if where == "R":
+        r[0, 0] = bad
+    else:
+        mu[1] = bad
+    with pytest.raises(ValueError):
+        ENTRY_POINTS[entry](r, mu, nu)

@@ -21,7 +21,7 @@ from degensink import (
     sinkhorn_step,
 )
 from degensink.instances import block_ratio_schedule, staircase_instance
-from degensink.sinkhorn import SinkhornState, StopConfig, _LogIteration, _lse_rows
+from degensink.sinkhorn import SinkhornState, StopConfig, _LogIteration
 from conftest import (
     MU_G,
     MU_STAR,
@@ -32,6 +32,7 @@ from conftest import (
     R_STAR,
     S_MASK,
     Z_NORM,
+    _lse_rows,
     assert_printed,
     log_arrays,
     random_instance,
@@ -305,6 +306,28 @@ def test_absorbing_kernel_matches_log_domain(instance, cfg, absorbs, appendix, m
     # accurate to about 1e-12 relative
     np.testing.assert_allclose(rep.p_star, p_ref, rtol=1e-12, atol=1e-12 * p_ref.max())
     np.testing.assert_allclose(rep.q_star, q_ref, rtol=1e-12, atol=1e-12 * q_ref.max())
+
+
+def test_restrict_before_first_step_matches_masked_kernel():
+    r, mu, nu, support, _ = staircase_instance(100, [10] * 10, block_ratio_schedule(10))
+    mask = support.copy()
+    mask[:5] = False  # rows 0-4 and columns 95-99 lose every entry
+    mask[:, 95:] = False
+    restricted = _LogIteration(r, mu, nu)
+    restricted.restrict(mask)
+    mu_live = np.where(mask.any(axis=1), mu, 0.0)
+    nu_live = np.where(mask.any(axis=0), nu, 0.0)
+    fresh = _LogIteration(r * mask, mu_live, nu_live)
+    np.testing.assert_array_equal(restricted.mu, mu_live)
+    np.testing.assert_array_equal(restricted.nu, nu_live)
+    assert mu[:5].min() > 0 and nu[95:].min() > 0  # the caller's arrays are untouched
+    for _ in range(400):
+        restricted.step()
+        fresh.step()
+    assert restricted.absorbed and fresh.absorbed
+    for got, want in zip(restricted.couplings(), fresh.couplings()):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
+        assert not got[:5].any() and not got[:, 95:].any()
 
 
 def test_standalone_linear_step_eventually_overflows(appendix):

@@ -179,10 +179,29 @@ def test_masked_solve_full_mask_is_plain_solve():
     r = np.array([[1.0, 0.5], [0.25, 1.0]])
     mu, nu = r.sum(1), r.sum(0)
     cfg = StopConfig(epsilon_tol=1e-12, max_iter=1000, mode="iterate-delta")
-    rep = masked_solve(r, mu, nu, r > 0, cfg, estimate_rate=False)
+    rep = masked_solve(r, mu, nu, r > 0, cfg)
     plain = run_sinkhorn(r, mu, nu, cfg)
     np.testing.assert_array_equal(rep.p_star, plain.p_star)
     assert rep.iterations == plain.iterations
+
+
+def test_masked_solve_runs_once(appendix, monkeypatch):
+    import degensink.support as support_module
+
+    calls = []
+    run = support_module.run_sinkhorn
+    monkeypatch.setattr(support_module, "run_sinkhorn",
+                        lambda *args, **kwargs: (calls.append(kwargs), run(*args, **kwargs))[1])
+    r, mu, nu = appendix
+    rep = masked_solve(r, mu, nu, S_MASK)
+    assert len(calls) == 1
+    assert rep.rate_r_squared > 0.99 and rep.rate_slope < 0
+
+
+def test_masked_solve_gap_mode_leaves_rate_unset(appendix):
+    r, mu, nu = appendix
+    rep = masked_solve(r, mu, nu, S_MASK, StopConfig(epsilon_tol=1e-10, mode="balanced-gap"))
+    assert rep.rate_slope is None and rep.rate_r_squared is None
 
 
 def test_masked_solve_rejects_bad_mask(appendix):

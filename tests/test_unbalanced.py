@@ -18,9 +18,9 @@ from degensink import (
     sweep_lambda,
     tv_distance,
 )
-from degensink.sinkhorn import StopConfig, _lse_rows
+from degensink.sinkhorn import StopConfig
 from degensink.unbalanced import SIDE_SECOND
-from conftest import MU_G, NU_G, NU_STAR, R_STAR, Z_NORM, log_arrays
+from conftest import MU_G, NU_G, NU_STAR, R_STAR, Z_NORM, _lse_rows, log_arrays
 
 TIGHT = StopConfig(epsilon_tol=1e-13 * 6, max_iter=10_000, mode="iterate-delta")
 
