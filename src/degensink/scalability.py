@@ -168,8 +168,9 @@ class ScalabilityClass:
     ``tag`` is one of Scalable, ApproximatelyScalable, NonScalable or their
     Unbalanced* variants.  ``witness``, when present, is a tuple of original
     row indices A with ``mu(A) > nu(F(A))`` (NonScalable) or with
-    ``mu(A) = nu(F(A))`` while ``mu^R(A) < nu^R(F(A))`` (ApproximatelyScalable),
-    always the lexicographically smallest such subset.
+    ``mu(A) = nu(F(A))`` while ``mu^R(A) < nu^R(F(A))`` (ApproximatelyScalable).
+    Up to the enumeration cap it is the lexicographically smallest such
+    subset; above it the NonScalable witness is read off a minimum cut.
     """
 
     tag: str
@@ -184,28 +185,55 @@ class ScalabilityClass:
         return self.tag.removeprefix("Unbalanced")
 
 
-def _iter_subsets(row_idx, adjacency_rows):
-    """Yield ``(indices, image_cols)`` for every nonempty subset of row_idx.
+def _subset_table(adj, row_weights, col_weights):
+    """Weight sums over every row subset A, indexed by the bitmask of A
+    (bit i set iff row i is in A; entry 0 is the empty set).
 
-    ``adjacency_rows`` maps row index -> frozenset of adjacent columns.
-    Uses an incremental DP over bitmasks; caller enforces the size cap.
+    Returns ``(masks, row_sums, image_sums)``: ``row_sums[k][A]`` sums
+    ``row_weights[k]`` over the rows of A and ``image_sums[k][A]`` sums
+    ``col_weights[k]`` over the column image F(A) in the bipartite graph
+    ``adj``.  Row sums are built by doubling: the subsets containing row k
+    extend the ones below it by one addition.  Columns are grouped by
+    their row neighbourhood B, and each group's total is added once to
+    every subset that meets B, so memory stays O(2^n) per weight whatever
+    the number of columns.
     """
-    n = len(row_idx)
-    images = [frozenset()] * (1 << n)
-    members = [()] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        bit = low.bit_length() - 1
-        rest = mask ^ low
-        images[mask] = images[rest] | adjacency_rows[row_idx[bit]]
-        members[mask] = (row_idx[bit],) + members[rest]
-    for mask in range(1, 1 << n):
-        yield tuple(sorted(members[mask])), images[mask]
+    adj = np.asarray(adj, dtype=bool)
+    n = adj.shape[0]
+    masks = np.arange(1 << n, dtype=np.int64)
+    row_weights = np.asarray(row_weights, dtype=float)
+    row_sums = np.zeros((len(row_weights), 1 << n))
+    for k in range(n):
+        row_sums[:, 1 << k:2 << k] = row_sums[:, :1 << k] + row_weights[:, k:k + 1]
+    neighbourhoods = (adj.astype(np.int64) << np.arange(n, dtype=np.int64)[:, None]).sum(axis=0)
+    groups, group_of = np.unique(neighbourhoods, return_inverse=True)
+    group_weights = np.array([np.bincount(group_of, weights=w, minlength=groups.size)
+                              for w in col_weights])
+    image_sums = np.zeros((len(col_weights), 1 << n))
+    for b, w in zip(groups.tolist(), group_weights.T):
+        if b:
+            np.add(image_sums, w[:, None], out=image_sums, where=(masks & b) != 0)
+    return masks, row_sums, image_sums
 
 
-def _row_adjacency(r):
-    adj = support_graph(r)
-    return {i: frozenset(int(j) for j in np.nonzero(adj[i])[0]) for i in range(adj.shape[0])}
+def _smallest_subset(masks):
+    """The lexicographically smallest of the sorted index tuples encoded by
+    the nonzero bitmasks ``masks``: fix the smallest first member, keep the
+    masks that start with it, and walk on until one of them is exhausted."""
+    members = []
+    while True:
+        low = masks & -masks
+        first = low.min()
+        members.append(int(first).bit_length() - 1)
+        masks = masks[low == first] ^ first
+        if not masks.all():
+            return tuple(members)
+
+
+def _is_unbalanced(mu, nu):
+    """Total masses differ by more than 1e-12 times the larger one (or 1)."""
+    m_mu, m_nu = total_mass(mu), total_mass(nu)
+    return abs(m_mu - m_nu) > 1e-12 * max(m_mu, m_nu, 1.0)
 
 
 def classify_exact(r, mu, nu, cap=SUBSET_ENUMERATION_CAP):
@@ -218,17 +246,23 @@ def classify_exact(r, mu, nu, cap=SUBSET_ENUMERATION_CAP):
     any solution has strictly smaller support than r, so a feasible
     instance cannot be better than approximately scalable.
 
-    For row counts beyond ``cap`` the max-flow feasibility test still
-    decides NonScalable (with a min-cut witness); distinguishing Scalable
-    from ApproximatelyScalable genuinely needs enumeration, so that case
-    raises DimensionTooLarge.
+    Up to ``cap`` rows every nonempty row subset is tested at once on a
+    vectorized table of its sums: mu(A) against nu(F(A)) within 1e-12 of
+    the mass for Hall's condition, then, per connected component, the
+    saturated subsets against the reference marginals.  The number of
+    columns is not limited.  Beyond ``cap`` rows one max-flow decides
+    feasibility: an infeasible instance is NonScalable with a min-cut
+    witness from that same flow, and a feasible one raises
+    DimensionTooLarge, since distinguishing Scalable from
+    ApproximatelyScalable needs the enumeration.  DimensionTooLarge thus
+    means "feasible, above the cap".
     """
     r, mu, nu = as_triple(r, mu, nu)
     if not check_assumption1(r, mu, nu):
         raise Assumption1Violated("classification undefined: assumption check failed")
     m_mu, m_nu = total_mass(mu), total_mass(nu)
     tol = 1e-12 * max(m_mu, m_nu, 1.0)
-    unbalanced = abs(m_mu - m_nu) > tol
+    unbalanced = _is_unbalanced(mu, nu)
     if unbalanced:
         if m_mu == 0 or m_nu == 0:
             raise Assumption1Violated("one marginal is the zero measure but the other is not")
@@ -249,45 +283,31 @@ def classify_exact(r, mu, nu, cap=SUBSET_ENUMERATION_CAP):
 
     n = rr.shape[0]
     if n > cap:
-        if feasibility_flow(rr, mur, nur):
+        witness = _hall_violator(rr, mur, nur)
+        if witness is None:
             raise DimensionTooLarge(
                 f"{n} rows exceed the enumeration cap ({cap}) and the instance is feasible; "
                 "the Scalable/ApproximatelyScalable distinction needs enumeration"
             )
-        witness = _min_cut_witness(rr, mur, nur)
         return finish(NON_SCALABLE, tuple(int(row_map[i]) for i in witness))
 
-    adj_rows = _row_adjacency(rr)
-    nu_of = np.asarray(nur, dtype=float)
-
-    def nu_sum(cols):
-        return float(nu_of[list(cols)].sum()) if cols else 0.0
-
-    violators = []
-    for subset, image in _iter_subsets(list(range(n)), adj_rows):
-        if float(mur[list(subset)].sum()) > nu_sum(image) + tol:
-            violators.append(subset)
-    if violators:
-        best = min(violators)
-        return finish(NON_SCALABLE, tuple(int(row_map[i]) for i in best))
+    adj = support_graph(rr)
+    masks, (mu_a, row_a), (nu_fa, col_fa) = _subset_table(
+        adj, [mur, marginal_row(rr)], [nur, marginal_col(rr)])
+    violators = np.flatnonzero(mu_a > nu_fa + tol)
+    if violators.size:
+        return finish(NON_SCALABLE, tuple(int(row_map[i]) for i in _smallest_subset(violators)))
 
     # Feasible: test strictness per connected component (scalable iff every
     # saturated subset also saturates the reference marginals).
-    row_r = marginal_row(rr)
-    col_r = marginal_col(rr)
     tol_ref = 1e-12 * max(total_mass(rr), 1.0)
-    nonstrict = []
-    for comp_rows, comp_cols in connected_components(support_graph(rr)):
-        if not comp_rows:
-            continue
-        for subset, image in _iter_subsets(list(comp_rows), adj_rows):
-            gap = nu_sum(image) - float(mur[list(subset)].sum())
-            ref_gap = float(col_r[list(image)].sum()) - float(row_r[list(subset)].sum()) if image else 0.0
-            if abs(gap) <= tol and ref_gap > tol_ref:
-                nonstrict.append(subset)
-    if nonstrict:
-        best = min(nonstrict)
-        return finish(APPROXIMATELY_SCALABLE, tuple(int(row_map[i]) for i in best))
+    in_component = np.zeros(masks.size, dtype=bool)
+    for comp_rows, _ in connected_components(adj):
+        in_component |= (masks & ~sum(1 << i for i in comp_rows)) == 0
+    nonstrict = np.flatnonzero(in_component & (np.abs(nu_fa - mu_a) <= tol) & (col_fa - row_a > tol_ref))
+    if nonstrict.size:
+        return finish(APPROXIMATELY_SCALABLE,
+                      tuple(int(row_map[i]) for i in _smallest_subset(nonstrict)))
     if support_shrunk:
         return finish(APPROXIMATELY_SCALABLE)
     return finish(SCALABLE)
@@ -295,16 +315,10 @@ def classify_exact(r, mu, nu, cap=SUBSET_ENUMERATION_CAP):
 
 def _flow_network(r, mu, nu):
     g = nx.DiGraph()
-    n, m = r.shape
-    for i in range(n):
-        if mu[i] > 0:
-            g.add_edge("s", ("r", i), capacity=float(mu[i]))
-    for j in range(m):
-        if nu[j] > 0:
-            g.add_edge(("c", j), "t", capacity=float(nu[j]))
-    rows, cols = np.nonzero(np.asarray(r) > 0)
-    for i, j in zip(rows, cols):
-        g.add_edge(("r", int(i)), ("c", int(j)))  # uncapacitated
+    g.add_edges_from(("s", ("r", i), {"capacity": w}) for i, w in enumerate(mu.tolist()) if w > 0)
+    g.add_edges_from((("c", j), "t", {"capacity": w}) for j, w in enumerate(nu.tolist()) if w > 0)
+    rows, cols = np.nonzero(r > 0)
+    g.add_edges_from((("r", i), ("c", j)) for i, j in zip(rows.tolist(), cols.tolist()))  # uncapacitated
     g.add_node("s")
     g.add_node("t")
     return g
@@ -330,16 +344,21 @@ def feasibility_flow(r, mu, nu):
     return value >= m_mu - tol
 
 
-def _min_cut_witness(r, mu, nu):
-    """Row subset A with mu(A) > nu(F(A)): the rows reachable from the
-    source in the residual graph of a maximum flow.
+def _hall_violator(r, mu, nu):
+    """None when the instance is feasible (the max flow carries the mass
+    of mu up to 1e-9, as in :func:`feasibility_flow`); otherwise a row
+    subset A with mu(A) > nu(F(A)), read off the same maximum flow: the
+    rows reachable from the source in its residual graph.
 
     A residual capacity below 1e-12 M(mu) counts as saturated; an exact
     ``flow == capacity`` test can miss a float edge saturated one ulp short.
     """
     g = _flow_network(r, mu, nu)
-    _, flow = nx.maximum_flow(g, "s", "t")
-    tol = 1e-12 * max(total_mass(mu), 1.0)
+    value, flow = nx.maximum_flow(g, "s", "t")
+    m_mu = total_mass(mu)
+    if value >= m_mu - 1e-9 * max(m_mu, 1.0):
+        return None
+    tol = 1e-12 * max(m_mu, 1.0)
     residual = nx.DiGraph()
     residual.add_node("s")
     for x, y, cap in g.edges(data="capacity", default=math.inf):

@@ -350,10 +350,19 @@ class _LogIteration:
         ak = self.a[:, None] * self.k
         return ak * self.b_prev[None, :], ak * self.b[None, :]
 
-    def logs(self):
-        """Log-potentials (u, v, v_prev); -inf where the scaling is zero."""
-        return (self.u_abs + _safe_log(self.a), self.v_abs + _safe_log(self.b),
-                self.v_abs + _safe_log(self.b_prev))
+    # Log-potentials, -inf where the scaling is zero; each caller takes
+    # only the ones it reads.
+    def log_a(self):
+        """u = U + log a."""
+        return self.u_abs + _safe_log(self.a)
+
+    def log_b(self):
+        """v = V + log b."""
+        return self.v_abs + _safe_log(self.b)
+
+    def log_b_prev(self):
+        """V + log b_prev, the v of P^n."""
+        return self.v_abs + _safe_log(self.b_prev)
 
 
 def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
@@ -413,7 +422,7 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
         if cfg.mode == MODE_ITERATE_DELTA:
             gap = move
         else:
-            log_a, _, log_b_prev = kernel.logs()
+            log_a, log_b_prev = kernel.log_a(), kernel.log_b_prev()
             if cfg.mode == MODE_BALANCED_GAP:
                 gap = _gap_balanced_from_logs(log_a, log_b_prev, p, r, mu, nu)
             else:
@@ -431,9 +440,9 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
                 break
         prev_p, prev_q = p, q
 
-    u, v, v_prev = kernel.logs()
     with np.errstate(over="ignore"):
-        state = SinkhornState(a=np.exp(u), b=np.exp(v), b_prev=np.exp(v_prev),
+        state = SinkhornState(a=np.exp(kernel.log_a()), b=np.exp(kernel.log_b()),
+                              b_prev=np.exp(kernel.log_b_prev()),
                               iteration=n, last_gap=trace[-1][1],
                               overflow_flag=kernel.absorbed)
 

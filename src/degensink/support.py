@@ -21,6 +21,7 @@ from .errors import Assumption2Violated, DimensionTooLarge, NotConverged
 from .measures import as_triple, marginal_col, marginal_row, total_mass
 from .scalability import (
     SUBSET_ENUMERATION_CAP,
+    _subset_table,
     connected_components,
     reduce_to_full_support,
     support_graph,
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
+_SCAN_CHUNK = 1 << 12
 
 
 def _require_full_support(r, mu, nu):
@@ -65,61 +67,58 @@ class ThetaSetResult:
 def maximal_theta(r, mu, nu, cap=SUBSET_ENUMERATION_CAP):
     """Exhaustive computation of theta_m = max_A mu(A)/nu(F(A)).
 
-    Enumerates all nonempty row subsets (requires full supports and at
-    most ``cap`` rows).  Ratio ties are resolved by cross-multiplication
-    within 1e-12 relative tolerance.
+    Requires full supports and at most ``cap`` rows; the number of columns
+    is not limited.  mu(A) and nu(F(A)) of every nonempty row subset come
+    from one vectorized table, indexed by bitmask.  A record scan in
+    bitmask order finds theta_m: a subset replaces the current best only
+    when its ratio is larger by more than 1e-12 relative.  The maximizers
+    are the subsets whose ratio ties with it within 1e-12 relative; all
+    ratio comparisons are cross-multiplied.
     """
     r, mu, nu = _require_full_support(r, mu, nu)
-    n, m = r.shape
+    n = r.shape[0]
     if n > cap:
         raise DimensionTooLarge(f"{n} rows exceed the enumeration cap ({cap})")
-    if m > 62:
-        raise DimensionTooLarge(f"{m} columns exceed the bitmask width")
-    row_img = [int(sum(1 << j for j in np.nonzero(r[i] > 0)[0])) for i in range(n)]
-
-    images = [0] * (1 << n)
-    mu_sum = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        bit = low.bit_length() - 1
-        rest = mask ^ low
-        images[mask] = images[rest] | row_img[bit]
-        mu_sum[mask] = mu_sum[rest] + mu[bit]
-    nu_cache = {}
-
-    def nu_of(img):
-        val = nu_cache.get(img)
-        if val is None:
-            val = float(sum(nu[j] for j in range(m) if img >> j & 1))
-            nu_cache[img] = val
-        return val
-
-    best_num, best_den = -1.0, 1.0
-    for mask in range(1, 1 << n):
-        num, den = mu_sum[mask], nu_of(images[mask])
-        if num * best_den > best_num * den * (1.0 + _REL_TOL):
-            best_num, best_den = num, den
-    theta = best_num / best_den
-
-    maximizers = []
-    for mask in range(1, 1 << n):
-        num, den = mu_sum[mask], nu_of(images[mask])
-        if abs(num * best_den - best_num * den) <= _REL_TOL * max(num * best_den, best_num * den):
-            maximizers.append(mask)
-    maximizers.sort(key=lambda msk: msk.bit_count())
+    masks, (num,), (den,) = _subset_table(r > 0, [mu], [nu])
+    best = _record_subset(num, den)
+    cross, best_cross = num * den[best], num[best] * den
+    tie = np.abs(cross - best_cross) <= _REL_TOL * np.maximum(cross, best_cross)
+    tie[0] = False  # the empty set, 0/0
+    maximizers = masks[tie]
+    # inclusion-minimal maximizers: smallest first, dropping the supersets
+    # of each one kept
+    pending = np.array(sorted(maximizers.tolist(), key=int.bit_count), dtype=np.int64)
     minimal_masks = []
-    for msk in maximizers:
-        if not any((other & msk) == other for other in minimal_masks):
-            minimal_masks.append(msk)
+    while pending.size:
+        minimal_masks.append(pending[0])
+        pending = pending[(pending & pending[0]) != pending[0]]
 
     def members(msk):
-        return tuple(i for i in range(n) if msk >> i & 1)
+        return tuple(i for i in range(n) if int(msk) >> i & 1)
 
     return ThetaSetResult(
-        theta_m=theta,
+        theta_m=float(num[best] / den[best]),
         maximizers=sorted(members(msk) for msk in maximizers),
         smallest=sorted(members(msk) for msk in minimal_masks),
     )
+
+
+def _record_subset(num, den):
+    """Last record of the scan over the nonempty bitmasks in increasing
+    order that keeps the current best and replaces it by the first later
+    subset with num * den_best > num_best * den * (1 + 1e-12).  The scan
+    goes in chunks, so each replacement costs at most one chunk more than
+    reading the table once."""
+    best, start = 1, 2
+    while start < num.size:
+        stop = min(start + _SCAN_CHUNK, num.size)
+        beats = np.flatnonzero(num[start:stop] * den[best] > num[best] * den[start:stop] * (1.0 + _REL_TOL))
+        if beats.size:
+            best = start + int(beats[0])
+            start = best + 1
+        else:
+            start = stop
+    return best
 
 
 @dataclass(frozen=True)
@@ -298,9 +297,9 @@ def approx_support_algorithm1(r, mu, nu, thresholds=None, stop_cfg=None):
                 converged = False
                 break
             it += 1
-            u, _, v_prev = kernel.logs()
             # massless rows have no support entry, so their minimum is inf
-            log_prod = np.where(kernel.log_r > -np.inf, u[:, None] + v_prev[None, :], np.inf)
+            log_prod = np.where(kernel.log_r > -np.inf,
+                                kernel.log_a()[:, None] + kernel.log_b_prev()[None, :], np.inf)
             low = log_prod.min(axis=1) < log_m_block
             if not (kernel.mu[~low] > 0).any():
                 raise NotConverged("approximate support detection dropped every row "

@@ -98,8 +98,7 @@ def solve_schu_lambda(r, mu, nu, cfg):
     for _ in range(cfg.max_iter):
         kernel.step()
         p, _ = kernel.couplings()
-        u, _, v_prev = kernel.logs()
-        gap = _gap_unbalanced_from_logs(u, v_prev, p, r, mu, nu, lam)
+        gap = _gap_unbalanced_from_logs(kernel.log_a(), kernel.log_b_prev(), p, r, mu, nu, lam)
         if abs(gap - offset) <= eps:
             return p
         if p_old is not None and tv_distance(p, p_old) <= stat_tol:

@@ -4,7 +4,22 @@ import numpy as np
 import pytest
 
 from degensink import appendix_a_instance
-from degensink.instances import InstanceSpec, KIND_RANDOM, gen_instance
+from degensink.measures import marginal_col, marginal_row, total_mass
+from degensink.scalability import (
+    _UNBALANCED_TAG,
+    ScalabilityClass,
+    check_assumption1,
+    connected_components,
+    reduce_to_full_support,
+    support_graph,
+)
+from degensink.instances import (
+    InstanceSpec,
+    KIND_RANDOM,
+    block_ratio_schedule,
+    gen_instance,
+    staircase_instance,
+)
 
 SQ2 = math.sqrt(2.0)
 SQ5 = math.sqrt(5.0)
@@ -102,3 +117,154 @@ def random_instance(rng, max_n=8, balanced=True, full_support=False):
     if not balanced:
         nu = nu * float(rng.uniform(0.5, 2.0))
     return r, mu, nu
+
+
+# ---------------------------------------------------------------------------
+# Pure-Python subset enumeration: the reference the vectorized subset table
+# of ``classify_exact`` and ``maximal_theta`` is checked against.  One
+# frozenset union and one sum per subset, so keep it to n <= 12 rows.
+
+ORACLE_MAX_ROWS = 12
+
+
+def _oracle_subsets(row_idx, adjacency_rows):
+    """Yield ``(indices, image_cols)`` for every nonempty subset of row_idx,
+    by an incremental DP over bitmasks."""
+    n = len(row_idx)
+    assert n <= ORACLE_MAX_ROWS
+    images = [frozenset()] * (1 << n)
+    members = [()] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        bit = low.bit_length() - 1
+        rest = mask ^ low
+        images[mask] = images[rest] | adjacency_rows[row_idx[bit]]
+        members[mask] = (row_idx[bit],) + members[rest]
+    for mask in range(1, 1 << n):
+        yield tuple(sorted(members[mask])), images[mask]
+
+
+def oracle_classify(r, mu, nu):
+    """``classify_exact`` by explicit enumeration (no cap path)."""
+    r, mu, nu = (np.asarray(x, dtype=float) for x in (r, mu, nu))
+    assert check_assumption1(r, mu, nu)
+    m_mu, m_nu = total_mass(mu), total_mass(nu)
+    tol = 1e-12 * max(m_mu, m_nu, 1.0)
+    unbalanced = abs(m_mu - m_nu) > tol
+    if unbalanced:
+        mu, nu, tol = mu / m_mu, nu / m_nu, 1e-12
+
+    def finish(tag, witness=None):
+        return ScalabilityClass(tag=_UNBALANCED_TAG[tag] if unbalanced else tag, witness=witness)
+
+    if m_mu == 0 and m_nu == 0:
+        return finish("Scalable" if not support_graph(r).any() else "ApproximatelyScalable")
+    rr, mur, nur, row_map, _ = reduce_to_full_support(r, mu, nu)
+    support_shrunk = bool(support_graph(r).sum() > support_graph(rr).sum())
+    adj = support_graph(rr)
+    adj_rows = {i: frozenset(int(j) for j in np.nonzero(adj[i])[0]) for i in range(adj.shape[0])}
+
+    def nu_sum(cols):
+        return float(nur[list(cols)].sum()) if cols else 0.0
+
+    violators = [subset for subset, image in _oracle_subsets(list(range(rr.shape[0])), adj_rows)
+                 if float(mur[list(subset)].sum()) > nu_sum(image) + tol]
+    if violators:
+        return finish("NonScalable", tuple(int(row_map[i]) for i in min(violators)))
+    row_r, col_r = marginal_row(rr), marginal_col(rr)
+    tol_ref = 1e-12 * max(total_mass(rr), 1.0)
+    nonstrict = []
+    for comp_rows, _ in connected_components(adj):
+        if not comp_rows:
+            continue
+        for subset, image in _oracle_subsets(list(comp_rows), adj_rows):
+            gap = nu_sum(image) - float(mur[list(subset)].sum())
+            ref_gap = float(col_r[list(image)].sum()) - float(row_r[list(subset)].sum()) if image else 0.0
+            if abs(gap) <= tol and ref_gap > tol_ref:
+                nonstrict.append(subset)
+    if nonstrict:
+        return finish("ApproximatelyScalable", tuple(int(row_map[i]) for i in min(nonstrict)))
+    return finish("ApproximatelyScalable" if support_shrunk else "Scalable")
+
+
+def oracle_maximal_theta(r, mu, nu):
+    """``maximal_theta`` by explicit enumeration: (theta_m, maximizers,
+    smallest), with the same record scan and 1e-12 relative ties."""
+    rel = 1e-12
+    r, mu, nu = (np.asarray(x, dtype=float) for x in (r, mu, nu))
+    n, m = r.shape
+    assert n <= ORACLE_MAX_ROWS
+    row_img = [sum(1 << j for j in range(m) if r[i, j] > 0) for i in range(n)]
+    images = [0] * (1 << n)
+    mu_sum = [0.0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        bit = low.bit_length() - 1
+        rest = mask ^ low
+        images[mask] = images[rest] | row_img[bit]
+        mu_sum[mask] = mu_sum[rest] + mu[bit]
+    nu_cache = {}
+
+    def nu_of(img):
+        if img not in nu_cache:
+            nu_cache[img] = float(sum(nu[j] for j in range(m) if img >> j & 1))
+        return nu_cache[img]
+
+    best_num, best_den = -1.0, 1.0
+    for mask in range(1, 1 << n):
+        num, den = mu_sum[mask], nu_of(images[mask])
+        if num * best_den > best_num * den * (1.0 + rel):
+            best_num, best_den = num, den
+    maximizers = []
+    for mask in range(1, 1 << n):
+        num, den = mu_sum[mask], nu_of(images[mask])
+        if abs(num * best_den - best_num * den) <= rel * max(num * best_den, best_num * den):
+            maximizers.append(mask)
+    maximizers.sort(key=lambda msk: msk.bit_count())
+    minimal = []
+    for msk in maximizers:
+        if not any((other & msk) == other for other in minimal):
+            minimal.append(msk)
+
+    def members(msk):
+        return tuple(i for i in range(n) if msk >> i & 1)
+
+    return (best_num / best_den, sorted(members(msk) for msk in maximizers),
+            sorted(members(msk) for msk in minimal))
+
+
+def _relabelled(rng, r, mu, nu):
+    pr, pc = rng.permutation(r.shape[0]), rng.permutation(r.shape[1])
+    return r[np.ix_(pr, pc)], mu[pr], nu[pc]
+
+
+def saturated_staircase(rng, sizes):
+    """Upper-triangular ones over ratio-1 single-block staircases laid
+    along the diagonal, rows and columns relabelled.  Every union A of
+    trailing blocks is exactly saturated, mu(A) = nu(F(A)), while the
+    reference puts more mass on F(A) than on A."""
+    parts = [staircase_instance(k, [k], [1.0]) for k in sizes]
+    n = sum(sizes)
+    mu = np.concatenate([p[1] for p in parts])
+    nu = np.concatenate([p[2] for p in parts])
+    return _relabelled(rng, np.triu(np.ones((n, n))), mu, nu)
+
+
+def oracle_cases(seed):
+    """Instances of at most ORACLE_MAX_ROWS rows for the oracle agreement
+    tests: balanced and unbalanced random sparse ones, exactly-saturated
+    staircases and relabelled NonScalable staircases (all with full
+    supports)."""
+    rng = np.random.default_rng(seed)
+    cases = [random_instance(rng, max_n=10, balanced=balanced, full_support=True)
+             for balanced in (True, False) for _ in range(60)]
+    for i in range(20):
+        sizes = [int(k) for k in rng.integers(1, 5, size=int(rng.integers(1, 4)))]
+        r, mu, nu = saturated_staircase(rng, sizes)
+        cases.append((r, mu, nu * float(rng.uniform(0.5, 2.0)) if i % 2 else nu))
+    for n_blocks in (2, 3, 4, 5):
+        for n in (n_blocks * 2, ORACLE_MAX_ROWS):
+            sizes = [n // n_blocks + (i < n % n_blocks) for i in range(n_blocks)]
+            r, mu, nu, _, _ = staircase_instance(n, sizes, block_ratio_schedule(n_blocks))
+            cases.append(_relabelled(rng, r, mu, nu))
+    return cases

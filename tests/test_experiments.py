@@ -72,3 +72,12 @@ def test_classify_with_fallback_beyond_cap():
     r, mu, nu, _, _ = staircase_instance(40, [20, 20], block_ratio_schedule(2))
     out = classify_with_fallback(r, mu, nu)
     assert out.tag == "NonScalable"
+
+
+def test_classify_with_fallback_unbalanced_feasible_beyond_cap():
+    # feasible above the cap: the tag comes from classify_exact's own flow,
+    # with no second (balanced-only) feasibility flow
+    out = classify_with_fallback(np.eye(25), np.ones(25), 3 * np.ones(25))
+    assert out.tag == "UnbalancedApproximatelyScalable" and out.witness is None
+    out = classify_with_fallback(np.eye(25), np.ones(25), np.ones(25))
+    assert out.tag == "ApproximatelyScalable" and out.witness is None

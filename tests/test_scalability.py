@@ -15,7 +15,7 @@ from degensink import (
     support_graph,
 )
 from degensink.scalability import feasible_coupling
-from conftest import random_instance
+from conftest import oracle_cases, oracle_classify, random_instance
 
 
 def test_support_graph(appendix):
@@ -198,3 +198,42 @@ def test_min_cut_witness_violates_hall_on_relabelled_staircase():
         assert out.tag == "NonScalable" and out.witness
         img = sorted(forward_image(support_graph(r), out.witness))
         assert mu[list(out.witness)].sum() > nu[img].sum()
+
+
+def test_classify_agrees_with_enumeration_oracle():
+    # tags and lexicographically smallest witnesses of the vectorized
+    # subset table against the pure-Python enumeration, including exactly
+    # saturated subsets, where the two sum in different orders
+    tags = set()
+    for r, mu, nu in oracle_cases(404):
+        out = classify_exact(r, mu, nu)
+        assert out == oracle_classify(r, mu, nu)
+        tags.add((out.tag, out.witness is not None))
+    assert tags == {("Scalable", False), ("UnbalancedScalable", False),
+                    ("ApproximatelyScalable", True), ("UnbalancedApproximatelyScalable", True),
+                    ("NonScalable", True), ("UnbalancedNonScalable", True)}
+
+
+def test_classify_beyond_cap_runs_one_max_flow(monkeypatch):
+    # the flow that decides feasibility also yields the min-cut witness
+    from degensink import DimensionTooLarge, scalability
+    from degensink.instances import block_ratio_schedule, staircase_instance
+
+    calls = []
+
+    def counting(name):
+        flow = getattr(scalability.nx, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return flow(*args, **kwargs)
+        return wrapper
+
+    for name in ("maximum_flow", "maximum_flow_value", "minimum_cut"):
+        monkeypatch.setattr(scalability.nx, name, counting(name))
+    r, mu, nu, _, _ = staircase_instance(30, [15, 15], block_ratio_schedule(2))
+    assert classify_exact(r, mu, nu, cap=20).tag == "NonScalable"
+    assert calls == ["maximum_flow"]
+    with pytest.raises(DimensionTooLarge):
+        classify_exact(np.eye(25), np.ones(25), np.ones(25), cap=20)
+    assert calls == ["maximum_flow"] * 2
