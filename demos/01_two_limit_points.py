@@ -39,7 +39,7 @@ print("phi_i + psi_j vanishes on the common support and is positive elsewhere on
 print(phi[:, None] + psi[None, :])
 
 diag = dg.check_optimality(report, R, mu, nu)
-print("\noptimality diagnostics pass at 1e-6:", diag.passed(1e-6))
+print("\noptimality diagnostics pass at 1e-6:", diag.passed())
 
 print("\nfull iterate transcript (as printed in the worked example):\n")
 print(run_appendix_a())

@@ -2,12 +2,15 @@
 
     degensink solve     --instance f.json [--tol T --lambda L --max-iter N --stop gap|delta --emit report|trace]
     degensink classify  --instance f.json
-    degensink support   --instance f.json [--method exact|approx --tol T --lambda L --emit-trace]
+    degensink support   --instance f.json [--method exact|approx --tol T --emit-trace]
     degensink experiment tv-vs-lambda|tv-vs-epsilon|iterations-vs-zeros|fig6 ...
     degensink appendix-a
 
 Instances come from ``--instance file.json`` or ``--gen kind=...,n=...``
 (kinds: upper, staircase, random).  Output goes to stdout or ``--out``.
+The ``solve`` report carries the classification of ``classify``: above
+the enumeration cap a feasible instance is tagged (Unbalanced)
+ApproximatelyScalable from the same max-flow that decides feasibility.
 Exit codes: 0 success, 2 not converged, 3 infeasible instance or
 assumption violation.
 """
@@ -95,7 +98,7 @@ def _add_instance_args(parser):
 
 
 def _report_payload(report):
-    payload = {
+    return {
         "p_star": report.p_star.tolist(),
         "q_star": report.q_star.tolist(),
         "r_star": report.r_star.tolist(),
@@ -108,32 +111,30 @@ def _report_payload(report):
         "iterations": report.iterations,
         "converged": report.converged,
     }
-    if report.classification is not None:
-        payload["classification"] = {
-            "tag": report.classification.tag,
-            "witness": list(report.classification.witness) if report.classification.witness else None,
-        }
-    return payload
+
+
+def _classification(r, mu, nu):
+    outcome = experiments.classify_with_fallback(r, mu, nu)
+    return {"tag": outcome.tag, "witness": list(outcome.witness) if outcome.witness else None}
 
 
 def _cmd_solve(args):
     r, mu, nu = _instance_from(args)
     mode = "iterate-delta" if args.stop == "delta" else "unbalanced-gap"
-    cfg = StopConfig(epsilon_tol=args.tol, lam=getattr(args, "lam"), max_iter=args.max_iter, mode=mode)
-    report = run_sinkhorn(r, mu, nu, cfg, classify=True)
+    cfg = StopConfig(epsilon_tol=args.tol, lam=args.lam, max_iter=args.max_iter, mode=mode)
+    report = run_sinkhorn(r, mu, nu, cfg)
     if args.emit == "trace":
         _write(_csv(report.gap_trace, "iteration,gap"), args.out)
     else:
-        _write(json.dumps(_report_payload(report), indent=2) + "\n", args.out)
+        payload = _report_payload(report)
+        payload["classification"] = _classification(r, mu, nu)
+        _write(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
 def _cmd_classify(args):
     r, mu, nu = _instance_from(args)
-    outcome = experiments.classify_with_fallback(r, mu, nu)
-    payload = {"tag": outcome.tag,
-               "witness": list(outcome.witness) if outcome.witness else None}
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    _write(json.dumps(_classification(r, mu, nu), indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -153,8 +154,7 @@ def _cmd_support(args):
             payload["stationary_at"] = trace.stationary_at
         code = EXIT_OK
     else:
-        result = approx_support_algorithm1(
-            r, mu, nu, stop_cfg=StopConfig(epsilon_tol=args.tol, lam=getattr(args, "lam")))
+        result = approx_support_algorithm1(r, mu, nu, stop_cfg=StopConfig(epsilon_tol=args.tol))
         payload = {"mask": result.mask.tolist()}
         if args.emit_trace:
             payload["steps"] = [
@@ -220,7 +220,6 @@ def build_parser():
     _add_instance_args(support)
     support.add_argument("--method", choices=("exact", "approx"), default="exact")
     support.add_argument("--tol", type=float, default=1e-3)
-    support.add_argument("--lambda", dest="lam", type=float, default=1e3)
     support.add_argument("--emit-trace", action="store_true")
     support.set_defaults(func=_cmd_support)
 
@@ -228,10 +227,8 @@ def build_parser():
     experiment.add_argument("which", choices=("tv-vs-lambda", "tv-vs-epsilon",
                                               "iterations-vs-zeros", "fig6"))
     _add_instance_args(experiment)
-    experiment.add_argument("--lambdas", type=float, nargs="+",
-                            default=(1.0, 10.0, 100.0, 1e3, 1e4))
-    experiment.add_argument("--epsilons", type=float, nargs="+",
-                            default=(1e-1, 1e-2, 1e-3))
+    experiment.add_argument("--lambdas", type=float, nargs="+", default=experiments.LAMBDAS)
+    experiment.add_argument("--epsilons", type=float, nargs="+", default=experiments.EPSILONS)
     experiment.add_argument("--size", type=int, default=100)
     experiment.add_argument("--min-blocks", type=int, default=1)
     experiment.add_argument("--max-blocks", type=int, default=10)

@@ -17,6 +17,7 @@ from .instances import (
 )
 from .measures import total_mass, tv_distance
 from .sinkhorn import (
+    Z_TOL_FACTOR,
     StopConfig,
     _LogIteration,
     current_P,
@@ -52,11 +53,13 @@ LAMBDA_CSV_HEADER = "lambda,tv"
 EPSILON_CSV_HEADER = "epsilon,tv,iterations"
 
 APPENDIX_CHECKPOINTS = (1, 2, 5, 11, 80, 81)
+LAMBDAS = (1.0, 10.0, 100.0, 1e3, 1e4)
+EPSILONS = (1e-1, 1e-2, 1e-3)
 
 
-def appendix_a_checkpoints(checkpoints=APPENDIX_CHECKPOINTS):
-    """Potentials and couplings of the worked example at selected
-    half-step counts.
+def appendix_a_checkpoints():
+    """Potentials and couplings of the worked example at the half-step
+    counts ``APPENDIX_CHECKPOINTS``.
 
     Half-step 2m-1 is the m-th a-update (exposing a^m, b^{m-1}, P^m) and
     half-step 2m the m-th b-update (a^m, b^m, Q^m); this matches the
@@ -64,7 +67,7 @@ def appendix_a_checkpoints(checkpoints=APPENDIX_CHECKPOINTS):
     half-step with entries ``a``, ``b`` and ``P`` or ``Q``.
     """
     r, mu, nu = appendix_a_instance()
-    wanted = set(checkpoints)
+    wanted = set(APPENDIX_CHECKPOINTS)
     out = {}
     state = init_state(3, 3)
     for m in range(1, (max(wanted) + 1) // 2 + 1):
@@ -99,7 +102,7 @@ def run_appendix_a():
     r, mu, nu = appendix_a_instance()
     report = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=1e-13 * total_mass(mu),
                                                 max_iter=5000, mode="iterate-delta"))
-    z_tol = 1e-12 * total_mass(mu)
+    z_tol = Z_TOL_FACTOR * total_mass(mu)
     for name, mat in (("P*", report.p_star), ("Q*", report.q_star), ("R*", report.r_star)):
         buf.write(f"{name} =\n")
         for row in np.where(np.abs(mat) < z_tol, 0.0, mat):
@@ -132,28 +135,28 @@ def _naive_threshold_solve(r, mu, nu, cfg):
     return p, q, r * (kernel.log_r > -np.inf), iterations
 
 
-def experiment_iterations_vs_zeros(block_range, size=100, cfg=None, stop_cfg=None):
+def experiment_iterations_vs_zeros(block_range, size=100):
     """Iterations to convergence for the three methods, per block count.
 
     For each staircase instance: (i) the plain scaling run, (ii) the run
     with naive per-step thresholding of reference entries, (iii) the
-    approximate support detector followed by the masked run (iteration
-    counts of both phases summed).  Also records how many support entries
-    of the reference die in the limit.  All three solves use the same
-    successive-iterate criterion so the counts are comparable, and their
-    final couplings agree on well-thresholded instances.
+    approximate support detector (default stopping rule) followed by the
+    masked run (iteration counts of both phases summed).  Also records how
+    many support entries of the reference die in the limit.  All three
+    solves use the same successive-iterate criterion, at 1e-11 * size, so
+    the counts are comparable, and their final couplings agree on
+    well-thresholded instances.
 
     Returns a list of row dicts matching ``ITERATIONS_CSV_HEADER``, plus
     the couplings under key "_p_stars" for cross-method comparisons.
     """
-    cfg = cfg or StopConfig(epsilon_tol=1e-11 * size, max_iter=100_000, mode="iterate-delta")
-    stop_cfg = stop_cfg or StopConfig()
+    cfg = StopConfig(epsilon_tol=1e-11 * size, max_iter=100_000, mode="iterate-delta")
     rows = []
     for n_blocks in block_range:
         r, mu, nu = gen_instance(InstanceSpec(KIND_STAIRCASE, size, size, n_blocks=n_blocks))
         plain = run_sinkhorn(r, mu, nu, cfg)
         p_naive, _, _, iters_naive = _naive_threshold_solve(r, mu, nu, cfg)
-        approx = approx_support_algorithm1(r, mu, nu, stop_cfg=stop_cfg)
+        approx = approx_support_algorithm1(r, mu, nu)
         masked = masked_solve(r, mu, nu, approx.mask, cfg)
         extra_zeros = int((r > 0).sum() - approx.mask.sum())
         rows.append({
@@ -188,11 +191,11 @@ def classify_with_fallback(r, mu, nu):
         return ScalabilityClass(tag=tag)
 
 
-def experiment_fig6(size=100, lambdas=(1.0, 10.0, 100.0, 1e3, 1e4),
-                    epsilons=(1e-1, 1e-2, 1e-3)):
+def experiment_fig6(size=100):
     """Two-block 100x100 comparison: distance of the doubly penalized
-    solutions to the geometric-mean limit as the penalty grows, and of the
-    filled-reference solutions as the fill shrinks.
+    solutions to the geometric-mean limit as the penalty grows through
+    ``LAMBDAS``, and of the filled-reference solutions as the fill shrinks
+    through ``EPSILONS``.
 
     The instance has one block with mass ratio above 1 (removed first by
     the reduction) and one below, hence no constrained solution exists.
@@ -204,6 +207,6 @@ def experiment_fig6(size=100, lambdas=(1.0, 10.0, 100.0, 1e3, 1e4),
     classification = classify_with_fallback(r, mu, nu)
     limit = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=1e-12 * size,
                                                max_iter=100_000, mode="iterate-delta"))
-    lam_rows = sweep_lambda(r, mu, nu, lambdas, r_star=limit.r_star)
-    eps_rows = sweep_epsilon(r, mu, nu, epsilons, r_star=limit.r_star)
+    lam_rows = sweep_lambda(r, mu, nu, LAMBDAS, r_star=limit.r_star)
+    eps_rows = sweep_epsilon(r, mu, nu, EPSILONS, r_star=limit.r_star)
     return lam_rows, eps_rows, classification

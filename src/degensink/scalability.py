@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 SUBSET_ENUMERATION_CAP = 20
+_FLOW_TOL = 1e-9
 
 SCALABLE = "Scalable"
 APPROXIMATELY_SCALABLE = "ApproximatelyScalable"
@@ -114,9 +115,8 @@ def reduce_to_full_support(r, mu, nu):
     return r[np.ix_(row_map, col_map)], mu[row_map], nu[col_map], row_map, col_map
 
 
-def connected_components(adj, rows=None, cols=None):
-    """Connected components of the bipartite support graph restricted to
-    ``rows`` x ``cols``.
+def connected_components(adj):
+    """Connected components of the bipartite support graph ``adj``.
 
     Returns a list of ``(row_tuple, col_tuple)`` pairs; isolated vertices
     appear as singletons with an empty partner.  Traversal is breadth-first
@@ -124,11 +124,9 @@ def connected_components(adj, rows=None, cols=None):
     smallest vertex, so the output is deterministic.
     """
     adj = np.asarray(adj, dtype=bool)
-    rows = list(range(adj.shape[0])) if rows is None else sorted(set(int(i) for i in rows))
-    cols = list(range(adj.shape[1])) if cols is None else sorted(set(int(j) for j in cols))
-    sub = adj[np.ix_(rows, cols)] if rows and cols else np.zeros((len(rows), len(cols)), dtype=bool)
-    seen_r = [False] * len(rows)
-    seen_c = [False] * len(cols)
+    n_rows, n_cols = adj.shape
+    seen_r = [False] * n_rows
+    seen_c = [False] * n_cols
     comps = []
 
     def bfs(start_kind, start):
@@ -139,22 +137,22 @@ def connected_components(adj, rows=None, cols=None):
             kind, k = queue.pop(0)
             if kind == "r":
                 rr.append(k)
-                for j in np.nonzero(sub[k])[0]:
+                for j in np.nonzero(adj[k])[0]:
                     if not seen_c[j]:
                         seen_c[j] = True
                         queue.append(("c", int(j)))
             else:
                 cc.append(k)
-                for i in np.nonzero(sub[:, k])[0]:
+                for i in np.nonzero(adj[:, k])[0]:
                     if not seen_r[i]:
                         seen_r[i] = True
                         queue.append(("r", int(i)))
-        return tuple(rows[i] for i in sorted(rr)), tuple(cols[j] for j in sorted(cc))
+        return tuple(sorted(rr)), tuple(sorted(cc))
 
-    for i in range(len(rows)):
+    for i in range(n_rows):
         if not seen_r[i]:
             comps.append(bfs("r", i))
-    for j in range(len(cols)):
+    for j in range(n_cols):
         if not seen_c[j]:
             comps.append(bfs("c", j))
     comps.sort(key=lambda rc: (rc[0][0] if rc[0] else math.inf, rc[1][0] if rc[1] else math.inf))
@@ -236,7 +234,7 @@ def _is_unbalanced(mu, nu):
     return abs(m_mu - m_nu) > 1e-12 * max(m_mu, m_nu, 1.0)
 
 
-def classify_exact(r, mu, nu, cap=SUBSET_ENUMERATION_CAP):
+def classify_exact(r, mu, nu):
     """Classify (r, mu, nu) as scalable, approximately scalable or
     non-scalable by exhaustive subset enumeration.
 
@@ -246,14 +244,14 @@ def classify_exact(r, mu, nu, cap=SUBSET_ENUMERATION_CAP):
     any solution has strictly smaller support than r, so a feasible
     instance cannot be better than approximately scalable.
 
-    Up to ``cap`` rows every nonempty row subset is tested at once on a
-    vectorized table of its sums: mu(A) against nu(F(A)) within 1e-12 of
-    the mass for Hall's condition, then, per connected component, the
-    saturated subsets against the reference marginals.  The number of
-    columns is not limited.  Beyond ``cap`` rows one max-flow decides
-    feasibility: an infeasible instance is NonScalable with a min-cut
-    witness from that same flow, and a feasible one raises
-    DimensionTooLarge, since distinguishing Scalable from
+    Up to ``SUBSET_ENUMERATION_CAP`` rows every nonempty row subset is
+    tested at once on a vectorized table of its sums: mu(A) against
+    nu(F(A)) within 1e-12 of the mass for Hall's condition, then, per
+    connected component, the saturated subsets against the reference
+    marginals.  The number of columns is not limited.  Beyond the cap
+    one max-flow decides feasibility: an infeasible instance is
+    NonScalable with a min-cut witness from that same flow, and a feasible
+    one raises DimensionTooLarge, since distinguishing Scalable from
     ApproximatelyScalable needs the enumeration.  DimensionTooLarge thus
     means "feasible, above the cap".
     """
@@ -282,12 +280,12 @@ def classify_exact(r, mu, nu, cap=SUBSET_ENUMERATION_CAP):
     support_shrunk = bool(support_graph(r).sum() > support_graph(rr).sum())
 
     n = rr.shape[0]
-    if n > cap:
+    if n > SUBSET_ENUMERATION_CAP:
         witness = _hall_violator(rr, mur, nur)
         if witness is None:
             raise DimensionTooLarge(
-                f"{n} rows exceed the enumeration cap ({cap}) and the instance is feasible; "
-                "the Scalable/ApproximatelyScalable distinction needs enumeration"
+                f"{n} rows exceed the enumeration cap ({SUBSET_ENUMERATION_CAP}) and the instance "
+                "is feasible; the Scalable/ApproximatelyScalable distinction needs enumeration"
             )
         return finish(NON_SCALABLE, tuple(int(row_map[i]) for i in witness))
 
@@ -324,6 +322,12 @@ def _flow_network(r, mu, nu):
     return g
 
 
+def _carries_mass(value, m_mu):
+    """Whether a max-flow ``value`` carries the whole mass ``m_mu`` of mu,
+    up to 1e-9 of it (or of 1): the feasibility test of every flow here."""
+    return value >= m_mu - _FLOW_TOL * max(m_mu, 1.0)
+
+
 def feasibility_flow(r, mu, nu):
     """True iff some coupling dominated by ``r`` has marginals (mu, nu).
 
@@ -334,21 +338,18 @@ def feasibility_flow(r, mu, nu):
     """
     r, mu, nu = as_triple(r, mu, nu)
     m_mu, m_nu = total_mass(mu), total_mass(nu)
-    tol = 1e-9 * max(m_mu, 1.0)
-    if abs(m_mu - m_nu) > tol:
+    if abs(m_mu - m_nu) > _FLOW_TOL * max(m_mu, 1.0):
         raise ValueError("feasibility_flow requires balanced masses")
     if m_mu == 0:
         return True
-    g = _flow_network(r, mu, nu)
-    value = nx.maximum_flow_value(g, "s", "t")
-    return value >= m_mu - tol
+    return _carries_mass(nx.maximum_flow_value(_flow_network(r, mu, nu), "s", "t"), m_mu)
 
 
 def _hall_violator(r, mu, nu):
-    """None when the instance is feasible (the max flow carries the mass
-    of mu up to 1e-9, as in :func:`feasibility_flow`); otherwise a row
-    subset A with mu(A) > nu(F(A)), read off the same maximum flow: the
-    rows reachable from the source in its residual graph.
+    """None when the instance is feasible (:func:`_carries_mass`, as in
+    :func:`feasibility_flow`); otherwise a row subset A with
+    mu(A) > nu(F(A)), read off the same maximum flow: the rows reachable
+    from the source in its residual graph.
 
     A residual capacity below 1e-12 M(mu) counts as saturated; an exact
     ``flow == capacity`` test can miss a float edge saturated one ulp short.
@@ -356,7 +357,7 @@ def _hall_violator(r, mu, nu):
     g = _flow_network(r, mu, nu)
     value, flow = nx.maximum_flow(g, "s", "t")
     m_mu = total_mass(mu)
-    if value >= m_mu - 1e-9 * max(m_mu, 1.0):
+    if _carries_mass(value, m_mu):
         return None
     tol = 1e-12 * max(m_mu, 1.0)
     residual = nx.DiGraph()
@@ -371,16 +372,16 @@ def _hall_violator(r, mu, nu):
 
 def feasible_coupling(r, mu, nu):
     """A coupling dominated by ``r`` with marginals (mu, nu), built from a
-    maximum-flow decomposition, or None when the instance is infeasible."""
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    maximum-flow decomposition, or None when the instance is infeasible.
+    Raises ValueError on inconsistent shapes and on NaN, infinite or
+    negative input."""
+    r, mu, nu = as_triple(r, mu, nu)
     m_mu = total_mass(mu)
     if m_mu == 0:
         return np.zeros_like(r)
     g = _flow_network(r, mu, nu)
     value, flow = nx.maximum_flow(g, "s", "t")
-    if value < m_mu - 1e-9 * max(m_mu, 1.0):
+    if not _carries_mass(value, m_mu):
         return None
     out = np.zeros_like(r)
     for u, targets in flow.items():

@@ -67,6 +67,10 @@ _RESCALE_HI = 1e150
 _RESCALE_LO = 1e-150
 _ABSORB = 1e50
 _ZERO_STREAK = 50
+# An entry is a structural zero of the limit once it stays below
+# Z_TOL_FACTOR * M(mu) for _ZERO_STREAK consecutive iterations.
+Z_TOL_FACTOR = 1e-12
+_OPTIMALITY_TOL = 1e-6  # of OptimalityDiagnostics.violations
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,6 @@ class SinkhornState:
     b: np.ndarray
     b_prev: np.ndarray
     iteration: int = 0
-    last_gap: float = math.inf
     overflow_flag: bool = False
 
 
@@ -266,7 +269,6 @@ class SolveReport:
     converged: bool
     structural_support: np.ndarray
     gap_trace: list = field(default_factory=list)
-    classification: object = None
     state: SinkhornState | None = None
     rate_slope: float | None = None
     rate_r_squared: float | None = None
@@ -365,8 +367,7 @@ class _LogIteration:
         return self.v_abs + _safe_log(self.b_prev)
 
 
-def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
-                 z_tol_factor=1e-12):
+def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
     """Run the scaling iteration until the configured criterion fires.
 
     Parameters
@@ -376,9 +377,6 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
     cfg : StopConfig, optional
         Stopping rule; defaults to the unbalanced-gap criterion at 1e-3
         with lam = 1000.
-    classify : bool
-        Attach the exact scalability classification to the report when the
-        instance size allows it.
     stall_exit : bool
         Also stop (with ``converged`` reflecting the criterion, not the
         stall) once the iterates are numerically stationary: successive
@@ -400,7 +398,7 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
     cfg = cfg or StopConfig()
 
     mass = total_mass(mu)
-    z_tol = z_tol_factor * mass
+    z_tol = Z_TOL_FACTOR * mass
     stall_tol = 1e-15 * max(mass, 1.0)
     below = np.zeros(r.shape, dtype=np.int64)
     trace = []
@@ -443,20 +441,11 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
     with np.errstate(over="ignore"):
         state = SinkhornState(a=np.exp(kernel.log_a()), b=np.exp(kernel.log_b()),
                               b_prev=np.exp(kernel.log_b_prev()),
-                              iteration=n, last_gap=trace[-1][1],
-                              overflow_flag=kernel.absorbed)
+                              iteration=n, overflow_flag=kernel.absorbed)
 
     structural = (r > 0) & ~(isbelow & (below >= min(_ZERO_STREAK, n)))
     r_star = geometric_mean(p, q)
     z = total_mass(r_star)
-    classification = None
-    if classify:
-        from .scalability import classify_exact
-        from .errors import DimensionTooLarge
-        try:
-            classification = classify_exact(r, mu, nu)
-        except DimensionTooLarge:
-            classification = None
     return SolveReport(
         p_star=p,
         q_star=q,
@@ -471,12 +460,11 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, classify=False, stall_exit=False,
         converged=converged,
         structural_support=structural,
         gap_trace=trace,
-        classification=classification,
         state=state,
     )
 
 
-def detect_limit_support(r, mu, nu, max_iter=50_000, z_tol_factor=1e-12):
+def detect_limit_support(r, mu, nu, max_iter=50_000):
     """Structural support of the limit couplings from a long scaling run.
 
     Runs with the iterate-delta criterion at threshold 0 (never fires) up
@@ -484,7 +472,7 @@ def detect_limit_support(r, mu, nu, max_iter=50_000, z_tol_factor=1e-12):
     the boolean support mask together with the report.
     """
     cfg = StopConfig(epsilon_tol=0.0, max_iter=max_iter, mode=MODE_ITERATE_DELTA)
-    report = run_sinkhorn(r, mu, nu, cfg, stall_exit=True, z_tol_factor=z_tol_factor)
+    report = run_sinkhorn(r, mu, nu, cfg, stall_exit=True)
     return report.structural_support, report
 
 
@@ -516,6 +504,8 @@ class OptimalityDiagnostics:
     (must be >= 0 up to tolerance).
     ``swap_residuals``: |H(nu|nu*) - H(mu*|mu)| and |H(mu|mu*) - H(nu*|nu)|.
     ``mass_residuals``: |M(nu*) - M(mu)| and |M(mu*) - M(nu)|.
+
+    :meth:`violations` lists every residual beyond 1e-6.
     """
 
     eq_ratio_residual: float
@@ -524,8 +514,8 @@ class OptimalityDiagnostics:
     swap_residuals: tuple
     mass_residuals: tuple
 
-    def violations(self, tol=1e-6, mass_tol=None):
-        mass_tol = tol if mass_tol is None else mass_tol
+    def violations(self):
+        tol = _OPTIMALITY_TOL
         out = []
         if self.eq_ratio_residual > tol:
             out.append(f"limit-ratio identity off by {self.eq_ratio_residual:.3g}")
@@ -533,26 +523,25 @@ class OptimalityDiagnostics:
             out.append(f"phi+psi on support off by {self.support_sum_residual:.3g}")
         if self.min_sum_on_E < -tol:
             out.append(f"phi+psi negative on E: {self.min_sum_on_E:.3g}")
-        for name, v in zip(("H(nu|nu*) vs H(mu*|mu)", "H(mu|mu*) vs H(nu*|nu)"), self.swap_residuals):
+        for name, v in zip(("H(nu|nu*) vs H(mu*|mu)", "H(mu|mu*) vs H(nu*|nu)",
+                            "M(nu*) vs M(mu)", "M(mu*) vs M(nu)"),
+                           self.swap_residuals + self.mass_residuals):
             if v > tol:
-                out.append(f"{name} differ by {v:.3g}")
-        for name, v in zip(("M(nu*) vs M(mu)", "M(mu*) vs M(nu)"), self.mass_residuals):
-            if v > mass_tol:
                 out.append(f"{name} differ by {v:.3g}")
         return out
 
-    def passed(self, tol=1e-6, mass_tol=None):
-        return not self.violations(tol, mass_tol)
+    def passed(self):
+        return not self.violations()
 
 
-def check_optimality(report, r, mu, nu, tol=1e-6):
+def check_optimality(report, r, mu, nu):
     """Verify the limit-point optimality conditions on a report.
 
     Checks the entrywise ratio identities between P* and Q*, the sign
     structure of phi_i + psi_j (zero on the common support, nonnegative on
     supp R within the marginal supports), the swapped-entropy identities
     and the mass identities.  Returns an :class:`OptimalityDiagnostics`
-    record; ``tol`` only affects the convenience ``violations`` default.
+    record.
     """
     r = np.asarray(r, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -580,11 +569,10 @@ def check_optimality(report, r, mu, nu, tol=1e-6):
         abs(total_mass(nu_star) - total_mass(mu)),
         abs(total_mass(mu_star) - total_mass(nu)),
     )
-    diag = OptimalityDiagnostics(
+    return OptimalityDiagnostics(
         eq_ratio_residual=max(res1, res2),
         support_sum_residual=support_res,
         min_sum_on_E=min_on_e,
         swap_residuals=swap,
         mass_residuals=masses,
     )
-    return diag

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Assumption2Violated, DimensionTooLarge, NotConverged
-from .measures import as_triple, marginal_col, marginal_row, total_mass
+from .measures import as_coupling, as_measure, as_triple, marginal_col, marginal_row, total_mass
 from .scalability import (
     SUBSET_ENUMERATION_CAP,
     _subset_table,
@@ -26,7 +26,7 @@ from .scalability import (
     reduce_to_full_support,
     support_graph,
 )
-from .sinkhorn import MODE_ITERATE_DELTA, StopConfig, _LogIteration, run_sinkhorn
+from .sinkhorn import MODE_ITERATE_DELTA, Z_TOL_FACTOR, StopConfig, _LogIteration, run_sinkhorn
 
 __all__ = [
     "ThetaSetResult",
@@ -64,21 +64,22 @@ class ThetaSetResult:
     smallest: list
 
 
-def maximal_theta(r, mu, nu, cap=SUBSET_ENUMERATION_CAP):
+def maximal_theta(r, mu, nu):
     """Exhaustive computation of theta_m = max_A mu(A)/nu(F(A)).
 
-    Requires full supports and at most ``cap`` rows; the number of columns
-    is not limited.  mu(A) and nu(F(A)) of every nonempty row subset come
-    from one vectorized table, indexed by bitmask.  A record scan in
-    bitmask order finds theta_m: a subset replaces the current best only
-    when its ratio is larger by more than 1e-12 relative.  The maximizers
+    Requires full supports and at most ``SUBSET_ENUMERATION_CAP`` rows;
+    the number of columns is not limited.  mu(A) and nu(F(A)) of every
+    nonempty row subset come from one vectorized table, indexed by
+    bitmask.  A record scan in bitmask order finds theta_m: a subset
+    replaces the current best only when its ratio is larger by more than
+    1e-12 relative.  The maximizers
     are the subsets whose ratio ties with it within 1e-12 relative; all
     ratio comparisons are cross-multiplied.
     """
     r, mu, nu = _require_full_support(r, mu, nu)
     n = r.shape[0]
-    if n > cap:
-        raise DimensionTooLarge(f"{n} rows exceed the enumeration cap ({cap})")
+    if n > SUBSET_ENUMERATION_CAP:
+        raise DimensionTooLarge(f"{n} rows exceed the enumeration cap ({SUBSET_ENUMERATION_CAP})")
     masks, (num,), (den,) = _subset_table(r > 0, [mu], [nu])
     best = _record_subset(num, den)
     cross, best_cross = num * den[best], num[best] * den
@@ -148,7 +149,7 @@ class ProcedureTrace:
     nu_star_pred: np.ndarray
 
 
-def exact_support_procedure(r, mu, nu, cap=SUBSET_ENUMERATION_CAP):
+def exact_support_procedure(r, mu, nu):
     """Compute the limit support exactly, without the scaling iteration.
 
     Repeatedly finds the union M of the smallest maximal theta-sets of the
@@ -170,7 +171,7 @@ def exact_support_procedure(r, mu, nu, cap=SUBSET_ENUMERATION_CAP):
         sub_nu = nu[cols]
         if (marginal_row(sub) <= 0).any() or (marginal_col(sub) <= 0).any():
             raise Assumption2Violated("restricted triple lost full support")
-        theta = maximal_theta(sub, sub_mu, sub_nu, cap=cap)
+        theta = maximal_theta(sub, sub_mu, sub_nu)
         local = sorted({i for subset in theta.smallest for i in subset})
         removed_rows = [rows[i] for i in local]
         img_local = np.nonzero(sub[local].any(axis=0))[0]
@@ -197,21 +198,21 @@ def exact_support_procedure(r, mu, nu, cap=SUBSET_ENUMERATION_CAP):
     )
 
 
-def is_sisp(subset, r, mu, nu, r_star_reference, z_tol=None):
+def is_sisp(subset, r, mu, nu, r_star_reference):
     """Whether ``subset`` of rows is the source of an isolated scalable
     problem, judged against a reference limit coupling.
 
     Requires (i) the reference limit to vanish on (complement x image of
     the subset) and (ii) the limit's row supports to coincide with those
-    of R on the subset, both at the structural-zero threshold."""
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    ref = np.asarray(r_star_reference, dtype=float)
+    of R on the subset, both at the structural-zero threshold
+    ``Z_TOL_FACTOR * M(mu)`` of :func:`run_sinkhorn`.  Raises ValueError
+    on NaN, infinite or negative input."""
+    r, mu, nu = as_triple(r, mu, nu)
+    ref = as_coupling(r_star_reference)
     rows = sorted(set(int(i) for i in subset))
     if not rows:
         raise ValueError("subset must be nonempty")
-    if z_tol is None:
-        z_tol = 1e-12 * total_mass(mu)
+    z_tol = Z_TOL_FACTOR * total_mass(mu)
     adj = support_graph(r)
     image = sorted(int(j) for j in np.nonzero(adj[rows].any(axis=0))[0])
     others = [i for i in range(r.shape[0]) if i not in set(rows)]
@@ -225,9 +226,9 @@ def is_sisp(subset, r, mu, nu, r_star_reference, z_tol=None):
 
 def default_thresholds(r, mu):
     """Minimal factors m_i = (1/N) mu_i / mu^R_i for the approximate
-    support detector (N = number of rows)."""
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    support detector (N = number of rows).  Raises ValueError on NaN,
+    infinite or negative input."""
+    r, mu = as_coupling(r), as_measure(mu)
     row = marginal_row(r)
     if (mu <= 0).any() or (row <= 0).any():
         raise Assumption2Violated("thresholds need positive mu and positive row marginals")
@@ -246,20 +247,21 @@ class Algorithm1Result:
     converged: bool
 
 
-def approx_support_algorithm1(r, mu, nu, thresholds=None, stop_cfg=None):
+def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
     """Approximate the limit support by scaling with row dropping.
 
     Works on the indicator of R (the limit support only depends on the
     support of R).  Each reduction step runs the plain scaling iteration
     on the active block and drops a row as soon as its smallest support
     entry of the current coupling falls below the row's minimal factor
-    m_i (by default (1/N) mu_i / mu^R, computed once on the full indicator
-    instance); columns disconnected from the surviving rows are dropped
-    along.  When the surviving block is marginally consistent
-    (normalized column-marginal TV below the threshold), its connected
-    components with maximal mu(U_c)/nu(V_c) are removed as a detected
-    isolated scalable block, recording zeros for the remaining rows on the
-    removed columns, and the procedure recurses on the rest.
+    m_i = (1/N) mu_i / mu^R_i of :func:`default_thresholds`, computed once
+    on the full indicator instance; columns disconnected from the
+    surviving rows are dropped along.  When the surviving block is
+    marginally consistent (normalized column-marginal TV below the
+    threshold), its connected components with maximal mu(U_c)/nu(V_c) are
+    removed as a detected isolated scalable block, recording zeros for the
+    remaining rows on the removed columns, and the procedure recurses on
+    the rest.
     """
     r, mu, nu = as_triple(r, mu, nu)
     stop_cfg = stop_cfg or StopConfig()
@@ -269,8 +271,7 @@ def approx_support_algorithm1(r, mu, nu, thresholds=None, stop_cfg=None):
     reduced, mu_r, nu_r, row_map, col_map = reduce_to_full_support(r, mu, nu)
     indicator = (reduced > 0).astype(float)
     n, m = indicator.shape
-    log_m = np.log(np.asarray(thresholds, dtype=float)[row_map] if thresholds is not None
-                   else default_thresholds(indicator, mu_r))
+    log_m = np.log(default_thresholds(indicator, mu_r))
 
     active_rows = np.arange(n)
     active_cols = np.arange(m)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import Assumption1Violated, NotConverged
 from .measures import (
+    as_coupling,
     as_triple,
     marginal_col,
     marginal_row,
@@ -145,7 +146,9 @@ def solve_two_sided(r, mu, nu, cfg):
 
 
 def penalized_objective(p, r, mu, nu, lam):
-    """(1/lam) H(P|R) + H(mu^P|mu) + H(nu^P|nu): the rescaled two-sided objective."""
+    """(1/lam) H(P|R) + H(mu^P|mu) + H(nu^P|nu): the rescaled two-sided
+    objective.  Raises ValueError on NaN, infinite or negative input."""
+    p, (r, mu, nu) = as_coupling(p), as_triple(r, mu, nu)
     return (rel_entropy_coupling(p, r) / lam
             + rel_entropy(marginal_row(p), mu)
             + rel_entropy(marginal_col(p), nu))
@@ -158,9 +161,9 @@ def stationarity_residual(p, r, mu, nu, lam):
     The directional derivative along scaling row i is
     sum_j P_ij g_ij with g = (1/lam) log(P/R) + log(mu^P/mu) (+) log(nu^P/nu);
     the fixed point of the damped iteration zeroes it identically.
+    Raises ValueError on NaN, infinite or negative input.
     """
-    p = np.asarray(p, dtype=float)
-    r = np.asarray(r, dtype=float)
+    p, (r, mu, nu) = as_coupling(p), as_triple(r, mu, nu)
     row = marginal_row(p)
     col = marginal_col(p)
     sup = p > 0
@@ -176,14 +179,16 @@ def stationarity_residual(p, r, mu, nu, lam):
 
 
 def epsilon_fill(r, eps):
-    """Replace every zero entry of ``r`` by ``eps`` (positive entries kept)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    r = np.asarray(r, dtype=float)
+    """Replace every zero entry of ``r`` by ``eps`` (positive entries kept).
+    Raises ValueError unless ``eps`` is positive and finite and ``r`` a
+    finite nonnegative coupling."""
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
+    r = as_coupling(r)
     return np.where(r > 0, r, eps)
 
 
-def sweep_lambda(r, mu, nu, lambdas, r_star=None, max_iter=500_000):
+def sweep_lambda(r, mu, nu, lambdas, r_star=None):
     """Distance of the two-sided solution to the geometric-mean limit, per lam.
 
     Returns a list of ``(lam, tv)`` rows, sorted by lam.  ``r_star`` is the
@@ -194,23 +199,24 @@ def sweep_lambda(r, mu, nu, lambdas, r_star=None, max_iter=500_000):
         r_star = _tight_limit(r, mu, nu).r_star
     rows = []
     for lam in sorted(float(x) for x in lambdas):
-        sol = solve_two_sided(r, mu, nu, PenaltyConfig(lam=lam, max_iter=max_iter))
+        sol = solve_two_sided(r, mu, nu, PenaltyConfig(lam=lam))
         rows.append((lam, tv_distance(sol, r_star)))
     return rows
 
 
-def sweep_epsilon(r, mu, nu, epsilons, r_star=None, cfg=None):
+def sweep_epsilon(r, mu, nu, epsilons, r_star=None):
     """Distance of the filled-reference solution to the limit, per fill value.
 
     For each eps, solves the problem with reference ``epsilon_fill(r, eps)``
     (strictly positive, hence scalable for balanced full-support targets)
     and records the total-variation distance of its limit to ``r_star``
-    along with the iteration count.  Returns ``(eps, tv, iterations)`` rows
+    along with the iteration count (iterate-delta criterion at 1e-10, at
+    most 200,000 iterations).  Returns ``(eps, tv, iterations)`` rows
     sorted by decreasing eps.
     """
     if r_star is None:
         r_star = _tight_limit(r, mu, nu).r_star
-    cfg = cfg or StopConfig(epsilon_tol=1e-10, max_iter=200_000, mode="iterate-delta")
+    cfg = StopConfig(epsilon_tol=1e-10, max_iter=200_000, mode="iterate-delta")
     rows = []
     for eps in sorted((float(x) for x in epsilons), reverse=True):
         report = run_sinkhorn(epsilon_fill(r, eps), mu, nu, cfg)

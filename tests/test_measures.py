@@ -20,11 +20,16 @@ from degensink import (
 from degensink import (
     approx_support_algorithm1,
     classify_exact,
+    default_thresholds,
+    epsilon_fill,
     exact_support_procedure,
     feasibility_flow,
+    is_sisp,
+    penalized_objective,
     run_sinkhorn,
     solve_schu_lambda,
     solve_two_sided,
+    stationarity_residual,
 )
 from degensink.unbalanced import SIDE_SECOND, PenaltyConfig
 from conftest import P_STAR, Q_STAR, R_STAR
@@ -199,12 +204,20 @@ ENTRY_POINTS = {
     "exact_support_procedure": exact_support_procedure,
     "classify_exact": classify_exact,
     "feasibility_flow": feasibility_flow,
+    "default_thresholds": lambda r, mu, nu: default_thresholds(r, mu),
+    "is_sisp": lambda r, mu, nu: is_sisp([2], r, mu, nu, R_STAR),
+    "epsilon_fill": lambda r, mu, nu: epsilon_fill(r, 0.1),
+    "stationarity_residual": lambda r, mu, nu: stationarity_residual(P_STAR, r, mu, nu, 10.0),
+    "penalized_objective": lambda r, mu, nu: penalized_objective(P_STAR, r, mu, nu, 10.0),
 }
+R_ONLY = {"epsilon_fill"}  # takes no mu
 
 
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-@pytest.mark.parametrize("where", ["R", "mu"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("bad, where, entry", [
+    pytest.param(bad, where, entry, id=f"{bad_id}-{where}-{entry}")
+    for entry in sorted(ENTRY_POINTS)
+    for where in ("R", "mu") if where == "R" or entry not in R_ONLY
+    for bad, bad_id in ((math.nan, "nan"), (math.inf, "inf"), (-1.0, "negative"))])
 def test_entry_points_reject_invalid_input(entry, where, bad, appendix):
     r, mu, nu = (np.array(x, dtype=float) for x in appendix)
     if where == "R":

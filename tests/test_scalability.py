@@ -170,7 +170,7 @@ def test_classify_beyond_cap():
     from degensink.instances import block_ratio_schedule, staircase_instance
 
     r, mu, nu, _, bounds = staircase_instance(30, [15, 15], block_ratio_schedule(2))
-    out = classify_exact(r, mu, nu, cap=20)
+    out = classify_exact(r, mu, nu)
     assert out.tag == "NonScalable"
     assert set(out.witness) <= set(range(*bounds[1]))  # a violating subset of the heavy block
     sums = mu[list(out.witness)].sum()
@@ -180,7 +180,7 @@ def test_classify_beyond_cap():
     eye = np.eye(25)
     ones = np.ones(25)
     with pytest.raises(DimensionTooLarge):
-        classify_exact(eye, ones, ones, cap=20)
+        classify_exact(eye, ones, ones)
 
 
 def test_min_cut_witness_violates_hall_on_relabelled_staircase():
@@ -232,8 +232,8 @@ def test_classify_beyond_cap_runs_one_max_flow(monkeypatch):
     for name in ("maximum_flow", "maximum_flow_value", "minimum_cut"):
         monkeypatch.setattr(scalability.nx, name, counting(name))
     r, mu, nu, _, _ = staircase_instance(30, [15, 15], block_ratio_schedule(2))
-    assert classify_exact(r, mu, nu, cap=20).tag == "NonScalable"
+    assert classify_exact(r, mu, nu).tag == "NonScalable"
     assert calls == ["maximum_flow"]
     with pytest.raises(DimensionTooLarge):
-        classify_exact(np.eye(25), np.ones(25), np.ones(25), cap=20)
+        classify_exact(np.eye(25), np.ones(25), np.ones(25))
     assert calls == ["maximum_flow"] * 2

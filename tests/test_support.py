@@ -52,7 +52,7 @@ def test_maximal_theta_guards():
     with pytest.raises(Assumption2Violated):
         maximal_theta(np.diag([1.0, 0.0]), [1.0, 1.0], [1.0, 1.0])
     with pytest.raises(DimensionTooLarge):
-        maximal_theta(np.ones((25, 2)), np.ones(25), np.ones(2), cap=20)
+        maximal_theta(np.ones((25, 2)), np.ones(25), np.ones(2))
 
 
 def _assert_theta_matches_oracle(r, mu, nu):
@@ -85,7 +85,7 @@ def test_exact_procedure_agrees_with_enumeration_oracle(monkeypatch):
     cases = oracle_cases(406)
     fast = [exact_support_procedure(r, mu, nu) for r, mu, nu in cases]
     monkeypatch.setattr(support, "maximal_theta",
-                        lambda r, mu, nu, cap: ThetaSetResult(*oracle_maximal_theta(r, mu, nu)))
+                        lambda r, mu, nu: ThetaSetResult(*oracle_maximal_theta(r, mu, nu)))
     for (r, mu, nu), got in zip(cases, fast):
         want = exact_support_procedure(r, mu, nu)
         assert np.array_equal(got.final_mask, want.final_mask)
