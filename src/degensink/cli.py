@@ -98,19 +98,10 @@ def _add_instance_args(parser):
 
 
 def _report_payload(report):
-    return {
-        "p_star": report.p_star.tolist(),
-        "q_star": report.q_star.tolist(),
-        "r_star": report.r_star.tolist(),
-        "r_bar_star": report.r_bar_star.tolist(),
-        "mu_star": report.mu_star.tolist(),
-        "nu_star": report.nu_star.tolist(),
-        "mu_g": report.mu_g.tolist(),
-        "nu_g": report.nu_g.tolist(),
-        "z_norm": report.z_norm,
-        "iterations": report.iterations,
-        "converged": report.converged,
-    }
+    arrays = ("p_star", "q_star", "r_star", "r_bar_star", "mu_star", "nu_star", "mu_g", "nu_g")
+    payload = {name: getattr(report, name).tolist() for name in arrays}
+    return payload | {"z_norm": report.z_norm, "iterations": report.iterations,
+                      "converged": report.converged}
 
 
 def _classification(r, mu, nu):

@@ -16,7 +16,7 @@ componentwise geometric mean R* solves the problem between the geometric
 mean marginals sqrt(mu* mu) and sqrt(nu* nu).
 
 In that degenerate regime some potentials diverge.  ``run_sinkhorn`` and
-the penalized solvers share one absorption-stabilized kernel (Schmitzer,
+the support detectors share one absorption-stabilized kernel (Schmitzer,
 SIAM J. Sci. Comput. 2019): scaled potentials a, b are updated at
 matrix-vector speed and folded into a log-kernel whenever they leave a
 fixed window.  ``sinkhorn_step`` keeps the literal recursion, with a
@@ -140,11 +140,9 @@ def sinkhorn_step(state, r, mu, nu):
     target mass means the iteration is undefined (Assumption1Violated).
     Potentials beyond the representable comfort zone trigger the
     (c, 1/c) recentring; a non-finite potential after that raises
-    OverflowDetected.
+    OverflowDetected.  Raises ValueError on NaN, infinite or negative input.
     """
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    r, mu, nu = as_triple(r, mu, nu)
     b_prev = state.b
     den_a = r @ b_prev
     if np.any((mu > 0) & (den_a == 0.0)):
@@ -214,11 +212,10 @@ def gap_balanced(state, r, mu, nu):
 
     Nonnegative along the iteration; converges to 0 on scalable problems
     with mass-matched reference (it tends to M(R) - M(mu) in general, and
-    stays bounded away from 0 in the non-scalable case).
+    stays bounded away from 0 in the non-scalable case).  Raises
+    ValueError on NaN, infinite or negative input.
     """
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    r, mu, nu = as_triple(r, mu, nu)
     return _gap_balanced_from_logs(_safe_log(state.a), _safe_log(state.b_prev),
                                    current_P(state, r), r, mu, nu)
 
@@ -231,11 +228,10 @@ def gap_unbalanced(state, r, mu, nu, lam):
     Used as the default stopping criterion with lam = 1/epsilon.  Note a
     caveat inherited from the formula: in the non-scalable case the trace
     dips for a number of iterations of order lam and later diverges, so it
-    is a window criterion, not a limit.
+    is a window criterion, not a limit.  Raises ValueError on NaN,
+    infinite or negative input.
     """
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    r, mu, nu = as_triple(r, mu, nu)
     return _gap_unbalanced_from_logs(_safe_log(state.a), _safe_log(state.b_prev),
                                      current_P(state, r), r, mu, nu, float(lam))
 
@@ -278,18 +274,15 @@ class _LogIteration:
     """The scaling recursion, stabilized by absorption.
 
     With log-potentials u = U + log a, v = V + log b and the kernel
-    K = R . exp(U (+) V), a step is two matrix-vector products:
-    a = (mu / K b)^kappa_row . exp((kappa_row - 1) U), then the same for b.
-    kappa = 1 is the exact projection, kappa = lam/(1+lam) the proximal
-    step of a KL penalty of weight lam (Chizat-Peyre-Schmitzer-Vialard,
-    Math. Comp. 2018).  Scaled potentials outside [1/_ABSORB, _ABSORB]
-    are absorbed into U, V and K is rebuilt from log R, so no float
-    overflows however far u and v diverge.  Massless rows and columns keep
-    a zero scaling; :meth:`restrict` zeroes reference entries as it goes.
+    K = R . exp(U (+) V), a step is two matrix-vector products, the exact
+    projections a = mu / K b and b = nu / K^T a.  Scaled potentials
+    outside [1/_ABSORB, _ABSORB] are absorbed into U, V and K is rebuilt
+    from log R, so no float overflows however far u and v diverge.
+    Massless rows and columns keep a zero scaling; :meth:`restrict` zeroes
+    reference entries as it goes.
     """
 
-    def __init__(self, r, mu, nu, kappa=(1.0, 1.0)):
-        self.kappa_row, self.kappa_col = kappa
+    def __init__(self, r, mu, nu):
         self._set_masses(mu, nu)
         with np.errstate(divide="ignore"):
             # a rebuilt kernel is zero on massless rows and columns; the
@@ -298,7 +291,6 @@ class _LogIteration:
         self.k = r
         self.u_abs = np.zeros(mu.size)
         self.v_abs = np.zeros(nu.size)
-        self.damp_row = self.damp_col = 1.0
         self.a = np.ones(mu.size)
         self.b = self.b_prev = np.ones(nu.size)
         self.absorbed = False
@@ -325,8 +317,6 @@ class _LogIteration:
         self.v_abs[self.cols] += np.log(self.b[self.cols])
         self.b = 1.0 - self.pad_col
         self.k = np.exp(self.log_r + self.u_abs[:, None] + self.v_abs[None, :])
-        self.damp_row = np.exp((self.kappa_row - 1.0) * self.u_abs)
-        self.damp_col = np.exp((self.kappa_col - 1.0) * self.v_abs)
         self.absorbed = True
 
     def update_a(self):
@@ -337,11 +327,11 @@ class _LogIteration:
                 min(self.a[self.rows].min(initial=1.0), self.b[self.cols].min(initial=1.0)) < 1.0 / _ABSORB:
             self._absorb()
         self.b_prev = self.b
-        self.a = (self.mu / (self.k @ self.b + self.pad_row)) ** self.kappa_row * self.damp_row
+        self.a = self.mu / (self.k @ self.b + self.pad_row)
 
     def update_b(self):
         """The b half-update (Q^n of :meth:`couplings`)."""
-        self.b = (self.nu / (self.k.T @ self.a + self.pad_col)) ** self.kappa_col * self.damp_col
+        self.b = self.nu / (self.k.T @ self.a + self.pad_col)
 
     def step(self):
         self.update_a()
@@ -505,7 +495,7 @@ class OptimalityDiagnostics:
     ``swap_residuals``: |H(nu|nu*) - H(mu*|mu)| and |H(mu|mu*) - H(nu*|nu)|.
     ``mass_residuals``: |M(nu*) - M(mu)| and |M(mu*) - M(nu)|.
 
-    :meth:`violations` lists every residual beyond 1e-6.
+    :meth:`violations` lists every residual beyond 1e-6, and every NaN one.
     """
 
     eq_ratio_residual: float
@@ -517,16 +507,16 @@ class OptimalityDiagnostics:
     def violations(self):
         tol = _OPTIMALITY_TOL
         out = []
-        if self.eq_ratio_residual > tol:
+        if not self.eq_ratio_residual <= tol:
             out.append(f"limit-ratio identity off by {self.eq_ratio_residual:.3g}")
-        if self.support_sum_residual > tol:
+        if not self.support_sum_residual <= tol:
             out.append(f"phi+psi on support off by {self.support_sum_residual:.3g}")
-        if self.min_sum_on_E < -tol:
+        if not self.min_sum_on_E >= -tol:
             out.append(f"phi+psi negative on E: {self.min_sum_on_E:.3g}")
         for name, v in zip(("H(nu|nu*) vs H(mu*|mu)", "H(mu|mu*) vs H(nu*|nu)",
                             "M(nu*) vs M(mu)", "M(mu*) vs M(nu)"),
                            self.swap_residuals + self.mass_residuals):
-            if v > tol:
+            if not v <= tol:
                 out.append(f"{name} differ by {v:.3g}")
         return out
 
@@ -541,11 +531,9 @@ def check_optimality(report, r, mu, nu):
     structure of phi_i + psi_j (zero on the common support, nonnegative on
     supp R within the marginal supports), the swapped-entropy identities
     and the mass identities.  Returns an :class:`OptimalityDiagnostics`
-    record.
+    record.  Raises ValueError on NaN, infinite or negative input.
     """
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    r, mu, nu = as_triple(r, mu, nu)
     p, q = report.p_star, report.q_star
     mu_star, nu_star = report.mu_star, report.nu_star
 

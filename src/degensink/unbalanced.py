@@ -1,19 +1,16 @@
 """Penalized (unbalanced) variants: marginal constraints replaced by
-KL penalties with weight lam.
+KL penalties with weight lam.  ``solve_schu_lambda`` keeps the first
+marginal as a hard constraint and penalizes the second; ``solve_two_sided``
+penalizes both, and as lam grows its solution converges to the
+componentwise geometric mean of the two limit couplings of the constrained
+problem.  Both maximize the smooth, strictly concave dual
 
-Two solvers are provided.  ``solve_schu_lambda`` keeps the first marginal
-as a hard constraint and penalizes the second (the one-sided scaling
-iteration, exponent lam/(1+lam) on the b-update).  ``solve_two_sided``
-penalizes both marginals with the symmetric exponent on both updates; as
-lam grows its solution converges to the componentwise geometric mean of
-the two limit couplings of the constrained problem.
+    D(u, v) = -<R, exp(u (+) v)> + F(u) + lam <nu, 1 - exp(-v/lam)>,   P = R . exp(u (+) v),
 
-Both solvers run on the absorption-stabilized kernel of
-:mod:`degensink.sinkhorn` with per-side exponents: the true scaling
-vectors of the penalized problems grow like exp(lam |log(mu*/mu)| / 2) on
-degenerate instances, far beyond float64 for lam in the thousands, so the
-kernel keeps the scaled potentials in a fixed window and absorbs the rest
-into its log-potentials.
+on the positive-mass rows and columns, with F(u) = lam <mu, 1 - exp(-u/lam)>
+(two-sided) or its lam -> inf limit F(u) = <mu, u> (one-sided).  Newton's
+method with Armijo backtracking (Brauer-Clason-Lorenz-Wirth, arXiv
+1710.06635) takes a few dozen dense linear solves at any lam.
 """
 
 from dataclasses import dataclass
@@ -32,7 +29,7 @@ from .measures import (
     tv_distance,
 )
 from .scalability import check_assumption1
-from .sinkhorn import StopConfig, _LogIteration, _gap_unbalanced_from_logs, run_sinkhorn
+from .sinkhorn import StopConfig, run_sinkhorn
 
 __all__ = [
     "PenaltyConfig",
@@ -48,20 +45,27 @@ __all__ = [
 SIDE_SECOND = "second-marginal-only"
 SIDE_BOTH = "both-marginals"
 
+_ARMIJO, _HALVINGS = 1e-4, 60
+# a trial step is rejected only when D falls by more than its float
+# roundoff: this share of the total size of D's terms, of either sign
+_ROUNDOFF = 1e-14
+
 
 @dataclass(frozen=True)
 class PenaltyConfig:
     """Penalization setup: weight ``lam`` and which marginals are relaxed.
 
-    ``epsilon_tol=None`` selects the per-solver default: a 1e-3 duality-gap
-    threshold for the one-sided solver, a 1e-10 successive-iterate TV
-    threshold for the two-sided solver.
+    ``max_iter`` caps the Newton steps, each one dense linear solve.  A
+    solve stops once the dual gradient has l1 norm at most ``epsilon_tol``
+    (``None``: 1e-12 max(M(mu), M(nu), 1)) or at most its own float
+    roundoff, eps_mach (<row P, |u|> + <col P, |v|>), if that is larger, as
+    on degenerate instances from lam of about 1e5 on (|u|, |v| grow like lam).
     """
 
     lam: float
     sides: str = SIDE_BOTH
     epsilon_tol: float | None = None
-    max_iter: int = 500_000
+    max_iter: int = 100
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -72,41 +76,71 @@ class PenaltyConfig:
             raise ValueError("max_iter must be at least 1")
 
 
+def _newton_dual(r, mu, nu, cfg, sides):
+    """Maximize the dual of the module docstring over x = (u, v) by Newton
+    steps with Armijo backtracking, from x = 0.  Returns P; raises
+    NotConverged, carrying the last P, if the stop rule of
+    :class:`PenaltyConfig` has not fired after ``cfg.max_iter`` steps."""
+    if cfg.sides != sides:
+        raise ValueError(f"this solver requires a {sides} config")
+    r, mu, nu = as_triple(r, mu, nu)
+    if not check_assumption1(r, mu, nu):
+        raise Assumption1Violated("the penalized dual is unbounded for this triple")
+    lam, block, k = float(cfg.lam), np.ix_(mu > 0, nu > 0), int((mu > 0).sum())
+    weights = np.concatenate([mu[mu > 0], nu[nu > 0]])
+    hard = (np.arange(weights.size) < k) & (sides == SIDE_SECOND)  # F(u) = <mu, u>
+    with np.errstate(divide="ignore"):
+        log_r = np.log(r[block])
+    tol = 1e-12 * max(total_mass(mu), total_mass(nu), 1.0) if cfg.epsilon_tol is None else cfg.epsilon_tol
+
+    def dual(x):
+        """P, D and the total size of D's terms; inf or NaN on overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = np.exp(log_r + x[:k, None] + x[None, k:])
+            pen = weights * np.where(hard, x, -lam * np.expm1(-np.where(hard, 0.0, x) / lam))
+            return p, pen.sum() - p.sum(), np.abs(pen).sum() + p.sum()
+
+    x = np.zeros(weights.size)
+    p, d, size = dual(x)
+    out = np.zeros(r.shape)
+    for step in range(cfg.max_iter + 1):
+        marg = np.concatenate([p.sum(axis=1), p.sum(axis=0)])
+        # derivatives of the penalty terms: mu exp(-u/lam) (mu if hard), nu exp(-v/lam)
+        w = weights * np.exp(-np.where(hard, 0.0, x) / lam)
+        grad = w - marg
+        if np.abs(grad).sum() <= max(tol, np.finfo(float).eps * (marg @ np.abs(x))):
+            if sides == SIDE_SECOND:  # the exact maximization over u: row P = mu
+                p *= (weights[:k] / marg[:k])[:, None]
+            out[block] = p
+            return out
+        if step == cfg.max_iter:
+            break
+        hess = np.block([[np.zeros((k, k)), p], [p.T, np.zeros((x.size - k,) * 2)]])
+        np.fill_diagonal(hess, marg + np.where(hard, 0.0, w / lam))
+        direction = np.linalg.solve(hess, grad)
+        t = 1.0
+        for _ in range(_HALVINGS):
+            p_t, d_t, size_t = dual(x + t * direction)
+            if d_t >= d + _ARMIJO * t * (grad @ direction) - _ROUNDOFF * size:
+                break
+            t /= 2
+        else:
+            break  # no ascent step above float roundoff is left
+        x, p, d, size = x + t * direction, p_t, d_t, size_t
+    out[block] = p
+    raise NotConverged(f"penalized dual: gradient above the stop rule after {step} Newton steps",
+                       result=out)
+
+
 def solve_schu_lambda(r, mu, nu, cfg):
     """Solve the one-sided penalized problem
 
-        min  H(P | R) + lam H(nu^P | nu)   over P with first marginal mu.
+        min  H(P | R) + lam H(nu^P | nu)   over P with first marginal mu
 
-    Scaling iteration: exact a-projection, damped b-update with exponent
-    lam/(1+lam).  Stops when the penalized duality gap falls below the
-    threshold (measured against its known fixed-point offset
-    M(R) - M(mu), which is what the gap converges to instead of 0 when the
-    reference mass differs from the target's), or when the iterates are
-    numerically stationary.  The returned coupling has first marginal
-    exactly mu.
+    by Newton's method on its dual (module docstring, F(u) = <mu, u>).
+    The returned coupling has first marginal mu to float roundoff.
     """
-    if cfg.sides != SIDE_SECOND:
-        raise ValueError("solve_schu_lambda requires a second-marginal-only config")
-    r, mu, nu = as_triple(r, mu, nu)
-    if not check_assumption1(r, mu, nu):
-        raise Assumption1Violated("the scaling iteration is undefined for this triple")
-    lam = float(cfg.lam)
-    eps = 1e-3 if cfg.epsilon_tol is None else cfg.epsilon_tol
-    kernel = _LogIteration(r, mu, nu, (1.0, lam / (1.0 + lam)))
-    stat_tol = 1e-13 * max(total_mass(mu), 1.0)
-    offset = total_mass(r) - total_mass(mu)
-    p_old = None
-    for _ in range(cfg.max_iter):
-        kernel.step()
-        p, _ = kernel.couplings()
-        gap = _gap_unbalanced_from_logs(kernel.log_a(), kernel.log_b_prev(), p, r, mu, nu, lam)
-        if abs(gap - offset) <= eps:
-            return p
-        if p_old is not None and tv_distance(p, p_old) <= stat_tol:
-            return p
-        p_old = p
-    raise NotConverged(f"one-sided penalized solve did not converge in {cfg.max_iter} iterations",
-                       result=p)
+    return _newton_dual(r, mu, nu, cfg, SIDE_SECOND)
 
 
 def solve_two_sided(r, mu, nu, cfg):
@@ -114,35 +148,18 @@ def solve_two_sided(r, mu, nu, cfg):
 
         min  H(P | R) + lam ( H(mu^P | mu) + H(nu^P | nu) )
 
-    by alternating damped scaling updates with exponent lam/(1+lam) on
-    both potentials.  Stops once successive iterates move by less than the
-    threshold in total variation AND the first-order stationarity residual
-    of the penalized objective is below 1e-8 (scaled by the target mass);
-    the fixed point of the iteration satisfies it exactly, so when the
-    residual is still too large at iterate stationarity the threshold is
-    tightened and the iteration continues.
+    by Newton's method on its dual (module docstring).  The solution must
+    also have first-order stationarity residual at most 1e-8 (scaled by
+    the target mass); a solve that stops short of it, under a loose
+    ``epsilon_tol``, raises NotConverged with the solution attached.
     """
-    if cfg.sides != SIDE_BOTH:
-        raise ValueError("solve_two_sided requires a both-marginals config")
-    r, mu, nu = as_triple(r, mu, nu)
-    if not check_assumption1(r, mu, nu):
-        raise Assumption1Violated("the scaling iteration is undefined for this triple")
-    lam = float(cfg.lam)
-    eps = 1e-10 if cfg.epsilon_tol is None else cfg.epsilon_tol
-    q_exp = lam / (1.0 + lam)
-    kernel = _LogIteration(r, mu, nu, (q_exp, q_exp))
-    p_old = r
+    p = _newton_dual(r, mu, nu, cfg, SIDE_BOTH)
     res_tol = 1e-8 * max(total_mass(mu), total_mass(nu), 1.0)
-    for _ in range(cfg.max_iter):
-        kernel.step()
-        _, p = kernel.couplings()
-        if tv_distance(p, p_old) <= eps:
-            if stationarity_residual(p, r, mu, nu, lam) <= res_tol:
-                return p
-            eps *= 1e-2
-        p_old = p
-    raise NotConverged(f"two-sided penalized solve did not converge in {cfg.max_iter} iterations",
-                       result=p)
+    residual = stationarity_residual(p, r, mu, nu, cfg.lam)
+    if not residual <= res_tol:
+        raise NotConverged(f"two-sided penalized solve: stationarity residual {residual:.3g} "
+                           f"above {res_tol:.3g}", result=p)
+    return p
 
 
 def penalized_objective(p, r, mu, nu, lam):
@@ -160,10 +177,13 @@ def stationarity_residual(p, r, mu, nu, lam):
 
     The directional derivative along scaling row i is
     sum_j P_ij g_ij with g = (1/lam) log(P/R) + log(mu^P/mu) (+) log(nu^P/nu);
-    the fixed point of the damped iteration zeroes it identically.
-    Raises ValueError on NaN, infinite or negative input.
+    the maximizer of the penalized dual zeroes it identically.
+    Raises ValueError on NaN, infinite or negative input, and when ``p``
+    and ``r`` differ in shape.
     """
     p, (r, mu, nu) = as_coupling(p), as_triple(r, mu, nu)
+    if p.shape != r.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {r.shape}")
     row = marginal_row(p)
     col = marginal_col(p)
     sup = p > 0

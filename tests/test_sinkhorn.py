@@ -21,7 +21,7 @@ from degensink import (
     sinkhorn_step,
 )
 from degensink.instances import block_ratio_schedule, staircase_instance
-from degensink.sinkhorn import SinkhornState, StopConfig, _LogIteration
+from degensink.sinkhorn import OptimalityDiagnostics, SinkhornState, StopConfig, _LogIteration
 from conftest import (
     MU_G,
     MU_STAR,
@@ -250,6 +250,36 @@ def test_check_optimality(appendix):
     partial = check_optimality(short, r, mu, nu)
     assert not partial.passed()
     assert partial.eq_ratio_residual > 1e-6 or partial.swap_residuals[0] > 1e-6
+
+
+def test_check_optimality_rejects_nan(appendix):
+    r, mu, nu = appendix
+    rep = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=0.0, max_iter=10, mode="iterate-delta"))
+    mu_nan = mu.copy()
+    mu_nan[1] = math.nan
+    with pytest.raises(ValueError):
+        check_optimality(rep, r, mu_nan, nu)
+    clean = dict(eq_ratio_residual=0.0, support_sum_residual=0.0, min_sum_on_E=0.0,
+                 swap_residuals=(0.0, 0.0), mass_residuals=(0.0, 0.0))
+    assert OptimalityDiagnostics(**clean).passed()
+    for name, value in clean.items():
+        nan = (math.nan, 0.0) if isinstance(value, tuple) else math.nan
+        diag = OptimalityDiagnostics(**{**clean, name: nan})
+        assert len(diag.violations()) == 1, name
+
+
+def test_step_and_gaps_reject_invalid_input(appendix):
+    r, mu, nu = appendix
+    state = sinkhorn_step(init_state(3, 3), r, mu, nu)
+    calls = (lambda m: sinkhorn_step(init_state(3, 3), r, m, nu),
+             lambda m: gap_balanced(state, r, m, nu),
+             lambda m: gap_unbalanced(state, r, m, nu, 1e3))
+    for bad in (math.nan, math.inf, -1.0):
+        mu_bad = mu.copy()
+        mu_bad[0] = bad
+        for call in calls:
+            with pytest.raises(ValueError):
+                call(mu_bad)
 
 
 def test_log_domain_switch_keeps_iterating(appendix):

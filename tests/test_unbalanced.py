@@ -18,6 +18,7 @@ from degensink import (
     sweep_lambda,
     tv_distance,
 )
+from degensink.instances import block_ratio_schedule, staircase_instance
 from degensink.sinkhorn import StopConfig
 from degensink.unbalanced import SIDE_SECOND
 from conftest import MU_G, NU_G, NU_STAR, R_STAR, Z_NORM, _lse_rows, log_arrays
@@ -106,20 +107,53 @@ def test_two_sided_matches_log_domain_reference(appendix):
     log_r, log_mu, log_nu = log_arrays(r, mu, nu)
     u = np.zeros(3)
     v = np.zeros(3)
-    p_old, eps = r, 1e-10
+    p_old = r
+    # the damped recursion run to its float fixed point (successive iterates
+    # equal), not to a move threshold: it contracts by only about 1 - 2/lam
+    # per step, so any move stop leaves it about lam/2 times that move short
     for _ in range(500_000):
         u = q_exp * (log_mu - _lse_rows(log_r + v[None, :]))
         v = q_exp * (log_nu - _lse_rows((log_r + u[:, None]).T))
         p = np.exp(u[:, None] + v[None, :] + log_r)
-        if tv_distance(p, p_old) <= eps:
-            if stationarity_residual(p, r, mu, nu, lam) <= 1e-8 * 6:
-                break
-            eps *= 1e-2
+        if np.array_equal(p, p_old):
+            break
         p_old = p
     else:
         pytest.fail("log-domain reference did not converge")
+    assert stationarity_residual(p, r, mu, nu, lam) <= 1e-8 * 6
     sol = solve_two_sided(r, mu, nu, PenaltyConfig(lam=lam))
     np.testing.assert_allclose(sol, p, rtol=0, atol=1e-10)
+
+
+def test_newton_steps_bounded_on_fig6_instance(monkeypatch):
+    # every Newton step is one dense linear solve; count them
+    steps = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        steps[-1] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    r, mu, nu, _, _ = staircase_instance(100, [50, 50], block_ratio_schedule(2))
+    mass = max(mu.sum(), nu.sum(), 1.0)
+    for lam in (1.0, 10.0, 100.0, 1e3, 1e4):
+        steps.append(0)
+        sol = solve_two_sided(r, mu, nu, PenaltyConfig(lam=lam))
+        assert 0 < steps[-1] <= 30, f"two-sided lam={lam:g}: {steps[-1]} steps"
+        assert stationarity_residual(sol, r, mu, nu, lam) <= 1e-8 * mass
+    for lam in (10.0, 100.0, 1e3):
+        steps.append(0)
+        sol = solve_schu_lambda(r, mu, nu, PenaltyConfig(lam=lam, sides=SIDE_SECOND))
+        assert 0 < steps[-1] <= 30, f"one-sided lam={lam:g}: {steps[-1]} steps"
+        np.testing.assert_allclose(marginal_row(sol), mu, rtol=0, atol=1e-9)
+
+
+def test_penalized_diagnostics_reject_shape_mismatch(appendix):
+    r, mu, nu = appendix
+    for diagnostic in (stationarity_residual, penalized_objective):
+        with pytest.raises(ValueError):
+            diagnostic(np.ones((3, 2)), r, mu, nu, 10.0)
 
 
 def test_epsilon_fill(appendix):
@@ -167,7 +201,7 @@ def test_not_converged_carries_partial_result(appendix):
     r, mu, nu = appendix
     from degensink import NotConverged
     with pytest.raises(NotConverged) as err:
-        solve_two_sided(r, mu, nu, PenaltyConfig(lam=1e4, max_iter=10))
+        solve_two_sided(r, mu, nu, PenaltyConfig(lam=1e4, max_iter=2))
     assert err.value.result.shape == (3, 3)
     with pytest.raises(NotConverged) as err:
         solve_schu_lambda(r, mu, nu, PenaltyConfig(lam=1e3, sides=SIDE_SECOND, max_iter=3))
