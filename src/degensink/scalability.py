@@ -15,7 +15,9 @@ whose reference marginals are not themselves saturated.
 import math
 from dataclasses import dataclass
 
-import networkx as nx
+# Not called here: the benchmark's tracer (bench/spans.py) wraps the
+# max-flow calls of ``degensink.scalability.nx`` when it installs.
+import networkx as nx  # noqa: F401
 import numpy as np
 
 from .errors import Assumption1Violated, DimensionTooLarge
@@ -37,6 +39,7 @@ __all__ = [
 
 SUBSET_ENUMERATION_CAP = 20
 _FLOW_TOL = 1e-9
+_RESIDUAL_TOL = 1e-12
 
 SCALABLE = "Scalable"
 APPROXIMATELY_SCALABLE = "ApproximatelyScalable"
@@ -73,12 +76,10 @@ def backward_image(adj, cols):
 
 
 def restrict_to_E(r, mu, nu):
-    """Zero every entry of ``r`` outside supp(mu) x supp(nu)."""
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if r.shape != (mu.size, nu.size):
-        raise ValueError("inconsistent shapes")
+    """Zero every entry of ``r`` outside supp(mu) x supp(nu).  Raises
+    ValueError on inconsistent shapes and on NaN, infinite or negative
+    input."""
+    r, mu, nu = as_triple(r, mu, nu)
     return r * (mu > 0)[:, None] * (nu > 0)[None, :]
 
 
@@ -86,14 +87,12 @@ def check_assumption1(r, mu, nu):
     """True iff the scaling iteration for (r, mu, nu) is well defined.
 
     Requires mu << mu^{R0} and nu << nu^{R0}, where R0 is ``r`` restricted
-    to supp(mu) x supp(nu).
+    to supp(mu) x supp(nu).  Raises ValueError on inconsistent shapes and
+    on NaN, infinite or negative input.
     """
-    r0 = restrict_to_E(r, mu, nu)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    row0 = marginal_row(r0)
-    col0 = marginal_col(r0)
-    return not (np.any((mu > 0) & (row0 == 0.0)) or np.any((nu > 0) & (col0 == 0.0)))
+    r, mu, nu = as_triple(r, mu, nu)
+    live = (r > 0) & (mu > 0)[:, None] & (nu > 0)[None, :]  # the support of R0
+    return bool(live.any(axis=1)[mu > 0].all() and live.any(axis=0)[nu > 0].all())
 
 
 def reduce_to_full_support(r, mu, nu):
@@ -103,13 +102,12 @@ def reduce_to_full_support(r, mu, nu):
     integer arrays of original indices.  The output triple has full
     supports (mu_r, nu_r and both marginals of r_r all positive) whenever
     the input satisfies the well-definedness assumption; otherwise
-    Assumption1Violated is raised.
+    Assumption1Violated is raised.  Raises ValueError on inconsistent
+    shapes and on NaN, infinite or negative input.
     """
+    r, mu, nu = as_triple(r, mu, nu)
     if not check_assumption1(r, mu, nu):
         raise Assumption1Violated("mu or nu puts mass where the restricted reference marginal vanishes")
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
     row_map = np.nonzero(mu > 0)[0]
     col_map = np.nonzero(nu > 0)[0]
     return r[np.ix_(row_map, col_map)], mu[row_map], nu[col_map], row_map, col_map
@@ -229,9 +227,9 @@ def _smallest_subset(masks):
 
 
 def _is_unbalanced(mu, nu):
-    """Total masses differ by more than 1e-12 times the larger one (or 1)."""
+    """Total masses differ by more than 1e-12 times the larger one."""
     m_mu, m_nu = total_mass(mu), total_mass(nu)
-    return abs(m_mu - m_nu) > 1e-12 * max(m_mu, m_nu, 1.0)
+    return abs(m_mu - m_nu) > 1e-12 * max(m_mu, m_nu)
 
 
 def classify_exact(r, mu, nu):
@@ -259,7 +257,7 @@ def classify_exact(r, mu, nu):
     if not check_assumption1(r, mu, nu):
         raise Assumption1Violated("classification undefined: assumption check failed")
     m_mu, m_nu = total_mass(mu), total_mass(nu)
-    tol = 1e-12 * max(m_mu, m_nu, 1.0)
+    tol = 1e-12 * max(m_mu, m_nu)
     unbalanced = _is_unbalanced(mu, nu)
     if unbalanced:
         if m_mu == 0 or m_nu == 0:
@@ -298,7 +296,7 @@ def classify_exact(r, mu, nu):
 
     # Feasible: test strictness per connected component (scalable iff every
     # saturated subset also saturates the reference marginals).
-    tol_ref = 1e-12 * max(total_mass(rr), 1.0)
+    tol_ref = 1e-12 * total_mass(rr)
     in_component = np.zeros(masks.size, dtype=bool)
     for comp_rows, _ in connected_components(adj):
         in_component |= (masks & ~sum(1 << i for i in comp_rows)) == 0
@@ -311,82 +309,117 @@ def classify_exact(r, mu, nu):
     return finish(SCALABLE)
 
 
-def _flow_network(r, mu, nu):
-    g = nx.DiGraph()
-    g.add_edges_from(("s", ("r", i), {"capacity": w}) for i, w in enumerate(mu.tolist()) if w > 0)
-    g.add_edges_from((("c", j), "t", {"capacity": w}) for j, w in enumerate(nu.tolist()) if w > 0)
-    rows, cols = np.nonzero(r > 0)
-    g.add_edges_from((("r", i), ("c", j)) for i, j in zip(rows.tolist(), cols.tolist()))  # uncapacitated
-    g.add_node("s")
-    g.add_node("t")
-    return g
+def _max_flow(adj, mu, nu):
+    """Maximum flow from a source through the rows (capacities ``mu``) and
+    the support ``adj`` (uncapacitated) into the columns (capacities ``nu``)
+    and on to a sink.  Returns ``(flow, reached)``: the (n, m) flow on the
+    support, and the boolean mask of the rows reachable from the source in
+    its residual graph, the source side of a minimum cut.
+
+    A greedy fill comes first: each row in index order fills its support
+    columns up to their remaining capacity.  Then each phase searches
+    breadth first from every row with spare supply, rows to columns
+    through the support and columns back to rows through entries that
+    carry flow, and stops at the first layer that reaches a column with
+    spare capacity.  Flow is pushed along every tree path to such a
+    column whose bottleneck is still above the tolerance.  The paths are
+    shortest, so the Edmonds-Karp bound on the number of augmentations
+    holds whatever the capacities.  A residual at or below 1e-12 M(mu)
+    counts as saturated: an edge saturated one ulp short is not an edge.
+    """
+    n, m = adj.shape
+    tol = _RESIDUAL_TOL * total_mass(mu)
+    flow = np.zeros((n, m))
+    spare_col = np.array(nu, dtype=float)
+    for i in range(n):
+        cap = np.where(adj[i], spare_col, 0.0)
+        flow[i] = np.clip(mu[i] - (np.cumsum(cap) - cap), 0.0, cap)
+        spare_col -= flow[i]
+    spare_row = mu - flow.sum(axis=1)
+    row_via = np.empty(n, dtype=np.int64)  # column each reached row was reached from, -1: source
+    col_via = np.empty(m, dtype=np.int64)  # row each reached column was reached from
+    while True:
+        reached = spare_row > tol
+        row_via[reached] = -1
+        seen_col = np.zeros(m, dtype=bool)
+        frontier = np.flatnonzero(reached)
+        sinks = frontier[:0]
+        while frontier.size:
+            step = adj[frontier] & ~seen_col
+            cols = np.flatnonzero(step.any(axis=0))
+            if not cols.size:
+                break
+            col_via[cols] = frontier[step[:, cols].argmax(axis=0)]
+            seen_col[cols] = True
+            sinks = cols[spare_col[cols] > tol]
+            if sinks.size:
+                break
+            back = (flow[:, cols] > tol) & ~reached[:, None]
+            frontier = np.flatnonzero(back.any(axis=1))
+            row_via[frontier] = cols[back[frontier].argmax(axis=1)]
+            reached[frontier] = True
+        if not sinks.size:
+            return flow, reached
+        for j in sinks.tolist():
+            rows, cols = [], [j]
+            while True:
+                rows.append(int(col_via[cols[-1]]))
+                if row_via[rows[-1]] < 0:
+                    break
+                cols.append(int(row_via[rows[-1]]))
+            # forward edges rows[k] -> cols[k]; backward edges cols[k+1] -> rows[k]
+            delta = min(spare_col[j], spare_row[rows[-1]], flow[rows[:-1], cols[1:]].min(initial=np.inf))
+            if delta > tol:
+                flow[rows, cols] += delta
+                flow[rows[:-1], cols[1:]] -= delta
+                spare_col[j] -= delta
+                spare_row[rows[-1]] -= delta
 
 
 def _carries_mass(value, m_mu):
     """Whether a max-flow ``value`` carries the whole mass ``m_mu`` of mu,
-    up to 1e-9 of it (or of 1): the feasibility test of every flow here."""
-    return value >= m_mu - _FLOW_TOL * max(m_mu, 1.0)
+    up to 1e-9 of it: the feasibility test of every flow here."""
+    return value >= m_mu - _FLOW_TOL * m_mu
 
 
 def feasibility_flow(r, mu, nu):
     """True iff some coupling dominated by ``r`` has marginals (mu, nu).
 
-    Decided by maximum flow on the source -> rows -> columns -> sink
-    network with capacities mu_i and nu_j (support edges uncapacitated):
-    feasible iff the max flow carries the whole mass of mu.  Requires
-    balanced masses.
+    Decided by maximum flow (:func:`_max_flow`) on the source -> rows ->
+    columns -> sink network with capacities mu_i and nu_j (support edges
+    uncapacitated): feasible iff the max flow carries the whole mass of
+    mu.  Requires masses balanced to 1e-9 of the larger one.
     """
     r, mu, nu = as_triple(r, mu, nu)
     m_mu, m_nu = total_mass(mu), total_mass(nu)
-    if abs(m_mu - m_nu) > _FLOW_TOL * max(m_mu, 1.0):
+    if abs(m_mu - m_nu) > _FLOW_TOL * max(m_mu, m_nu):
         raise ValueError("feasibility_flow requires balanced masses")
     if m_mu == 0:
         return True
-    return _carries_mass(nx.maximum_flow_value(_flow_network(r, mu, nu), "s", "t"), m_mu)
+    return _hall_violator(r, mu, nu) is None
 
 
 def _hall_violator(r, mu, nu):
-    """None when the instance is feasible (:func:`_carries_mass`, as in
-    :func:`feasibility_flow`); otherwise a row subset A with
-    mu(A) > nu(F(A)), read off the same maximum flow: the rows reachable
-    from the source in its residual graph.
-
-    A residual capacity below 1e-12 M(mu) counts as saturated; an exact
-    ``flow == capacity`` test can miss a float edge saturated one ulp short.
-    """
-    g = _flow_network(r, mu, nu)
-    value, flow = nx.maximum_flow(g, "s", "t")
-    m_mu = total_mass(mu)
-    if _carries_mass(value, m_mu):
+    """None when the maximum flow of :func:`_max_flow` carries the whole
+    mass of mu (:func:`_carries_mass`); otherwise a row subset A with
+    mu(A) > nu(F(A)), read off the same flow: the rows reachable from the
+    source in its residual graph."""
+    flow, reached = _max_flow(support_graph(r), mu, nu)
+    if _carries_mass(float(flow.sum()), total_mass(mu)):
         return None
-    tol = 1e-12 * max(m_mu, 1.0)
-    residual = nx.DiGraph()
-    residual.add_node("s")
-    for x, y, cap in g.edges(data="capacity", default=math.inf):
-        if cap - flow[x][y] > tol:
-            residual.add_edge(x, y)
-        if flow[x][y] > tol:
-            residual.add_edge(y, x)
-    return tuple(sorted(node[1] for node in nx.descendants(residual, "s") if node[0] == "r"))
+    return tuple(np.flatnonzero(reached).tolist())
 
 
 def feasible_coupling(r, mu, nu):
-    """A coupling dominated by ``r`` with marginals (mu, nu), built from a
-    maximum-flow decomposition, or None when the instance is infeasible.
+    """A coupling dominated by ``r`` with marginals (mu, nu), the maximum
+    flow of :func:`_max_flow`, or None when the instance is infeasible.
     Raises ValueError on inconsistent shapes and on NaN, infinite or
     negative input."""
     r, mu, nu = as_triple(r, mu, nu)
     m_mu = total_mass(mu)
     if m_mu == 0:
         return np.zeros_like(r)
-    g = _flow_network(r, mu, nu)
-    value, flow = nx.maximum_flow(g, "s", "t")
-    if not _carries_mass(value, m_mu):
+    flow, _ = _max_flow(support_graph(r), mu, nu)
+    if not _carries_mass(float(flow.sum()), m_mu):
         return None
-    out = np.zeros_like(r)
-    for u, targets in flow.items():
-        if isinstance(u, tuple) and u[0] == "r":
-            for v, f in targets.items():
-                if isinstance(v, tuple) and v[0] == "c" and f > 0:
-                    out[u[1], v[1]] = f
-    return out
+    return flow

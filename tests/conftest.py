@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -38,6 +39,24 @@ S_MASK = np.array([[True, True, False], [False, True, False], [False, False, Tru
 @pytest.fixture
 def appendix():
     return appendix_a_instance()
+
+
+@pytest.fixture
+def max_flow_calls(monkeypatch):
+    """Records one entry per call of ``scalability._max_flow``, the one
+    flow routine of the package; networkx is made unreachable from it."""
+    from degensink import scalability
+
+    calls = []
+    max_flow = scalability._max_flow
+
+    def counting(*args):
+        calls.append(args)
+        return max_flow(*args)
+
+    monkeypatch.setattr(scalability, "_max_flow", counting)
+    monkeypatch.setattr(scalability, "nx", None)
+    return calls
 
 
 # Iterate values as printed in the worked example, keyed by half-step.
@@ -149,7 +168,7 @@ def oracle_classify(r, mu, nu):
     r, mu, nu = (np.asarray(x, dtype=float) for x in (r, mu, nu))
     assert check_assumption1(r, mu, nu)
     m_mu, m_nu = total_mass(mu), total_mass(nu)
-    tol = 1e-12 * max(m_mu, m_nu, 1.0)
+    tol = 1e-12 * max(m_mu, m_nu)
     unbalanced = abs(m_mu - m_nu) > tol
     if unbalanced:
         mu, nu, tol = mu / m_mu, nu / m_nu, 1e-12
@@ -172,7 +191,7 @@ def oracle_classify(r, mu, nu):
     if violators:
         return finish("NonScalable", tuple(int(row_map[i]) for i in min(violators)))
     row_r, col_r = marginal_row(rr), marginal_col(rr)
-    tol_ref = 1e-12 * max(total_mass(rr), 1.0)
+    tol_ref = 1e-12 * total_mass(rr)
     nonstrict = []
     for comp_rows, _ in connected_components(adj):
         if not comp_rows:
@@ -233,7 +252,35 @@ def oracle_maximal_theta(r, mu, nu):
             sorted(members(msk) for msk in minimal))
 
 
-def _relabelled(rng, r, mu, nu):
+# ---------------------------------------------------------------------------
+# networkx maximum flow: the reference ``scalability._max_flow`` is checked
+# against.  The package itself builds no graph.
+
+
+def oracle_max_flow(r, mu, nu):
+    """``(value, witness)`` of a networkx maximum flow on the source -> rows
+    -> columns -> sink network (capacities mu_i and nu_j, support edges
+    uncapacitated): the flow value, and the sorted rows reachable from the
+    source in its residual graph, counting a residual at or below
+    1e-12 M(mu) as saturated."""
+    g = nx.DiGraph()
+    g.add_nodes_from(("s", "t"))
+    g.add_edges_from(("s", ("r", i), {"capacity": w}) for i, w in enumerate(mu.tolist()) if w > 0)
+    g.add_edges_from((("c", j), "t", {"capacity": w}) for j, w in enumerate(nu.tolist()) if w > 0)
+    g.add_edges_from((("r", int(i)), ("c", int(j))) for i, j in zip(*np.nonzero(r > 0)))
+    value, flow = nx.maximum_flow(g, "s", "t")
+    tol = 1e-12 * total_mass(mu)
+    residual = nx.DiGraph()
+    residual.add_node("s")
+    for x, y, cap in g.edges(data="capacity", default=math.inf):
+        if cap - flow[x][y] > tol:
+            residual.add_edge(x, y)
+        if flow[x][y] > tol:
+            residual.add_edge(y, x)
+    return value, tuple(sorted(v[1] for v in nx.descendants(residual, "s") if v[0] == "r"))
+
+
+def relabelled(rng, r, mu, nu):
     pr, pc = rng.permutation(r.shape[0]), rng.permutation(r.shape[1])
     return r[np.ix_(pr, pc)], mu[pr], nu[pc]
 
@@ -247,7 +294,7 @@ def saturated_staircase(rng, sizes):
     n = sum(sizes)
     mu = np.concatenate([p[1] for p in parts])
     nu = np.concatenate([p[2] for p in parts])
-    return _relabelled(rng, np.triu(np.ones((n, n))), mu, nu)
+    return relabelled(rng, np.triu(np.ones((n, n))), mu, nu)
 
 
 def oracle_cases(seed):
@@ -266,5 +313,5 @@ def oracle_cases(seed):
         for n in (n_blocks * 2, ORACLE_MAX_ROWS):
             sizes = [n // n_blocks + (i < n % n_blocks) for i in range(n_blocks)]
             r, mu, nu, _, _ = staircase_instance(n, sizes, block_ratio_schedule(n_blocks))
-            cases.append(_relabelled(rng, r, mu, nu))
+            cases.append(relabelled(rng, r, mu, nu))
     return cases

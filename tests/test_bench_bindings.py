@@ -29,3 +29,12 @@ def test_span_bindings_resolve():
                 if attr not in vars(getattr(owner(mod), cls))]
     missing += [f"networkx.{call}" for call in spans.MAXFLOW_CALLS if not hasattr(nx, call)]
     assert missing == []
+
+
+def test_maxflow_proxy_target_resolves():
+    # the tracer wraps these calls on ``degensink.scalability.nx``, which
+    # must stay bound to networkx even though the package calls none of them
+    spans = _load("spans")
+    scalability = importlib.import_module("degensink.scalability")
+    assert scalability.nx is nx
+    assert [call for call in spans.MAXFLOW_CALLS if not hasattr(scalability.nx, call)] == []

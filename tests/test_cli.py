@@ -27,30 +27,16 @@ def test_solve_report_json(instance_file, tmp_path, capsys):
     assert payload["classification"]["witness"] == [2]
 
 
-def test_solve_classifies_above_cap_with_one_max_flow(tmp_path, monkeypatch):
+def test_solve_classifies_above_cap_with_one_max_flow(tmp_path, max_flow_calls):
     # 25 rows exceed the enumeration cap: the max-flow that shows the
     # instance feasible also yields its tag, and no other flow runs
-    from degensink import scalability
-
-    calls = []
-
-    def counting(name):
-        flow = getattr(scalability.nx, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return flow(*args, **kwargs)
-        return wrapper
-
-    for name in ("maximum_flow", "maximum_flow_value", "minimum_cut"):
-        monkeypatch.setattr(scalability.nx, name, counting(name))
     out = tmp_path / "report.json"
     code = main(["solve", "--gen", "kind=staircase,n=25,blocks=1", "--stop", "delta",
                  "--tol", "1e-9", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["classification"] == {
         "tag": "ApproximatelyScalable", "witness": None}
-    assert calls == ["maximum_flow"]
+    assert len(max_flow_calls) == 1
 
 
 def test_solve_gen_and_trace(tmp_path):

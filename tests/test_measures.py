@@ -19,6 +19,7 @@ from degensink import (
 )
 from degensink import (
     approx_support_algorithm1,
+    check_assumption1,
     classify_exact,
     default_thresholds,
     epsilon_fill,
@@ -26,6 +27,8 @@ from degensink import (
     feasibility_flow,
     is_sisp,
     penalized_objective,
+    reduce_to_full_support,
+    restrict_to_E,
     run_sinkhorn,
     solve_schu_lambda,
     solve_two_sided,
@@ -203,6 +206,9 @@ ENTRY_POINTS = {
     "approx_support_algorithm1": approx_support_algorithm1,
     "exact_support_procedure": exact_support_procedure,
     "classify_exact": classify_exact,
+    "check_assumption1": check_assumption1,
+    "reduce_to_full_support": reduce_to_full_support,
+    "restrict_to_E": restrict_to_E,
     "feasibility_flow": feasibility_flow,
     "default_thresholds": lambda r, mu, nu: default_thresholds(r, mu),
     "is_sisp": lambda r, mu, nu: is_sisp([2], r, mu, nu, R_STAR),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degensink import (
     Assumption1Violated,
@@ -14,8 +16,18 @@ from degensink import (
     restrict_to_E,
     support_graph,
 )
-from degensink.scalability import feasible_coupling
-from conftest import oracle_cases, oracle_classify, random_instance
+from degensink import scalability
+from degensink.instances import (
+    KIND_RANDOM,
+    InstanceSpec,
+    appendix_a_instance,
+    block_ratio_schedule,
+    gen_instance,
+    staircase_instance,
+)
+from degensink.measures import total_mass
+from degensink.scalability import SUBSET_ENUMERATION_CAP, feasible_coupling
+from conftest import oracle_cases, oracle_classify, oracle_max_flow, random_instance, relabelled
 
 
 def test_support_graph(appendix):
@@ -167,7 +179,6 @@ def test_classify_beyond_cap():
     # infeasible large instances still classify via the flow fallback with
     # a min-cut witness; feasible ones need enumeration and refuse
     from degensink import DimensionTooLarge
-    from degensink.instances import block_ratio_schedule, staircase_instance
 
     r, mu, nu, _, bounds = staircase_instance(30, [15, 15], block_ratio_schedule(2))
     out = classify_exact(r, mu, nu)
@@ -187,8 +198,6 @@ def test_min_cut_witness_violates_hall_on_relabelled_staircase():
     # the 4-block 200x200 staircase is NonScalable above the enumeration
     # cap; under these relabellings an exact flow == capacity reading of
     # the min cut gave empty or Hall-satisfying witnesses
-    from degensink.instances import block_ratio_schedule, staircase_instance
-
     r0, mu0, nu0, _, _ = staircase_instance(200, [50] * 4, block_ratio_schedule(4))
     for seed in (2, 5, 6, 7):
         rng = np.random.default_rng(seed)
@@ -214,26 +223,108 @@ def test_classify_agrees_with_enumeration_oracle():
                     ("NonScalable", True), ("UnbalancedNonScalable", True)}
 
 
-def test_classify_beyond_cap_runs_one_max_flow(monkeypatch):
+def test_classify_beyond_cap_runs_one_max_flow(max_flow_calls):
     # the flow that decides feasibility also yields the min-cut witness
-    from degensink import DimensionTooLarge, scalability
-    from degensink.instances import block_ratio_schedule, staircase_instance
+    from degensink import DimensionTooLarge
 
-    calls = []
-
-    def counting(name):
-        flow = getattr(scalability.nx, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return flow(*args, **kwargs)
-        return wrapper
-
-    for name in ("maximum_flow", "maximum_flow_value", "minimum_cut"):
-        monkeypatch.setattr(scalability.nx, name, counting(name))
     r, mu, nu, _, _ = staircase_instance(30, [15, 15], block_ratio_schedule(2))
     assert classify_exact(r, mu, nu).tag == "NonScalable"
-    assert calls == ["maximum_flow"]
+    assert len(max_flow_calls) == 1
     with pytest.raises(DimensionTooLarge):
         classify_exact(np.eye(25), np.ones(25), np.ones(25))
-    assert calls == ["maximum_flow"] * 2
+    assert len(max_flow_calls) == 2
+
+
+def _flow_oracle_cases():
+    """Non-square random instances from sparse to dense, relabelled
+    NonScalable staircases of 2-6 blocks at 50-200 rows, and random
+    instances with massless rows and columns."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for density, shape in ((0.05, (150, 120)), (0.1, (40, 90)), (0.2, (90, 35)),
+                           (0.4, (25, 60)), (0.6, (120, 80)), (0.9, (30, 45))):
+        cases.append(gen_instance(InstanceSpec(KIND_RANDOM, *shape, density=density,
+                                               seed=int(rng.integers(1 << 30)))))
+    for n_blocks, n in ((2, 50), (3, 80), (4, 120), (5, 160), (6, 200)):
+        sizes = [n // n_blocks + (i < n % n_blocks) for i in range(n_blocks)]
+        r, mu, nu, _, _ = staircase_instance(n, sizes, block_ratio_schedule(n_blocks))
+        cases.append(relabelled(rng, r, mu, nu))
+    for density in (0.08, 0.5):
+        r, mu, nu = gen_instance(InstanceSpec(KIND_RANDOM, 60, 45, density=density,
+                                              seed=int(rng.integers(1 << 30))))
+        mu[rng.random(mu.size) < 0.2] = 0.0
+        nu[rng.random(nu.size) < 0.2] = 0.0
+        cases.append((r, mu, nu * (mu.sum() / nu.sum())))
+    return cases
+
+
+def test_max_flow_agrees_with_networkx():
+    # value, feasibility bit, min-cut witness and feasible coupling of the
+    # dense augmenting-path flow against networkx's preflow-push
+    outcomes = set()
+    for r, mu, nu in _flow_oracle_cases():
+        m_mu = total_mass(mu)
+        value, witness = oracle_max_flow(r, mu, nu)
+        flow, _ = scalability._max_flow(support_graph(r), mu, nu)
+        assert abs(flow.sum() - value) <= 1e-12 * m_mu
+        assert flow.min() >= 0 and not flow[r == 0].any()
+        feasible = feasibility_flow(r, mu, nu)
+        assert feasible == scalability._carries_mass(value, m_mu)
+        outcomes.add(feasible)
+        p = feasible_coupling(r, mu, nu)
+        if feasible:
+            assert not p[r == 0].any()
+            assert np.abs(p.sum(axis=1) - mu).max() <= 1e-12 * m_mu
+            assert np.abs(p.sum(axis=0) - nu).max() <= 1e-12 * m_mu
+            continue
+        assert p is None
+        hall = scalability._hall_violator(r, mu, nu)
+        assert hall == witness
+        assert mu[list(hall)].sum() > nu[sorted(forward_image(support_graph(r), hall))].sum()
+        if r.shape[0] > SUBSET_ENUMERATION_CAP and (mu > 0).all() and (nu > 0).all():
+            assert classify_exact(r, mu, nu).witness == hall
+    assert outcomes == {True, False}
+
+
+# Symmetries of the classification: the worked example, the NonScalable
+# 30-row two-block staircase (above the enumeration cap) and the oracle
+# instances.
+STAIRCASE30 = staircase_instance(30, [15, 15], block_ratio_schedule(2))[:3]
+SYMMETRY_CASES = [appendix_a_instance(), STAIRCASE30] + oracle_cases(505)
+
+
+def _invariants(r, mu, nu):
+    """The feasibility bit ("unbalanced" where masses differ) and the tag."""
+    try:
+        feasible = feasibility_flow(r, mu, nu)
+    except ValueError:
+        feasible = "unbalanced"
+    return feasible, classify_exact(r, mu, nu).tag
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.integers(0, len(SYMMETRY_CASES) - 1), seed=st.integers(0, 2**32 - 1))
+def test_classification_invariant_under_permutation(case, seed):
+    r, mu, nu = SYMMETRY_CASES[case]
+    assert _invariants(*relabelled(np.random.default_rng(seed), r, mu, nu)) == _invariants(r, mu, nu)
+
+
+def test_classification_invariant_under_transposition():
+    for r, mu, nu in SYMMETRY_CASES:
+        assert _invariants(r.T, nu, mu) == _invariants(r, mu, nu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.integers(0, len(SYMMETRY_CASES) - 1), k=st.integers(-200, 200))
+def test_classification_invariant_under_mass_scaling(case, k):
+    r, mu, nu = SYMMETRY_CASES[case]
+    c = 10.0 ** k
+    assert _invariants(r, c * mu, c * nu) == _invariants(r, mu, nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-200, 200))
+def test_witness_invariant_under_mass_scaling(k):
+    c = 10.0 ** k
+    for r, mu, nu in (appendix_a_instance(), STAIRCASE30):
+        assert classify_exact(r, c * mu, c * nu).witness == classify_exact(r, mu, nu).witness
