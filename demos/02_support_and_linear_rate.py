@@ -3,9 +3,9 @@
 When the limit couplings have more zeros than the reference, the plain
 scaling iteration slows down badly (its potentials diverge while the doomed
 entries creep to zero).  Both support detectors in the package sidestep
-that: the exact one removes isolated scalable blocks by enumerating maximal
-mass-ratio sets, and the approximate one finds the same blocks by scaling
-with row dropping.  Masking the reference to the detected support restores
+that: the exact one removes isolated scalable blocks, the minimal sets of
+maximal mass ratio, found by max-flow at any size, and the approximate one
+finds the same blocks by scaling with row dropping.  Masking the reference to the detected support restores
 a clean linear rate without changing the limits.
 """
 
@@ -24,12 +24,15 @@ sizes = [n // blocks + (1 if i < n % blocks else 0) for i in range(blocks)]
 R, mu, nu, expected_support, bounds = staircase_instance(n, sizes, block_ratio_schedule(blocks))
 print(f"instance: {n}x{n} upper-triangular, {blocks} limit blocks {bounds}")
 
-# exact procedure at desk scale: same construction, 15x15
-r_small, mu_s, nu_s, support_s, _ = staircase_instance(15, [3, 4, 4, 4], block_ratio_schedule(4))
-trace = dg.exact_support_procedure(r_small, mu_s, nu_s)
-print("\nexact procedure on the 15x15 sibling removes blocks bottom-right first:")
+# exact procedure: removes blocks bottom-right first
+t0 = time.perf_counter()
+trace = dg.exact_support_procedure(R, mu, nu)
+t_exact = time.perf_counter() - t0
+print(f"\nexact procedure ({t_exact:.3f}s) removes blocks bottom-right first:")
 for step in trace.steps:
-    print(f"  rows {step.sisp_rows} x cols {step.sisp_cols}   theta = {step.theta:.4f}")
+    print(f"  rows {step.sisp_rows[0]}..{step.sisp_rows[-1]} x cols {step.sisp_cols[0]}..{step.sisp_cols[-1]}"
+          f"   theta = {step.theta:.4f}")
+print("exact support matches the construction:", np.array_equal(trace.final_mask, expected_support))
 
 # approximate detector at full scale
 t0 = time.perf_counter()

@@ -14,7 +14,6 @@ from .errors import (
     Assumption1Violated,
     Assumption2Violated,
     DegensinkError,
-    DimensionTooLarge,
     InfeasibleProjection,
     NotConverged,
     OverflowDetected,

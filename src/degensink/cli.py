@@ -8,9 +8,9 @@
 
 Instances come from ``--instance file.json`` or ``--gen kind=...,n=...``
 (kinds: upper, staircase, random).  Output goes to stdout or ``--out``.
-The ``solve`` report carries the classification of ``classify``: above
-the enumeration cap a feasible instance is tagged (Unbalanced)
-ApproximatelyScalable from the same max-flow that decides feasibility.
+The ``solve`` report carries the classification of ``classify``, exact
+at any size: one maximum flow tells NonScalable, ApproximatelyScalable
+and Scalable apart.
 Exit codes: 0 success, 2 not converged, 3 infeasible instance or
 assumption violation.
 """
@@ -25,11 +25,11 @@ from . import experiments
 from .errors import (
     Assumption1Violated,
     Assumption2Violated,
-    DimensionTooLarge,
     InfeasibleProjection,
     NotConverged,
 )
 from .instances import InstanceSpec, KIND_RANDOM, KIND_STAIRCASE, KIND_UPPER, gen_instance, load_instance
+from .scalability import classify_exact
 from .sinkhorn import StopConfig, run_sinkhorn
 from .support import approx_support_algorithm1, exact_support_procedure
 from .unbalanced import sweep_epsilon, sweep_lambda
@@ -105,7 +105,7 @@ def _report_payload(report):
 
 
 def _classification(r, mu, nu):
-    outcome = experiments.classify_with_fallback(r, mu, nu)
+    outcome = classify_exact(r, mu, nu)
     return {"tag": outcome.tag, "witness": list(outcome.witness) if outcome.witness else None}
 
 
@@ -240,8 +240,7 @@ def main(argv=None):
     except NotConverged as exc:
         sys.stderr.write(f"not converged: {exc}\n")
         return EXIT_NOT_CONVERGED
-    except (Assumption1Violated, Assumption2Violated, InfeasibleProjection,
-            DimensionTooLarge) as exc:
+    except (Assumption1Violated, Assumption2Violated, InfeasibleProjection) as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
     except ValueError as exc:

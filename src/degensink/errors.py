@@ -22,10 +22,6 @@ class Assumption2Violated(DegensinkError):
     R all positive) was called on a triple that does not have them."""
 
 
-class DimensionTooLarge(DegensinkError):
-    """Exact subset enumeration was requested beyond the size cap."""
-
-
 class NotConverged(DegensinkError):
     """An iterative solver hit its iteration cap before meeting its
     stopping criterion.  ``result`` carries the partial output when one

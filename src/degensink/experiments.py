@@ -29,14 +29,9 @@ from .sinkhorn import (
 from .support import approx_support_algorithm1, default_thresholds, masked_solve
 from .unbalanced import sweep_epsilon, sweep_lambda
 from .scalability import (
-    APPROXIMATELY_SCALABLE,
-    _UNBALANCED_TAG,
-    ScalabilityClass,
-    _is_unbalanced,
     classify_exact,
     feasibility_flow,  # noqa: F401  (bench/spans.py traces it under this module)
 )
-from .errors import DimensionTooLarge
 
 __all__ = [
     "appendix_a_checkpoints",
@@ -170,25 +165,7 @@ def experiment_iterations_vs_zeros(block_range, size=100):
     return rows
 
 
-def classify_with_fallback(r, mu, nu):
-    """Exact classification when enumeration is feasible, otherwise the
-    max-flow feasibility bit.
-
-    :func:`classify_exact` decides every instance above the enumeration
-    cap with one max-flow: it returns NonScalable (with a min-cut witness)
-    when the flow falls short, and raises DimensionTooLarge only when the
-    flow has shown the instance feasible.  That exception is answered here
-    with the "at least approximately scalable" tag, ApproximatelyScalable
-    or UnbalancedApproximatelyScalable, without a witness and without a
-    second flow.
-    """
-    try:
-        return classify_exact(r, mu, nu)
-    except DimensionTooLarge:
-        tag = APPROXIMATELY_SCALABLE
-        if _is_unbalanced(mu, nu):
-            tag = _UNBALANCED_TAG[tag]
-        return ScalabilityClass(tag=tag)
+classify_with_fallback = classify_exact  # the name bench/workloads.py imports
 
 
 def experiment_fig6(size=100):
@@ -204,7 +181,7 @@ def experiment_fig6(size=100):
     ratios = block_ratio_schedule(2)
     sizes = [size // 2, size - size // 2]
     r, mu, nu, _, _ = staircase_instance(size, sizes, ratios)
-    classification = classify_with_fallback(r, mu, nu)
+    classification = classify_exact(r, mu, nu)
     limit = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=1e-12 * size,
                                                max_iter=100_000, mode="iterate-delta"))
     lam_rows = sweep_lambda(r, mu, nu, LAMBDAS, r_star=limit.r_star)

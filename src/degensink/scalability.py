@@ -8,11 +8,11 @@ Hall-type condition on that graph: the problem is at least approximately
 scalable iff masses match and ``mu(A) <= nu(F(A))`` for every row subset A,
 where F(A) is the set of columns adjacent to A.  It is scalable (solution
 with the full support of R, linear-rate scaling) iff in addition the
-inequality is strict on every subset, within each connected component,
-whose reference marginals are not themselves saturated.
+inequality is strict on every proper subset of each connected component.
+Both are read off one maximum flow (:func:`_max_flow`) and closures in its
+residual graph, at any size.
 """
 
-import math
 from dataclasses import dataclass
 
 # Not called here: the benchmark's tracer (bench/spans.py) wraps the
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import networkx as nx  # noqa: F401
 import numpy as np
 
-from .errors import Assumption1Violated, DimensionTooLarge
-from .measures import as_triple, marginal_col, marginal_row, total_mass
+from .errors import Assumption1Violated
+from .measures import as_triple, total_mass
 
 __all__ = [
     "support_graph",
@@ -34,10 +34,8 @@ __all__ = [
     "ScalabilityClass",
     "classify_exact",
     "feasibility_flow",
-    "SUBSET_ENUMERATION_CAP",
 ]
 
-SUBSET_ENUMERATION_CAP = 20
 _FLOW_TOL = 1e-9
 _RESIDUAL_TOL = 1e-12
 
@@ -113,48 +111,39 @@ def reduce_to_full_support(r, mu, nu):
     return r[np.ix_(row_map, col_map)], mu[row_map], nu[col_map], row_map, col_map
 
 
+def _closure(rows, cols, down, up):
+    """Rows and columns reachable from the boolean masks ``rows`` and
+    ``cols`` along the edges row i -> column j where ``down[i, j]`` and
+    column j -> row i where ``up[i, j]``: one boolean frontier step per
+    layer.  Returns the two masks."""
+    rows, cols = rows.copy(), cols.copy()
+    new_r, new_c = rows, cols
+    while new_r.any() or new_c.any():
+        new_r, new_c = up[:, new_c].any(axis=1) & ~rows, down[new_r].any(axis=0) & ~cols
+        rows |= new_r
+        cols |= new_c
+    return rows, cols
+
+
 def connected_components(adj):
     """Connected components of the bipartite support graph ``adj``.
 
-    Returns a list of ``(row_tuple, col_tuple)`` pairs; isolated vertices
-    appear as singletons with an empty partner.  Traversal is breadth-first
-    in ascending index order, and the component list is sorted by its
-    smallest vertex, so the output is deterministic.
+    Returns a list of ``(row_tuple, col_tuple)`` pairs, each sorted;
+    isolated vertices appear as singletons with an empty partner.  The
+    list is sorted by smallest row, and the components without rows (the
+    isolated columns) come last, by column.
     """
     adj = np.asarray(adj, dtype=bool)
-    n_rows, n_cols = adj.shape
-    seen_r = [False] * n_rows
-    seen_c = [False] * n_cols
+    n, m = adj.shape
+    free_r, free_c = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
     comps = []
-
-    def bfs(start_kind, start):
-        rr, cc = [], []
-        queue = [(start_kind, start)]
-        (seen_r if start_kind == "r" else seen_c)[start] = True
-        while queue:
-            kind, k = queue.pop(0)
-            if kind == "r":
-                rr.append(k)
-                for j in np.nonzero(adj[k])[0]:
-                    if not seen_c[j]:
-                        seen_c[j] = True
-                        queue.append(("c", int(j)))
-            else:
-                cc.append(k)
-                for i in np.nonzero(adj[:, k])[0]:
-                    if not seen_r[i]:
-                        seen_r[i] = True
-                        queue.append(("r", int(i)))
-        return tuple(sorted(rr)), tuple(sorted(cc))
-
-    for i in range(n_rows):
-        if not seen_r[i]:
-            comps.append(bfs("r", i))
-    for j in range(n_cols):
-        if not seen_c[j]:
-            comps.append(bfs("c", j))
-    comps.sort(key=lambda rc: (rc[0][0] if rc[0] else math.inf, rc[1][0] if rc[1] else math.inf))
-    return comps
+    for i in range(n):
+        if free_r[i]:
+            rows, cols = _closure(np.arange(n) == i, np.zeros(m, dtype=bool), adj, adj)
+            free_r &= ~rows
+            free_c &= ~cols
+            comps.append((tuple(np.flatnonzero(rows).tolist()), tuple(np.flatnonzero(cols).tolist())))
+    return comps + [((), (j,)) for j in np.flatnonzero(free_c).tolist()]
 
 
 @dataclass(frozen=True)
@@ -164,9 +153,10 @@ class ScalabilityClass:
     ``tag`` is one of Scalable, ApproximatelyScalable, NonScalable or their
     Unbalanced* variants.  ``witness``, when present, is a tuple of original
     row indices A with ``mu(A) > nu(F(A))`` (NonScalable) or with
-    ``mu(A) = nu(F(A))`` while ``mu^R(A) < nu^R(F(A))`` (ApproximatelyScalable).
-    Up to the enumeration cap it is the lexicographically smallest such
-    subset; above it the NonScalable witness is read off a minimum cut.
+    ``mu(A) = nu(F(A))`` while ``mu^R(A) < nu^R(F(A))`` (ApproximatelyScalable),
+    chosen by the rules of :func:`classify_exact`.  Neither depends on
+    which maximum flow was found, and the NonScalable one follows a
+    relabelling of the rows.
     """
 
     tag: str
@@ -181,51 +171,6 @@ class ScalabilityClass:
         return self.tag.removeprefix("Unbalanced")
 
 
-def _subset_table(adj, row_weights, col_weights):
-    """Weight sums over every row subset A, indexed by the bitmask of A
-    (bit i set iff row i is in A; entry 0 is the empty set).
-
-    Returns ``(masks, row_sums, image_sums)``: ``row_sums[k][A]`` sums
-    ``row_weights[k]`` over the rows of A and ``image_sums[k][A]`` sums
-    ``col_weights[k]`` over the column image F(A) in the bipartite graph
-    ``adj``.  Row sums are built by doubling: the subsets containing row k
-    extend the ones below it by one addition.  Columns are grouped by
-    their row neighbourhood B, and each group's total is added once to
-    every subset that meets B, so memory stays O(2^n) per weight whatever
-    the number of columns.
-    """
-    adj = np.asarray(adj, dtype=bool)
-    n = adj.shape[0]
-    masks = np.arange(1 << n, dtype=np.int64)
-    row_weights = np.asarray(row_weights, dtype=float)
-    row_sums = np.zeros((len(row_weights), 1 << n))
-    for k in range(n):
-        row_sums[:, 1 << k:2 << k] = row_sums[:, :1 << k] + row_weights[:, k:k + 1]
-    neighbourhoods = (adj.astype(np.int64) << np.arange(n, dtype=np.int64)[:, None]).sum(axis=0)
-    groups, group_of = np.unique(neighbourhoods, return_inverse=True)
-    group_weights = np.array([np.bincount(group_of, weights=w, minlength=groups.size)
-                              for w in col_weights])
-    image_sums = np.zeros((len(col_weights), 1 << n))
-    for b, w in zip(groups.tolist(), group_weights.T):
-        if b:
-            np.add(image_sums, w[:, None], out=image_sums, where=(masks & b) != 0)
-    return masks, row_sums, image_sums
-
-
-def _smallest_subset(masks):
-    """The lexicographically smallest of the sorted index tuples encoded by
-    the nonzero bitmasks ``masks``: fix the smallest first member, keep the
-    masks that start with it, and walk on until one of them is exhausted."""
-    members = []
-    while True:
-        low = masks & -masks
-        first = low.min()
-        members.append(int(first).bit_length() - 1)
-        masks = masks[low == first] ^ first
-        if not masks.all():
-            return tuple(members)
-
-
 def _is_unbalanced(mu, nu):
     """Total masses differ by more than 1e-12 times the larger one."""
     m_mu, m_nu = total_mass(mu), total_mass(nu)
@@ -234,7 +179,7 @@ def _is_unbalanced(mu, nu):
 
 def classify_exact(r, mu, nu):
     """Classify (r, mu, nu) as scalable, approximately scalable or
-    non-scalable by exhaustive subset enumeration.
+    non-scalable with one maximum flow.
 
     Unbalanced inputs (total masses differ) are normalized to probability
     vectors first and tagged Unbalanced*.  The triple is then reduced to
@@ -242,71 +187,77 @@ def classify_exact(r, mu, nu):
     any solution has strictly smaller support than r, so a feasible
     instance cannot be better than approximately scalable.
 
-    Up to ``SUBSET_ENUMERATION_CAP`` rows every nonempty row subset is
-    tested at once on a vectorized table of its sums: mu(A) against
-    nu(F(A)) within 1e-12 of the mass for Hall's condition, then, per
-    connected component, the saturated subsets against the reference
-    marginals.  The number of columns is not limited.  Beyond the cap
-    one max-flow decides feasibility: an infeasible instance is
-    NonScalable with a min-cut witness from that same flow, and a feasible
-    one raises DimensionTooLarge, since distinguishing Scalable from
-    ApproximatelyScalable needs the enumeration.  DimensionTooLarge thus
-    means "feasible, above the cap".
+    The instance is NonScalable when the flow of :func:`_max_flow` falls
+    short of the mass of mu by more than 1e-9 of it (:func:`_carries_mass`).
+    The witness is then the set of rows reached from the source in its
+    residual graph: the inclusion-minimal maximizer of mu(A) - nu(F(A)).
+    A feasible instance is Scalable when every connected component of the
+    support is strongly connected in that residual graph (rows to columns
+    through the support, columns back to rows through the entries that
+    carry flow); see :func:`_loose_rows` for the ApproximatelyScalable
+    witness.  Rows and columns are not limited in number.
     """
     r, mu, nu = as_triple(r, mu, nu)
     if not check_assumption1(r, mu, nu):
         raise Assumption1Violated("classification undefined: assumption check failed")
     m_mu, m_nu = total_mass(mu), total_mass(nu)
-    tol = 1e-12 * max(m_mu, m_nu)
     unbalanced = _is_unbalanced(mu, nu)
     if unbalanced:
         if m_mu == 0 or m_nu == 0:
             raise Assumption1Violated("one marginal is the zero measure but the other is not")
         mu = mu / m_mu
         nu = nu / m_nu
-        tol = 1e-12
 
-    def finish(tag, witness=None):
+    def finish(tag, rows=None):
         if unbalanced:
             tag = _UNBALANCED_TAG[tag]
-        return ScalabilityClass(tag=tag, witness=witness)
+        return ScalabilityClass(tag=tag, witness=None if rows is None else tuple(row_map[rows].tolist()))
 
     if m_mu == 0 and m_nu == 0:
         return finish(SCALABLE if not support_graph(r).any() else APPROXIMATELY_SCALABLE)
 
-    rr, mur, nur, row_map, col_map = reduce_to_full_support(r, mu, nu)
-    support_shrunk = bool(support_graph(r).sum() > support_graph(rr).sum())
-
-    n = rr.shape[0]
-    if n > SUBSET_ENUMERATION_CAP:
-        witness = _hall_violator(rr, mur, nur)
-        if witness is None:
-            raise DimensionTooLarge(
-                f"{n} rows exceed the enumeration cap ({SUBSET_ENUMERATION_CAP}) and the instance "
-                "is feasible; the Scalable/ApproximatelyScalable distinction needs enumeration"
-            )
-        return finish(NON_SCALABLE, tuple(int(row_map[i]) for i in witness))
-
+    rr, mur, nur, row_map, _ = reduce_to_full_support(r, mu, nu)
     adj = support_graph(rr)
-    masks, (mu_a, row_a), (nu_fa, col_fa) = _subset_table(
-        adj, [mur, marginal_row(rr)], [nur, marginal_col(rr)])
-    violators = np.flatnonzero(mu_a > nu_fa + tol)
-    if violators.size:
-        return finish(NON_SCALABLE, tuple(int(row_map[i]) for i in _smallest_subset(violators)))
-
-    # Feasible: test strictness per connected component (scalable iff every
-    # saturated subset also saturates the reference marginals).
-    tol_ref = 1e-12 * total_mass(rr)
-    in_component = np.zeros(masks.size, dtype=bool)
-    for comp_rows, _ in connected_components(adj):
-        in_component |= (masks & ~sum(1 << i for i in comp_rows)) == 0
-    nonstrict = np.flatnonzero(in_component & (np.abs(nu_fa - mu_a) <= tol) & (col_fa - row_a > tol_ref))
-    if nonstrict.size:
-        return finish(APPROXIMATELY_SCALABLE,
-                      tuple(int(row_map[i]) for i in _smallest_subset(nonstrict)))
-    if support_shrunk:
+    flow, reached = _max_flow(adj, mur, nur)
+    if not _carries_mass(float(flow.sum()), total_mass(mur)):
+        return finish(NON_SCALABLE, reached)
+    loose = _loose_rows(adj, flow > _RESIDUAL_TOL * total_mass(mur))
+    if loose is not None:
+        return finish(APPROXIMATELY_SCALABLE, loose)
+    if support_graph(r).sum() > adj.sum():
         return finish(APPROXIMATELY_SCALABLE)
     return finish(SCALABLE)
+
+
+def _loose_rows(adj, carry):
+    """None when every connected component of the support ``adj`` is
+    strongly connected in the residual graph of a feasible flow whose
+    entries ``carry`` flow; otherwise the witness rows of
+    ApproximatelyScalable, a proper tight subset A of a component
+    (mu(A) = nu(F(A)) while R puts mass on (rows outside A) x F(A)).
+
+    A forward and a backward closure from the smallest row of every
+    component decide it.  The witness comes from the first component, by
+    smallest row rho, that fails: the smallest tight set containing rho
+    (its forward closure) if that is a proper subset of the component,
+    otherwise the smallest tight set containing the smallest row that
+    cannot reach rho.
+    """
+    n, m = adj.shape
+    comps = connected_components(adj)
+    roots = np.zeros(n, dtype=bool)
+    roots[[rows[0] for rows, _ in comps if rows]] = True
+    no_cols = np.zeros(m, dtype=bool)
+    forward, _ = _closure(roots, no_cols, adj, carry)
+    backward, _ = _closure(roots, no_cols, carry, adj)
+    for rows, _ in comps:
+        rows = np.array(rows, dtype=np.int64)
+        if not forward[rows].all():
+            return rows[forward[rows]]
+        if not backward[rows].all():
+            start = np.arange(n) == rows[np.argmin(backward[rows])]
+            return np.flatnonzero(_closure(start, no_cols, adj, carry)[0])
+    return None
 
 
 def _max_flow(adj, mu, nu):

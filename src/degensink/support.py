@@ -1,6 +1,6 @@
 """Support of the limit couplings: exact construction by iterated
-removal of isolated scalable blocks, and the approximate scaling-based
-detector usable at scale.
+removal of isolated scalable blocks, found by max-flow, and the
+approximate scaling-based detector.
 
 The key quantity is the maximal ratio theta_m = max over nonempty row
 subsets A of mu(A) / nu(F(A)), with F(A) the column image of A in the
@@ -9,7 +9,8 @@ of isolated scalable problems: the limit coupling vanishes on
 (complement of A) x F(A) and keeps the full reference support on the rows
 of A, with nu* = theta_m nu on F(A) and mu* = mu / theta_m on A.  Removing
 the block and recursing reconstructs the whole limit support without ever
-running the scaling iteration.
+running the scaling iteration.  theta_m and its minimal maximizers come
+from a few maximum flows, so the exact construction has no size limit.
 """
 
 import math
@@ -17,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Assumption2Violated, DimensionTooLarge, NotConverged
+from .errors import Assumption2Violated, NotConverged
 from .measures import as_coupling, as_measure, as_triple, marginal_col, marginal_row, total_mass
 from .scalability import (
-    SUBSET_ENUMERATION_CAP,
-    _subset_table,
+    _RESIDUAL_TOL,
+    _closure,
+    _max_flow,
     connected_components,
     reduce_to_full_support,
     support_graph,
@@ -42,7 +44,6 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
-_SCAN_CHUNK = 1 << 12
 
 
 def _require_full_support(r, mu, nu):
@@ -56,70 +57,57 @@ def _require_full_support(r, mu, nu):
 
 @dataclass(frozen=True)
 class ThetaSetResult:
-    """Maximal ratio theta_m with all maximizing row subsets and the
-    inclusion-minimal ones (0-based index tuples, each sorted)."""
+    """Maximal ratio theta_m with its inclusion-minimal maximizing row
+    subsets (0-based index tuples, each sorted)."""
 
     theta_m: float
-    maximizers: list
     smallest: list
 
 
 def maximal_theta(r, mu, nu):
-    """Exhaustive computation of theta_m = max_A mu(A)/nu(F(A)).
+    """theta_m = max_A mu(A)/nu(F(A)) and its inclusion-minimal maximizers.
 
-    Requires full supports and at most ``SUBSET_ENUMERATION_CAP`` rows;
-    the number of columns is not limited.  mu(A) and nu(F(A)) of every
-    nonempty row subset come from one vectorized table, indexed by
-    bitmask.  A record scan in bitmask order finds theta_m: a subset
-    replaces the current best only when its ratio is larger by more than
-    1e-12 relative.  The maximizers
-    are the subsets whose ratio ties with it within 1e-12 relative; all
-    ratio comparisons are cross-multiplied.
+    Requires full supports; rows and columns are not limited in number.
+    Dinkelbach iterations: from theta = M(mu)/M(nu), the ratio of all
+    rows, a maximum flow with capacities (mu, theta nu) finds the
+    inclusion-minimal maximizer A of mu(A) - theta nu(F(A)), the rows
+    reached from the source in its residual graph, and theta moves up to
+    the ratio of A until none is reached.  At theta_m the inclusion-minimal
+    maximizers are the row sets of the sink strongly connected components
+    of that residual graph among the nodes that cannot reach the sink
+    (Picard-Queyranne).  A residual at or below 1e-12 M(mu) counts as
+    saturated.
     """
     r, mu, nu = _require_full_support(r, mu, nu)
-    n = r.shape[0]
-    if n > SUBSET_ENUMERATION_CAP:
-        raise DimensionTooLarge(f"{n} rows exceed the enumeration cap ({SUBSET_ENUMERATION_CAP})")
-    masks, (num,), (den,) = _subset_table(r > 0, [mu], [nu])
-    best = _record_subset(num, den)
-    cross, best_cross = num * den[best], num[best] * den
-    tie = np.abs(cross - best_cross) <= _REL_TOL * np.maximum(cross, best_cross)
-    tie[0] = False  # the empty set, 0/0
-    maximizers = masks[tie]
-    # inclusion-minimal maximizers: smallest first, dropping the supersets
-    # of each one kept
-    pending = np.array(sorted(maximizers.tolist(), key=int.bit_count), dtype=np.int64)
-    minimal_masks = []
-    while pending.size:
-        minimal_masks.append(pending[0])
-        pending = pending[(pending & pending[0]) != pending[0]]
-
-    def members(msk):
-        return tuple(i for i in range(n) if int(msk) >> i & 1)
-
-    return ThetaSetResult(
-        theta_m=float(num[best] / den[best]),
-        maximizers=sorted(members(msk) for msk in maximizers),
-        smallest=sorted(members(msk) for msk in minimal_masks),
-    )
-
-
-def _record_subset(num, den):
-    """Last record of the scan over the nonempty bitmasks in increasing
-    order that keeps the current best and replaces it by the first later
-    subset with num * den_best > num_best * den * (1 + 1e-12).  The scan
-    goes in chunks, so each replacement costs at most one chunk more than
-    reading the table once."""
-    best, start = 1, 2
-    while start < num.size:
-        stop = min(start + _SCAN_CHUNK, num.size)
-        beats = np.flatnonzero(num[start:stop] * den[best] > num[best] * den[start:stop] * (1.0 + _REL_TOL))
-        if beats.size:
-            best = start + int(beats[0])
-            start = best + 1
-        else:
-            start = stop
-    return best
+    adj = r > 0
+    n, m = adj.shape
+    theta = total_mass(mu) / total_mass(nu)
+    while True:
+        flow, reached = _max_flow(adj, mu, theta * nu)
+        if not reached.any():
+            break
+        ratio = mu[reached].sum() / nu[adj[reached].any(axis=0)].sum()
+        if not ratio > theta:
+            break
+        theta = float(ratio)
+    tol = _RESIDUAL_TOL * total_mass(mu)
+    carry = flow > tol
+    no_rows, no_cols = np.zeros(n, dtype=bool), np.zeros(m, dtype=bool)
+    # every node that can reach the sink, through a column with spare capacity
+    done, _ = _closure(no_rows, theta * nu - flow.sum(axis=0) > tol, carry, adj)
+    smallest = []
+    for i in range(n):
+        if done[i]:
+            continue
+        start = np.arange(n) == i
+        ahead, _ = _closure(start, no_cols, adj, carry)
+        behind, _ = _closure(start, no_cols, carry, adj)
+        if (behind | ~ahead).all():  # row i lies in a sink component
+            smallest.append(tuple(np.flatnonzero(ahead).tolist()))
+            done |= ahead
+        else:  # neither row i nor any row that reaches it does
+            done |= behind
+    return ThetaSetResult(theta_m=theta, smallest=sorted(smallest))
 
 
 @dataclass(frozen=True)

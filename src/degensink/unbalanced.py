@@ -150,11 +150,15 @@ def solve_two_sided(r, mu, nu, cfg):
 
     by Newton's method on its dual (module docstring).  The solution must
     also have first-order stationarity residual at most 1e-8 (scaled by
-    the target mass); a solve that stops short of it, under a loose
-    ``epsilon_tol``, raises NotConverged with the solution attached.
+    the target mass), or at most the residual's own float roundoff when
+    that is larger (:func:`_stationarity_sums`), as at lam below about
+    1e-7, where g carries log(P/R)/lam.  A solve that stops short of it,
+    under a loose ``epsilon_tol``, raises NotConverged with the solution
+    attached.
     """
     p = _newton_dual(r, mu, nu, cfg, SIDE_BOTH)
-    res_tol = 1e-8 * max(total_mass(mu), total_mass(nu), 1.0)
+    _, roundoff = _stationarity_sums(p, r, mu, nu, cfg.lam)
+    res_tol = max(1e-8 * max(total_mass(mu), total_mass(nu), 1.0), roundoff)
     residual = stationarity_residual(p, r, mu, nu, cfg.lam)
     if not residual <= res_tol:
         raise NotConverged(f"two-sided penalized solve: stationarity residual {residual:.3g} "
@@ -181,6 +185,15 @@ def stationarity_residual(p, r, mu, nu, lam):
     Raises ValueError on NaN, infinite or negative input, and when ``p``
     and ``r`` differ in shape.
     """
+    return _stationarity_sums(p, r, mu, nu, lam)[0]
+
+
+def _stationarity_sums(p, r, mu, nu, lam):
+    """The largest absolute row or column sum of P g (g of
+    :func:`stationarity_residual`), and the largest row or column sum of
+    eps_mach P (|g| + (1 + |log R|)/lam), which bounds its float roundoff:
+    P carries a relative error of a few eps_mach, which log(P/R)/lam
+    multiplies by 1/lam."""
     p, (r, mu, nu) = as_coupling(p), as_triple(r, mu, nu)
     if p.shape != r.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {r.shape}")
@@ -193,9 +206,13 @@ def stationarity_residual(p, r, mu, nu, lam):
         lrow = np.where(row > 0, np.log(np.where(row > 0, row, 1.0) / np.where(mu > 0, mu, 1.0)), 0.0)
         lcol = np.where(col > 0, np.log(np.where(col > 0, col, 1.0) / np.where(nu > 0, nu, 1.0)), 0.0)
     g = np.where(sup, g + lrow[:, None] + lcol[None, :], 0.0)
-    row_res = np.abs((p * g).sum(axis=1))
-    col_res = np.abs((p * g).sum(axis=0))
-    return float(max(row_res.max(initial=0.0), col_res.max(initial=0.0)))
+    error = np.finfo(float).eps * p * (np.abs(g) + (1.0 + np.abs(np.log(np.where(sup, r, 1.0)))) / lam)
+
+    def largest_sum(terms):
+        return float(max(np.abs(terms.sum(axis=1)).max(initial=0.0),
+                         np.abs(terms.sum(axis=0)).max(initial=0.0)))
+
+    return largest_sum(p * g), largest_sum(error)
 
 
 def epsilon_fill(r, eps):

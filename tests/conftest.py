@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from degensink import appendix_a_instance
-from degensink.measures import marginal_col, marginal_row, total_mass
+from degensink.measures import total_mass
 from degensink.scalability import (
     _UNBALANCED_TAG,
     ScalabilityClass,
@@ -139,8 +139,8 @@ def random_instance(rng, max_n=8, balanced=True, full_support=False):
 
 
 # ---------------------------------------------------------------------------
-# Pure-Python subset enumeration: the reference the vectorized subset table
-# of ``classify_exact`` and ``maximal_theta`` is checked against.  One
+# Pure-Python subset enumeration: the reference the max-flow answers of
+# ``classify_exact`` and ``maximal_theta`` are checked against.  One
 # frozenset union and one sum per subset, so keep it to n <= 12 rows.
 
 ORACLE_MAX_ROWS = 12
@@ -164,14 +164,22 @@ def _oracle_subsets(row_idx, adjacency_rows):
 
 
 def oracle_classify(r, mu, nu):
-    """``classify_exact`` by explicit enumeration (no cap path)."""
+    """``classify_exact`` by explicit enumeration, under its rules.
+
+    NonScalable when the largest deficiency mu(A) - nu(F(A)) exceeds
+    1e-9 M(mu); the witness is the smallest subset whose deficiency is
+    within 1e-12 M(mu) of it.  Otherwise a subset is tight when its
+    deficiency is at least -1e-12 M(mu), and the first component (by
+    smallest row rho) with a proper tight subset is loose.  Its witness is
+    the smallest tight set containing rho when that is proper, else the
+    smallest tight set containing the smallest row that lies in a tight
+    set without rho."""
     r, mu, nu = (np.asarray(x, dtype=float) for x in (r, mu, nu))
     assert check_assumption1(r, mu, nu)
     m_mu, m_nu = total_mass(mu), total_mass(nu)
-    tol = 1e-12 * max(m_mu, m_nu)
-    unbalanced = abs(m_mu - m_nu) > tol
+    unbalanced = abs(m_mu - m_nu) > 1e-12 * max(m_mu, m_nu)
     if unbalanced:
-        mu, nu, tol = mu / m_mu, nu / m_nu, 1e-12
+        mu, nu = mu / m_mu, nu / m_nu
 
     def finish(tag, witness=None):
         return ScalabilityClass(tag=_UNBALANCED_TAG[tag] if unbalanced else tag, witness=witness)
@@ -182,27 +190,29 @@ def oracle_classify(r, mu, nu):
     support_shrunk = bool(support_graph(r).sum() > support_graph(rr).sum())
     adj = support_graph(rr)
     adj_rows = {i: frozenset(int(j) for j in np.nonzero(adj[i])[0]) for i in range(adj.shape[0])}
+    tol = 1e-12 * total_mass(mur)
 
-    def nu_sum(cols):
-        return float(nur[list(cols)].sum()) if cols else 0.0
+    def deficiencies(rows):
+        return {subset: float(mur[list(subset)].sum()) - (float(nur[list(image)].sum()) if image else 0.0)
+                for subset, image in _oracle_subsets(list(rows), adj_rows)}
 
-    violators = [subset for subset, image in _oracle_subsets(list(range(rr.shape[0])), adj_rows)
-                 if float(mur[list(subset)].sum()) > nu_sum(image) + tol]
-    if violators:
-        return finish("NonScalable", tuple(int(row_map[i]) for i in min(violators)))
-    row_r, col_r = marginal_row(rr), marginal_col(rr)
-    tol_ref = 1e-12 * total_mass(rr)
-    nonstrict = []
+    def smallest(subsets):
+        return tuple(int(row_map[i]) for i in min(subsets, key=lambda s: (len(s), s)))
+
+    deficiency = deficiencies(range(rr.shape[0]))
+    worst = max(deficiency.values())
+    if worst > 1e-9 * total_mass(mur):
+        return finish("NonScalable", smallest(s for s, d in deficiency.items() if d >= worst - tol))
     for comp_rows, _ in connected_components(adj):
-        if not comp_rows:
+        tight = [s for s, d in deficiencies(comp_rows).items() if d >= -tol]
+        if all(len(s) == len(comp_rows) for s in tight):
             continue
-        for subset, image in _oracle_subsets(list(comp_rows), adj_rows):
-            gap = nu_sum(image) - float(mur[list(subset)].sum())
-            ref_gap = float(col_r[list(image)].sum()) - float(row_r[list(subset)].sum()) if image else 0.0
-            if abs(gap) <= tol and ref_gap > tol_ref:
-                nonstrict.append(subset)
-    if nonstrict:
-        return finish("ApproximatelyScalable", tuple(int(row_map[i]) for i in min(nonstrict)))
+        rho = comp_rows[0]
+        around = [s for s in tight if rho in s]
+        if min(len(s) for s in around) == len(comp_rows):
+            sigma = min(i for s in tight if rho not in s for i in s)
+            around = [s for s in tight if sigma in s]
+        return finish("ApproximatelyScalable", smallest(around))
     return finish("ApproximatelyScalable" if support_shrunk else "Scalable")
 
 
@@ -253,16 +263,17 @@ def oracle_maximal_theta(r, mu, nu):
 
 
 # ---------------------------------------------------------------------------
-# networkx maximum flow: the reference ``scalability._max_flow`` is checked
-# against.  The package itself builds no graph.
+# networkx maximum flow and strongly connected components: the reference
+# ``scalability._max_flow`` and ``classify_exact`` are checked against at
+# any size.  The package itself builds no graph.
 
 
-def oracle_max_flow(r, mu, nu):
-    """``(value, witness)`` of a networkx maximum flow on the source -> rows
-    -> columns -> sink network (capacities mu_i and nu_j, support edges
-    uncapacitated): the flow value, and the sorted rows reachable from the
-    source in its residual graph, counting a residual at or below
-    1e-12 M(mu) as saturated."""
+def _nx_residual(r, mu, nu):
+    """A networkx maximum flow on the source -> rows -> columns -> sink
+    network (capacities mu_i and nu_j, support edges uncapacitated):
+    ``(value, residual)``, its value and its residual graph, counting a
+    residual at or below 1e-12 M(mu) as saturated.  Rows are nodes
+    ("r", i), columns ("c", j)."""
     g = nx.DiGraph()
     g.add_nodes_from(("s", "t"))
     g.add_edges_from(("s", ("r", i), {"capacity": w}) for i, w in enumerate(mu.tolist()) if w > 0)
@@ -271,13 +282,64 @@ def oracle_max_flow(r, mu, nu):
     value, flow = nx.maximum_flow(g, "s", "t")
     tol = 1e-12 * total_mass(mu)
     residual = nx.DiGraph()
-    residual.add_node("s")
+    residual.add_nodes_from(g)
     for x, y, cap in g.edges(data="capacity", default=math.inf):
         if cap - flow[x][y] > tol:
             residual.add_edge(x, y)
         if flow[x][y] > tol:
             residual.add_edge(y, x)
-    return value, tuple(sorted(v[1] for v in nx.descendants(residual, "s") if v[0] == "r"))
+    return value, residual
+
+
+def _rows_of(nodes):
+    return tuple(sorted(v[1] for v in nodes if v[0] == "r"))
+
+
+def oracle_max_flow(r, mu, nu):
+    """``(value, witness)`` of the networkx maximum flow of
+    :func:`_nx_residual`: the flow value, and the sorted rows reachable
+    from the source in its residual graph."""
+    value, residual = _nx_residual(r, mu, nu)
+    return value, _rows_of(nx.descendants(residual, "s"))
+
+
+def oracle_flow_classify(r, mu, nu):
+    """``classify_exact`` from the networkx maximum flow of
+    :func:`_nx_residual`, at any size.  NonScalable when the flow falls
+    short of M(mu) by more than 1e-9 of it, witnessed by the rows reachable
+    from the source.  Otherwise the first connected component of the
+    support (by smallest row rho) whose rows do not lie in one strongly
+    connected component of the residual graph is loose; its witness is
+    the rows rho reaches when they are a proper subset of it, else the rows
+    reached from the smallest row that cannot reach rho."""
+    r, mu, nu = (np.asarray(x, dtype=float) for x in (r, mu, nu))
+    m_mu, m_nu = total_mass(mu), total_mass(nu)
+    unbalanced = abs(m_mu - m_nu) > 1e-12 * max(m_mu, m_nu)
+    if unbalanced:
+        mu, nu = mu / m_mu, nu / m_nu
+
+    def finish(tag, rows=None):
+        witness = None if rows is None else tuple(int(row_map[i]) for i in rows)
+        return ScalabilityClass(tag=_UNBALANCED_TAG[tag] if unbalanced else tag, witness=witness)
+
+    rr, mur, nur, row_map, _ = reduce_to_full_support(r, mu, nu)
+    value, residual = _nx_residual(rr, mur, nur)
+    if value < (1 - 1e-9) * total_mass(mur):
+        return finish("NonScalable", _rows_of(nx.descendants(residual, "s")))
+    inner = residual.subgraph(v for v in residual if v not in ("s", "t"))
+    scc = {v: k for k, part in enumerate(nx.strongly_connected_components(inner)) for v in part}
+    # the support, since every support edge is residual row -> column
+    for rows in sorted(_rows_of(part) for part in nx.connected_components(inner.to_undirected())):
+        rho = ("r", rows[0])
+        if len({scc[("r", i)] for i in rows}) == 1:
+            continue
+        ahead = _rows_of(nx.descendants(inner, rho) | {rho})
+        if len(ahead) == len(rows):
+            sigma = min(i for i in rows if ("r", i) not in nx.ancestors(inner, rho) | {rho})
+            ahead = _rows_of(nx.descendants(inner, ("r", sigma)) | {("r", sigma)})
+        return finish("ApproximatelyScalable", ahead)
+    shrunk = bool(support_graph(r).sum() > support_graph(rr).sum())
+    return finish("ApproximatelyScalable" if shrunk else "Scalable")
 
 
 def relabelled(rng, r, mu, nu):

@@ -121,12 +121,14 @@ def test_criterion_05_support_oracle(appendix):
 
 def test_criterion_06_algorithm1_agreement():
     with _Timer(120.0) as t:
-        # staircase family at full size, against the generator's derived support
+        # staircase family at full size, against the generator's derived
+        # support, which the exact procedure reproduces
         for n_blocks in range(1, 11):
             r, mu, nu, support, _ = _staircase(100, n_blocks)
             res = dg.approx_support_algorithm1(r, mu, nu)
             assert res.converged
             assert np.array_equal(res.mask, support), f"n_blocks={n_blocks}"
+            assert np.array_equal(dg.exact_support_procedure(r, mu, nu).final_mask, support)
         # the generator's support equals the exact procedure at desk scale
         for n_blocks in (1, 2, 3, 4, 5):
             r, mu, nu, support, _ = _staircase(15, n_blocks)

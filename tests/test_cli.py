@@ -28,14 +28,13 @@ def test_solve_report_json(instance_file, tmp_path, capsys):
 
 
 def test_solve_classifies_above_cap_with_one_max_flow(tmp_path, max_flow_calls):
-    # 25 rows exceed the enumeration cap: the max-flow that shows the
-    # instance feasible also yields its tag, and no other flow runs
+    # 25 rows, 2^25 subsets: one max-flow tells Scalable from
+    # ApproximatelyScalable, and no other flow runs
     out = tmp_path / "report.json"
     code = main(["solve", "--gen", "kind=staircase,n=25,blocks=1", "--stop", "delta",
                  "--tol", "1e-9", "--out", str(out)])
     assert code == 0
-    assert json.loads(out.read_text())["classification"] == {
-        "tag": "ApproximatelyScalable", "witness": None}
+    assert json.loads(out.read_text())["classification"] == {"tag": "Scalable", "witness": None}
     assert len(max_flow_calls) == 1
 
 

@@ -75,9 +75,8 @@ def test_classify_with_fallback_beyond_cap():
 
 
 def test_classify_with_fallback_unbalanced_feasible_beyond_cap():
-    # feasible above the cap: the tag comes from classify_exact's own flow,
-    # with no second (balanced-only) feasibility flow
+    # the alias is classify_exact: exact tags above 20 rows, from one flow
     out = classify_with_fallback(np.eye(25), np.ones(25), 3 * np.ones(25))
-    assert out.tag == "UnbalancedApproximatelyScalable" and out.witness is None
+    assert out.tag == "UnbalancedScalable" and out.witness is None
     out = classify_with_fallback(np.eye(25), np.ones(25), np.ones(25))
-    assert out.tag == "ApproximatelyScalable" and out.witness is None
+    assert out.tag == "Scalable" and out.witness is None

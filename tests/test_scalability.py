@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from degensink import (
     Assumption1Violated,
+    ScalabilityClass,
     backward_image,
     check_assumption1,
     classify_exact,
@@ -26,8 +27,16 @@ from degensink.instances import (
     staircase_instance,
 )
 from degensink.measures import total_mass
-from degensink.scalability import SUBSET_ENUMERATION_CAP, feasible_coupling
-from conftest import oracle_cases, oracle_classify, oracle_max_flow, random_instance, relabelled
+from degensink.scalability import feasible_coupling
+from conftest import (
+    oracle_cases,
+    oracle_classify,
+    oracle_flow_classify,
+    oracle_max_flow,
+    random_instance,
+    relabelled,
+    saturated_staircase,
+)
 
 
 def test_support_graph(appendix):
@@ -176,10 +185,9 @@ def test_feasible_support_contained_in_limit_support():
 
 
 def test_classify_beyond_cap():
-    # infeasible large instances still classify via the flow fallback with
-    # a min-cut witness; feasible ones need enumeration and refuse
-    from degensink import DimensionTooLarge
-
+    # beyond the reach of subset enumeration (2^25 subsets), infeasible
+    # instances get a Hall-violating witness and feasible ones their exact
+    # tag
     r, mu, nu, _, bounds = staircase_instance(30, [15, 15], block_ratio_schedule(2))
     out = classify_exact(r, mu, nu)
     assert out.tag == "NonScalable"
@@ -190,8 +198,8 @@ def test_classify_beyond_cap():
 
     eye = np.eye(25)
     ones = np.ones(25)
-    with pytest.raises(DimensionTooLarge):
-        classify_exact(eye, ones, ones)
+    assert classify_exact(eye, ones, ones) == ScalabilityClass("Scalable")
+    assert classify_exact(eye, ones, 3 * ones) == ScalabilityClass("UnbalancedScalable")
 
 
 def test_min_cut_witness_violates_hall_on_relabelled_staircase():
@@ -210,8 +218,8 @@ def test_min_cut_witness_violates_hall_on_relabelled_staircase():
 
 
 def test_classify_agrees_with_enumeration_oracle():
-    # tags and lexicographically smallest witnesses of the vectorized
-    # subset table against the pure-Python enumeration, including exactly
+    # tags and witnesses of the flow and its residual closures against the
+    # pure-Python enumeration under the same rules, including exactly
     # saturated subsets, where the two sum in different orders
     tags = set()
     for r, mu, nu in oracle_cases(404):
@@ -224,15 +232,15 @@ def test_classify_agrees_with_enumeration_oracle():
 
 
 def test_classify_beyond_cap_runs_one_max_flow(max_flow_calls):
-    # the flow that decides feasibility also yields the min-cut witness
-    from degensink import DimensionTooLarge
-
+    # the flow that decides feasibility also yields the witness and the
+    # Scalable / ApproximatelyScalable split, at any size
     r, mu, nu, _, _ = staircase_instance(30, [15, 15], block_ratio_schedule(2))
-    assert classify_exact(r, mu, nu).tag == "NonScalable"
-    assert len(max_flow_calls) == 1
-    with pytest.raises(DimensionTooLarge):
-        classify_exact(np.eye(25), np.ones(25), np.ones(25))
-    assert len(max_flow_calls) == 2
+    instances = [((r, mu, nu), "NonScalable"),
+                 ((np.eye(25), np.ones(25), np.ones(25)), "Scalable"),
+                 (saturated_staircase(np.random.default_rng(3), [10, 12, 8]), "ApproximatelyScalable")]
+    for count, (case, tag) in enumerate(instances, start=1):
+        assert classify_exact(*case).tag == tag
+        assert len(max_flow_calls) == count
 
 
 def _flow_oracle_cases():
@@ -281,14 +289,31 @@ def test_max_flow_agrees_with_networkx():
         hall = scalability._hall_violator(r, mu, nu)
         assert hall == witness
         assert mu[list(hall)].sum() > nu[sorted(forward_image(support_graph(r), hall))].sum()
-        if r.shape[0] > SUBSET_ENUMERATION_CAP and (mu > 0).all() and (nu > 0).all():
+        if check_assumption1(r, mu, nu):
             assert classify_exact(r, mu, nu).witness == hall
     assert outcomes == {True, False}
 
 
+def test_classify_agrees_with_networkx_residual():
+    # beyond the enumeration oracle's 12 rows: tags and witnesses against
+    # another maximum flow (networkx preflow-push) and the strongly
+    # connected components of its residual graph
+    rng = np.random.default_rng(47)
+    cases = [case for case in _flow_oracle_cases() if check_assumption1(*case)]
+    for i, n in enumerate((30, 36, 42, 48, 54, 60)):
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(1, 6)), replace=False))
+        r, mu, nu = saturated_staircase(rng, np.diff([0, *cuts, n]).tolist())
+        cases.append((r, mu, 1.5 * nu if i % 2 else nu))
+    tags = set()
+    for r, mu, nu in cases:
+        out = classify_exact(r, mu, nu)
+        assert out == oracle_flow_classify(r, mu, nu)
+        tags.add(out.tag)
+    assert tags == {"Scalable", "NonScalable", "ApproximatelyScalable", "UnbalancedApproximatelyScalable"}
+
+
 # Symmetries of the classification: the worked example, the NonScalable
-# 30-row two-block staircase (above the enumeration cap) and the oracle
-# instances.
+# 30-row two-block staircase and the oracle instances.
 STAIRCASE30 = staircase_instance(30, [15, 15], block_ratio_schedule(2))[:3]
 SYMMETRY_CASES = [appendix_a_instance(), STAIRCASE30] + oracle_cases(505)
 
@@ -328,3 +353,38 @@ def test_witness_invariant_under_mass_scaling(k):
     c = 10.0 ** k
     for r, mu, nu in (appendix_a_instance(), STAIRCASE30):
         assert classify_exact(r, c * mu, c * nu).witness == classify_exact(r, mu, nu).witness
+
+
+BALANCED_NONSCALABLE = [case for case in oracle_cases(404) + [STAIRCASE30]
+                        if classify_exact(*case).tag == "NonScalable"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.integers(0, len(BALANCED_NONSCALABLE) - 1), seed=st.integers(0, 2**32 - 1))
+def test_nonscalable_witness_follows_relabelling(case, seed):
+    # the inclusion-minimal maximizer of mu(A) - nu(F(A)) is unique, so it
+    # does not depend on the labels
+    r, mu, nu = BALANCED_NONSCALABLE[case]
+    rng = np.random.default_rng(seed)
+    pr, pc = rng.permutation(r.shape[0]), rng.permutation(r.shape[1])
+    witness = classify_exact(r, mu, nu).witness
+    relabelled_witness = classify_exact(r[np.ix_(pr, pc)], mu[pr], nu[pc]).witness
+    assert relabelled_witness == tuple(np.flatnonzero(np.isin(pr, witness)).tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes=st.sampled_from([[10, 12, 8], [5, 20, 5, 10], [30, 30], [1, 2, 3]]),
+       k=st.integers(-200, 200), seed=st.integers(0, 2**32 - 1))
+def test_near_ties_classify_agrees_with_feasibility(sizes, k, seed):
+    # every trailing union of blocks is exactly saturated; moving k 1e-11 of
+    # the mass from a column of the last block to the first column leaves
+    # the last block short by that much, on both sides of the 1e-9 rule
+    r, mu, nu = saturated_staircase(np.random.default_rng(seed), sizes)
+    degree = (r > 0).sum(axis=0)
+    delta = k * 1e-11 * nu.sum()
+    nu[degree.argmax()] -= delta
+    nu[degree.argmin()] += delta
+    infeasible = classify_exact(r, mu, nu).tag == "NonScalable"
+    assert infeasible == (not feasibility_flow(r, mu, nu))
+    if abs(k - 100) > 1:
+        assert infeasible == (k > 100)

@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from degensink import (
     Assumption2Violated,
-    DimensionTooLarge,
+    classify_exact,
     approx_support_algorithm1,
     default_thresholds,
     detect_limit_support,
@@ -31,7 +33,6 @@ def test_maximal_theta_appendix(appendix):
     out = maximal_theta(r, mu, nu)
     assert out.theta_m == pytest.approx(2.0)
     assert out.smallest == [(2,)]
-    assert (2,) in out.maximizers
 
 
 def test_maximal_theta_reduced_appendix():
@@ -45,21 +46,22 @@ def test_maximal_theta_scalable_attains_only_full_set():
     r, mu, nu, _, _ = staircase_instance(6, [6], [1.0])
     out = maximal_theta(r, mu, nu)
     assert out.theta_m == pytest.approx(1.0)
-    assert out.maximizers == [(0, 1, 2, 3, 4, 5)]
+    assert out.smallest == [(0, 1, 2, 3, 4, 5)]
+    assert oracle_maximal_theta(r, mu, nu)[1] == [(0, 1, 2, 3, 4, 5)]
 
 
 def test_maximal_theta_guards():
     with pytest.raises(Assumption2Violated):
         maximal_theta(np.diag([1.0, 0.0]), [1.0, 1.0], [1.0, 1.0])
-    with pytest.raises(DimensionTooLarge):
-        maximal_theta(np.ones((25, 2)), np.ones(25), np.ones(2))
+    # 25 rows: 2^25 subsets, beyond the reach of enumeration
+    out = maximal_theta(np.ones((25, 2)), np.ones(25), np.ones(2))
+    assert out == ThetaSetResult(theta_m=12.5, smallest=[tuple(range(25))])
 
 
 def _assert_theta_matches_oracle(r, mu, nu):
     out = maximal_theta(r, mu, nu)
-    theta_m, maximizers, smallest = oracle_maximal_theta(r, mu, nu)
+    theta_m, _, smallest = oracle_maximal_theta(r, mu, nu)
     assert out.theta_m == pytest.approx(theta_m, rel=1e-12, abs=0)
-    assert out.maximizers == maximizers
     assert out.smallest == smallest
 
 
@@ -84,8 +86,12 @@ def test_maximal_theta_many_columns():
 def test_exact_procedure_agrees_with_enumeration_oracle(monkeypatch):
     cases = oracle_cases(406)
     fast = [exact_support_procedure(r, mu, nu) for r, mu, nu in cases]
-    monkeypatch.setattr(support, "maximal_theta",
-                        lambda r, mu, nu: ThetaSetResult(*oracle_maximal_theta(r, mu, nu)))
+
+    def oracle_theta(r, mu, nu):
+        theta_m, _, smallest = oracle_maximal_theta(r, mu, nu)
+        return ThetaSetResult(theta_m, smallest)
+
+    monkeypatch.setattr(support, "maximal_theta", oracle_theta)
     for (r, mu, nu), got in zip(cases, fast):
         want = exact_support_procedure(r, mu, nu)
         assert np.array_equal(got.final_mask, want.final_mask)
@@ -125,6 +131,18 @@ def test_exact_procedure_staircase_block_order():
     assert thetas == sorted(thetas, reverse=True)
     assert thetas == pytest.approx(ratios)
     assert np.array_equal(trace.final_mask, support)
+
+
+def test_exact_classification_and_support_at_full_size():
+    # 200 rows, 2^200 subsets: each under a second
+    r, mu, nu, support, _ = staircase_instance(200, [50] * 4, block_ratio_schedule(4))
+    start = time.perf_counter()
+    assert classify_exact(r, mu, nu).tag == "NonScalable"
+    classified = time.perf_counter()
+    trace = exact_support_procedure(r, mu, nu)
+    done = time.perf_counter()
+    assert np.array_equal(trace.final_mask, support)
+    assert classified - start < 1.0 and done - classified < 1.0
 
 
 def test_procedure_matches_detected_support_randomized():

@@ -206,3 +206,11 @@ def test_not_converged_carries_partial_result(appendix):
     with pytest.raises(NotConverged) as err:
         solve_schu_lambda(r, mu, nu, PenaltyConfig(lam=1e3, sides=SIDE_SECOND, max_iter=3))
     assert err.value.result.shape == (3, 3)
+
+
+def test_two_sided_tiny_lambda_solves(appendix):
+    # at lam = 1e-9 the float roundoff of log(P/R)/lam, not Newton, sets the
+    # stationarity residual; the solution is R up to O(lam)
+    r, mu, nu = appendix
+    p = solve_two_sided(r, mu, nu, PenaltyConfig(lam=1e-9))
+    assert np.abs(p - r).max() <= 1e-8
