@@ -11,8 +11,8 @@ Instances come from ``--instance file.json`` or ``--gen kind=...,n=...``
 The ``solve`` report carries the classification of ``classify``, exact
 at any size: one maximum flow tells NonScalable, ApproximatelyScalable
 and Scalable apart.
-Exit codes: 0 success, 2 not converged, 3 infeasible instance or
-assumption violation.
+Exit codes: 0 success, 2 not converged (or a float overflow, from masses
+near the float limit), 3 infeasible instance or assumption violation.
 """
 
 import argparse
@@ -27,6 +27,7 @@ from .errors import (
     Assumption2Violated,
     InfeasibleProjection,
     NotConverged,
+    OverflowDetected,
 )
 from .instances import InstanceSpec, KIND_RANDOM, KIND_STAIRCASE, KIND_UPPER, gen_instance, load_instance
 from .scalability import classify_exact
@@ -237,7 +238,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotConverged as exc:
+    except (NotConverged, OverflowDetected) as exc:
         sys.stderr.write(f"not converged: {exc}\n")
         return EXIT_NOT_CONVERGED
     except (Assumption1Violated, Assumption2Violated, InfeasibleProjection) as exc:

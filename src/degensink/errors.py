@@ -33,7 +33,8 @@ class NotConverged(DegensinkError):
 
 
 class OverflowDetected(DegensinkError):
-    """A scaling potential of the literal recursion ``sinkhorn_step``
-    became non-finite and its (c, 1/c) rescaling could not recover it.
-    ``run_sinkhorn`` and the penalized solvers absorb their potentials into
-    a log-kernel instead and do not raise it."""
+    """A float overflowed: a scaling potential of the literal recursion
+    ``sinkhorn_step`` became non-finite and its (c, 1/c) rescaling could
+    not recover it, or a product of ``run_sinkhorn``'s absorbed kernel
+    overflowed, which only masses near the float limit cause (the
+    potentials themselves are absorbed into a log-kernel)."""

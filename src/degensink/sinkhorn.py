@@ -305,12 +305,13 @@ class _LogIteration:
 
     def restrict(self, keep):
         """Zero the reference outside the boolean entry mask ``keep``;
-        rows and columns left without an entry become massless."""
+        rows and columns left without an entry become massless.  The
+        entries left are kept as the boolean mask ``support``."""
         self.log_r = np.where(keep, self.log_r, -np.inf)
         self.k = self.k * keep
-        support = self.log_r > -np.inf
-        self._set_masses(np.where(support.any(axis=1), self.mu, 0.0),
-                         np.where(support.any(axis=0), self.nu, 0.0))
+        self.support = self.log_r > -np.inf
+        self._set_masses(np.where(self.support.any(axis=1), self.mu, 0.0),
+                         np.where(self.support.any(axis=0), self.nu, 0.0))
 
     def _absorb(self):
         self.u_abs[self.rows] += np.log(self.a[self.rows])
@@ -379,8 +380,12 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
     Returns a :class:`SolveReport`; ``converged`` is False when max_iter
     (or a stall exit) was reached without meeting the criterion.  Under
     the iterate-delta mode ``gap_trace`` holds the successive moves
-    max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})).  Raises ValueError on
-    inconsistent shapes and on NaN, infinite or negative input.
+    max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})).  The structural-zero record
+    is the last 50 masks P^n < z_tol, bit-packed in a ring (6.25 bytes per
+    entry of R); ``structural_support`` and the stall test are ANDs over
+    it.  Raises ValueError on inconsistent shapes and on NaN, infinite or
+    negative input, and OverflowDetected as soon as a float overflows, as
+    with masses near the float limit.
     """
     r, mu, nu = as_triple(r, mu, nu)
     if not check_assumption1(r, mu, nu):
@@ -390,50 +395,56 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
     mass = total_mass(mu)
     z_tol = Z_TOL_FACTOR * mass
     stall_tol = 1e-15 * max(mass, 1.0)
-    below = np.zeros(r.shape, dtype=np.int64)
+    # the masks p < z_tol of the last _ZERO_STREAK iterations, bit-packed;
+    # all ones before the first, so their AND covers only the iterations run
+    zero_ring = np.full((_ZERO_STREAK, (r.size + 7) // 8), 0xFF, dtype=np.uint8)
     trace = []
     kernel = _LogIteration(r, mu, nu)
     prev_p = prev_q = None
     converged = False
     stall_run = 0
 
-    for n in range(1, cfg.max_iter + 1):
-        kernel.step()
-        p, q = kernel.couplings()
+    try:
+        with np.errstate(over="raise"):
+            for n in range(1, cfg.max_iter + 1):
+                kernel.step()
+                p, q = kernel.couplings()
+                zeros = zero_ring[n % _ZERO_STREAK] = np.packbits(p < z_tol)
 
-        isbelow = p < z_tol
-        below += isbelow
-        below *= isbelow
+                if cfg.mode == MODE_ITERATE_DELTA or stall_exit:
+                    move = math.inf if prev_p is None else max(tv_distance(p, prev_p), tv_distance(q, prev_q))
+                if cfg.mode == MODE_ITERATE_DELTA:
+                    gap = move
+                else:
+                    log_a, log_b_prev = kernel.log_a(), kernel.log_b_prev()
+                    if cfg.mode == MODE_BALANCED_GAP:
+                        gap = _gap_balanced_from_logs(log_a, log_b_prev, p, r, mu, nu)
+                    else:
+                        gap = _gap_unbalanced_from_logs(log_a, log_b_prev, p, r, mu, nu, cfg.lam)
+                trace.append((n, gap))
 
-        if cfg.mode == MODE_ITERATE_DELTA or stall_exit:
-            move = math.inf if prev_p is None else max(tv_distance(p, prev_p), tv_distance(q, prev_q))
-        if cfg.mode == MODE_ITERATE_DELTA:
-            gap = move
-        else:
-            log_a, log_b_prev = kernel.log_a(), kernel.log_b_prev()
-            if cfg.mode == MODE_BALANCED_GAP:
-                gap = _gap_balanced_from_logs(log_a, log_b_prev, p, r, mu, nu)
-            else:
-                gap = _gap_unbalanced_from_logs(log_a, log_b_prev, p, r, mu, nu, cfg.lam)
-        trace.append((n, gap))
+                if gap <= cfg.epsilon_tol:
+                    converged = True
+                    break
 
-        if gap <= cfg.epsilon_tol:
-            converged = True
-            break
-
-        if stall_exit:
-            stall_run = stall_run + 1 if move <= stall_tol else 0
-            if stall_run >= _ZERO_STREAK and n >= 2 * _ZERO_STREAK and \
-                    bool((below[isbelow] >= _ZERO_STREAK).all()):
-                break
-        prev_p, prev_q = p, q
+                if stall_exit:
+                    stall_run = stall_run + 1 if move <= stall_tol else 0
+                    # every entry below z_tol now has been for _ZERO_STREAK iterations
+                    if stall_run >= _ZERO_STREAK and n >= 2 * _ZERO_STREAK and \
+                            np.array_equal(np.bitwise_and.reduce(zero_ring), zeros):
+                        break
+                prev_p, prev_q = p, q
+    except FloatingPointError as exc:
+        raise OverflowDetected(f"float overflow at iteration {n} ({exc}); "
+                               "masses near the float limit cause it") from exc
 
     with np.errstate(over="ignore"):
         state = SinkhornState(a=np.exp(kernel.log_a()), b=np.exp(kernel.log_b()),
                               b_prev=np.exp(kernel.log_b_prev()),
                               iteration=n, overflow_flag=kernel.absorbed)
 
-    structural = (r > 0) & ~(isbelow & (below >= min(_ZERO_STREAK, n)))
+    held = np.unpackbits(np.bitwise_and.reduce(zero_ring), count=r.size).reshape(r.shape)
+    structural = (r > 0) & ~held.astype(bool)
     r_star = geometric_mean(p, q)
     z = total_mass(r_star)
     return SolveReport(

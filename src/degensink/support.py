@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
+# Algorithm 1 tests its components once |err change| <= _STALL err
+_STALL = 1e-12
 
 
 def _require_full_support(r, mu, nu):
@@ -249,7 +251,14 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
     threshold), its connected components with maximal mu(U_c)/nu(V_c) are
     removed as a detected isolated scalable block, recording zeros for the
     remaining rows on the removed columns, and the procedure recurses on
-    the rest.
+    the rest.  Once the global error stops moving (a change of at most
+    1e-12 of it) the same test runs on each connected component of the
+    surviving block, and the step ends when every one passes: a block split
+    into components with different mass ratios is at its fixed point while
+    its global error stays put.  Each inner iteration costs two
+    matrix-vector products and one masked row minimum: the column marginal
+    is b_prev (K^T a), and min_j (u_i + v_j) over row i's support is
+    u_i + min_j v_j.
     """
     r, mu, nu = as_triple(r, mu, nu)
     stop_cfg = stop_cfg or StopConfig()
@@ -275,47 +284,55 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
         kernel = _LogIteration(block, mu_r[active_rows], nu_r[active_cols])
         kernel.restrict(block > 0)
         log_m_block = log_m[active_rows]
-        it = 0
+        it, prev_err, comps = 0, math.inf, None
         while True:
             kernel.update_a()
-            p, _ = kernel.couplings()
-            err = float(np.abs(p.sum(axis=0) / kernel.mu.sum() - kernel.nu / kernel.nu.sum()).sum())
+            # column marginal of P = a (x) b_prev . K by one matrix-vector product
+            col = kernel.b_prev * (kernel.k.T @ kernel.a)
+            err = _column_error(col, kernel)
             if err <= eps:
                 break
+            if abs(err - prev_err) <= _STALL * err:
+                # the global error has stopped moving: a block split into
+                # components with different mass ratios is at its fixed point
+                # once each component is consistent on its own
+                comps = comps if comps is not None else _live_components(kernel)
+                if all(_column_error(col, kernel, *comp) <= eps for comp in comps):
+                    break
+            prev_err = err
             if it >= inner_cap:
                 converged = False
                 break
             it += 1
-            # massless rows have no support entry, so their minimum is inf
-            log_prod = np.where(kernel.log_r > -np.inf,
-                                kernel.log_a()[:, None] + kernel.log_b_prev()[None, :], np.inf)
-            low = log_prod.min(axis=1) < log_m_block
+            # min_j (u_i + v_j) over row i's live support is u_i + min_j v_j,
+            # float addition being monotone; a massless row has no support,
+            # its -inf + inf is NaN and never below the threshold
+            v_min = np.minimum.reduce(np.broadcast_to(kernel.log_b_prev(), kernel.support.shape),
+                                      axis=1, where=kernel.support, initial=np.inf)
+            with np.errstate(invalid="ignore"):
+                low = kernel.log_a() + v_min < log_m_block
             if not (kernel.mu[~low] > 0).any():
                 raise NotConverged("approximate support detection dropped every row "
                                    "(thresholds too large for this instance)")
             if low.any():
                 kernel.restrict(~low[:, None])
+                comps = None
             kernel.update_b()
         total_inner += it
 
-        live_rows, live_cols = kernel.mu > 0, kernel.nu > 0
-        rows_u, cols_v = active_rows[live_rows], active_cols[live_cols]
-        comps = connected_components((kernel.log_r > -np.inf)[np.ix_(live_rows, live_cols)])
-        ratios = []
-        for comp_rows, comp_cols in comps:
-            num = float(mu_r[rows_u[list(comp_rows)]].sum()) if comp_rows else 0.0
-            den = float(nu_r[cols_v[list(comp_cols)]].sum()) if comp_cols else math.inf
-            ratios.append(num / den if den > 0 else 0.0)
+        comps = comps if comps is not None else _live_components(kernel)
+        ratios = [kernel.mu[rows].sum() / kernel.nu[cols].sum() for rows, cols in comps]
         top = max(ratios)
-        sel_rows = sorted({int(rows_u[i]) for (cr, cc), ratio in zip(comps, ratios)
-                           if ratio >= top * (1.0 - _REL_TOL) for i in cr})
-        sel_cols = sorted({int(cols_v[j]) for (cr, cc), ratio in zip(comps, ratios)
-                           if ratio >= top * (1.0 - _REL_TOL) for j in cc})
-        active_rows = np.array([i for i in active_rows if i not in set(sel_rows)], dtype=int)
-        active_cols = np.array([j for j in active_cols if j not in set(sel_cols)], dtype=int)
-        mask_r[np.ix_(active_rows, np.array(sel_cols, dtype=int))] = False
-        steps.append({"removed_rows": tuple(int(row_map[i]) for i in sel_rows),
-                      "removed_cols": tuple(int(col_map[j]) for j in sel_cols),
+        drop_rows = np.zeros(active_rows.size, dtype=bool)
+        drop_cols = np.zeros(active_cols.size, dtype=bool)
+        for (rows, cols), ratio in zip(comps, ratios):
+            if ratio >= top * (1.0 - _REL_TOL):
+                drop_rows[rows] = drop_cols[cols] = True
+        sel_rows, sel_cols = active_rows[drop_rows], active_cols[drop_cols]
+        active_rows, active_cols = active_rows[~drop_rows], active_cols[~drop_cols]
+        mask_r[np.ix_(active_rows, sel_cols)] = False
+        steps.append({"removed_rows": tuple(row_map[sel_rows].tolist()),
+                      "removed_cols": tuple(col_map[sel_cols].tolist()),
                       "inner_iterations": it})
         if not converged:
             break
@@ -324,6 +341,20 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
     mask[np.ix_(row_map, col_map)] = mask_r
     return Algorithm1Result(mask=mask, inner_iterations=total_inner, steps=steps,
                             converged=converged)
+
+
+def _live_components(kernel):
+    """Connected components of the live block of ``kernel``: (rows, cols)
+    index arrays, both nonempty (a live row or column has support)."""
+    rows, cols = np.flatnonzero(kernel.mu > 0), np.flatnonzero(kernel.nu > 0)
+    return [(rows[list(comp_rows)], cols[list(comp_cols)])
+            for comp_rows, comp_cols in connected_components(kernel.support[np.ix_(rows, cols)])]
+
+
+def _column_error(col, kernel, rows=slice(None), cols=slice(None)):
+    """Normalized column-marginal error sum_j |col_j / mu(rows) - nu_j / nu(cols)|
+    over ``cols``, of the whole block by default."""
+    return float(np.abs(col[cols] / kernel.mu[rows].sum() - kernel.nu[cols] / kernel.nu[cols].sum()).sum())
 
 
 def _fit_rate(tvs):

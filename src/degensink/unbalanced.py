@@ -10,7 +10,8 @@ problem.  Both maximize the smooth, strictly concave dual
 on the positive-mass rows and columns, with F(u) = lam <mu, 1 - exp(-u/lam)>
 (two-sided) or its lam -> inf limit F(u) = <mu, u> (one-sided).  Newton's
 method with Armijo backtracking (Brauer-Clason-Lorenz-Wirth, arXiv
-1710.06635) takes a few dozen dense linear solves at any lam.
+1710.06635) takes a few dozen m x m linear solves at any lam, m the number
+of positive-mass columns.
 """
 
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ _ROUNDOFF = 1e-14
 class PenaltyConfig:
     """Penalization setup: weight ``lam`` and which marginals are relaxed.
 
-    ``max_iter`` caps the Newton steps, each one dense linear solve.  A
+    ``max_iter`` caps the Newton steps, each one m x m linear solve.  A
     solve stops once the dual gradient has l1 norm at most ``epsilon_tol``
     (``None``: 1e-12 max(M(mu), M(nu), 1)) or at most its own float
     roundoff, eps_mach (<row P, |u|> + <col P, |v|>), if that is larger, as
@@ -78,7 +79,8 @@ class PenaltyConfig:
 
 def _newton_dual(r, mu, nu, cfg, sides):
     """Maximize the dual of the module docstring over x = (u, v) by Newton
-    steps with Armijo backtracking, from x = 0.  Returns P; raises
+    steps with Armijo backtracking, from x = 0; each step is one m x m
+    linear solve (:func:`_newton_direction`).  Returns P; raises
     NotConverged, carrying the last P, if the stop rule of
     :class:`PenaltyConfig` has not fired after ``cfg.max_iter`` steps."""
     if cfg.sides != sides:
@@ -115,9 +117,7 @@ def _newton_dual(r, mu, nu, cfg, sides):
             return out
         if step == cfg.max_iter:
             break
-        hess = np.block([[np.zeros((k, k)), p], [p.T, np.zeros((x.size - k,) * 2)]])
-        np.fill_diagonal(hess, marg + np.where(hard, 0.0, w / lam))
-        direction = np.linalg.solve(hess, grad)
+        direction = _newton_direction(p, marg + np.where(hard, 0.0, w / lam), grad)
         t = 1.0
         for _ in range(_HALVINGS):
             p_t, d_t, size_t = dual(x + t * direction)
@@ -130,6 +130,18 @@ def _newton_dual(r, mu, nu, cfg, sides):
     out[block] = p
     raise NotConverged(f"penalized dual: gradient above the stop rule after {step} Newton steps",
                        result=out)
+
+
+def _newton_direction(p, diag, grad):
+    """Solve [[diag(d_u), P], [P^T, diag(d_v)]] (du, dv) = grad, the Newton
+    system of the negated Hessian, with d = (d_u, d_v) = ``diag``.  One
+    m x m solve with the Schur complement S = diag(d_v) - P^T diag(1/d_u) P
+    of the diagonal row block gives dv; du = (g_u - P dv) / d_u."""
+    k = p.shape[0]
+    d_u, g_u = diag[:k], grad[:k]
+    scaled = p / d_u[:, None]
+    dv = np.linalg.solve(np.diag(diag[k:]) - p.T @ scaled, grad[k:] - scaled.T @ g_u)
+    return np.concatenate([(g_u - p @ dv) / d_u, dv])
 
 
 def solve_schu_lambda(r, mu, nu, cfg):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from degensink import appendix_a_instance
-from degensink.measures import total_mass
+from degensink.measures import total_mass, tv_distance
 from degensink.scalability import (
     _UNBALANCED_TAG,
     ScalabilityClass,
@@ -13,6 +13,15 @@ from degensink.scalability import (
     connected_components,
     reduce_to_full_support,
     support_graph,
+)
+from degensink import sinkhorn
+from degensink.sinkhorn import (
+    MODE_BALANCED_GAP,
+    MODE_ITERATE_DELTA,
+    _ZERO_STREAK,
+    _LogIteration,
+    _gap_balanced_from_logs,
+    _gap_unbalanced_from_logs,
 )
 from degensink.instances import (
     InstanceSpec,
@@ -377,3 +386,46 @@ def oracle_cases(seed):
             r, mu, nu, _, _ = staircase_instance(n, sizes, block_ratio_schedule(n_blocks))
             cases.append(relabelled(rng, r, mu, nu))
     return cases
+
+
+# ---------------------------------------------------------------------------
+# The scaling loop of ``run_sinkhorn`` with the structural-zero record
+# kept as an int64 streak counter per entry: the reference its bit-packed
+# ring of the last _ZERO_STREAK masks is checked against.
+
+
+def reference_zero_loop(r, mu, nu, cfg, stall_exit=False):
+    """``(iterations, gap_trace, structural_support)`` of ``run_sinkhorn``,
+    with an int64 counter of the consecutive iterations each entry of P^n
+    has stayed below z_tol."""
+    z_tol = sinkhorn.Z_TOL_FACTOR * total_mass(mu)
+    stall_tol = 1e-15 * max(total_mass(mu), 1.0)
+    below = np.zeros(r.shape, dtype=np.int64)
+    trace = []
+    kernel = _LogIteration(r, mu, nu)
+    prev_p = prev_q = None
+    stall_run = 0
+    for n in range(1, cfg.max_iter + 1):
+        kernel.step()
+        p, q = kernel.couplings()
+        isbelow = p < z_tol
+        below += isbelow
+        below *= isbelow
+        if cfg.mode == MODE_ITERATE_DELTA or stall_exit:
+            move = math.inf if prev_p is None else max(tv_distance(p, prev_p), tv_distance(q, prev_q))
+        if cfg.mode == MODE_ITERATE_DELTA:
+            gap = move
+        elif cfg.mode == MODE_BALANCED_GAP:
+            gap = _gap_balanced_from_logs(kernel.log_a(), kernel.log_b_prev(), p, r, mu, nu)
+        else:
+            gap = _gap_unbalanced_from_logs(kernel.log_a(), kernel.log_b_prev(), p, r, mu, nu, cfg.lam)
+        trace.append((n, gap))
+        if gap <= cfg.epsilon_tol:
+            break
+        if stall_exit:
+            stall_run = stall_run + 1 if move <= stall_tol else 0
+            if stall_run >= _ZERO_STREAK and n >= 2 * _ZERO_STREAK and \
+                    bool((below[isbelow] >= _ZERO_STREAK).all()):
+                break
+        prev_p, prev_q = p, q
+    return n, trace, (r > 0) & ~(isbelow & (below >= min(_ZERO_STREAK, n)))

@@ -54,6 +54,15 @@ def test_solve_not_converged_exit_code(instance_file, tmp_path):
     assert code == 2
 
 
+def test_solve_overflow_exit_code(tmp_path, capsys):
+    r, mu, nu = appendix_a_instance()
+    path = tmp_path / "huge.json"
+    dump_instance(r, 1e300 * mu, 1e300 * nu, path)
+    code = main(["solve", "--instance", str(path), "--stop", "delta", "--tol", "1e-13"])
+    assert code == 2
+    assert "float overflow" in capsys.readouterr().err
+
+
 def test_classify_stdout(instance_file, capsys):
     assert main(["classify", "--instance", instance_file]) == 0
     payload = json.loads(capsys.readouterr().out)

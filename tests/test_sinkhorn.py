@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degensink import (
     Assumption1Violated,
@@ -20,8 +22,9 @@ from degensink import (
     run_sinkhorn,
     sinkhorn_step,
 )
+from degensink import appendix_a_instance, sinkhorn
 from degensink.instances import block_ratio_schedule, staircase_instance
-from degensink.sinkhorn import OptimalityDiagnostics, SinkhornState, StopConfig, _LogIteration
+from degensink.sinkhorn import Z_TOL_FACTOR, OptimalityDiagnostics, SinkhornState, StopConfig, _LogIteration
 from conftest import (
     MU_G,
     MU_STAR,
@@ -36,6 +39,7 @@ from conftest import (
     assert_printed,
     log_arrays,
     random_instance,
+    reference_zero_loop,
 )
 
 TIGHT = StopConfig(epsilon_tol=1e-13 * 6, max_iter=10_000, mode="iterate-delta")
@@ -308,6 +312,16 @@ def _log_domain_couplings(r, mu, nu, n):
     return np.exp(u[:, None] + v_prev[None, :] + log_r), np.exp(u[:, None] + v[None, :] + log_r)
 
 
+def _named_instance(name, appendix):
+    if name == "appendix":
+        return appendix
+    if name == "staircase10":
+        return staircase_instance(100, [10] * 10, block_ratio_schedule(10))[:3]
+    # a row and a column without mass
+    r = np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 3.0], [0.0, 2.0, 1.0]])
+    return r, np.array([0.0, 2.0, 1.0]), np.array([1.0, 0.0, 2.0])
+
+
 @pytest.mark.parametrize("instance, cfg, absorbs", [
     # the unbalanced gap stays positive on the worked example, so a 0
     # threshold runs the full max_iter
@@ -317,13 +331,7 @@ def _log_domain_couplings(r, mu, nu, n):
     ("massless", StopConfig(epsilon_tol=1e-12, max_iter=1000, mode="iterate-delta"), False),
 ], ids=["appendix-3000", "appendix-50", "staircase10", "massless"])
 def test_absorbing_kernel_matches_log_domain(instance, cfg, absorbs, appendix, monkeypatch):
-    if instance == "appendix":
-        r, mu, nu = appendix
-    elif instance == "staircase10":
-        r, mu, nu, _, _ = staircase_instance(100, [10] * 10, block_ratio_schedule(10))
-    else:  # a row and a column without mass
-        r = np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 3.0], [0.0, 2.0, 1.0]])
-        mu, nu = np.array([0.0, 2.0, 1.0]), np.array([1.0, 0.0, 2.0])
+    r, mu, nu = _named_instance(instance, appendix)
     absorptions = []
     absorb = _LogIteration._absorb
     monkeypatch.setattr(_LogIteration, "_absorb",
@@ -375,3 +383,136 @@ def test_balanced_gap_mode_stops_on_scalable():
     rep = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=1e-10, mode="balanced-gap"))
     assert rep.converged
     assert rep.gap_trace[-1][1] <= 1e-10
+
+
+@pytest.mark.parametrize("instance, cfg, stall_exit", [
+    # detect_limit_support's run: ends on the stall exit, whose test reads
+    # the record
+    ("appendix", StopConfig(epsilon_tol=0.0, max_iter=50_000, mode="iterate-delta"), True),
+    ("staircase10", StopConfig(epsilon_tol=1e-9, max_iter=100_000, mode="iterate-delta"), False),
+    # structural zeros after 29 iterations, fewer than the streak length
+    ("massless", StopConfig(epsilon_tol=0.0, max_iter=5000, mode="iterate-delta"), True),
+    ("massless", StopConfig(epsilon_tol=0.0, max_iter=500, mode="balanced-gap"), False),
+], ids=["appendix-detect", "staircase10", "massless-stall", "massless-500"])
+def test_zero_record_matches_int64_counter(instance, cfg, stall_exit, appendix):
+    r, mu, nu = _named_instance(instance, appendix)
+    rep = run_sinkhorn(r, mu, nu, cfg, stall_exit=stall_exit)
+    iterations, trace, structural = reference_zero_loop(r, mu, nu, cfg, stall_exit)
+    assert rep.iterations == iterations
+    assert iterations < cfg.max_iter or not stall_exit  # the stall exit fired
+    assert rep.gap_trace == trace
+    assert np.array_equal(rep.structural_support, structural)
+    assert not structural.all()
+
+
+def test_zero_record_holds_back_the_stall_exit(appendix, monkeypatch):
+    # at z_tol = 1e-40 M(mu) the two vanishing entries of the worked example
+    # cross the threshold after the moves have stalled: the exit waits until
+    # both have stayed below it for 50 iterations
+    monkeypatch.setattr(sinkhorn, "Z_TOL_FACTOR", 1e-40)
+    r, mu, nu = appendix
+    mask, rep = detect_limit_support(r, mu, nu)
+    cfg = StopConfig(epsilon_tol=0.0, max_iter=50_000, mode="iterate-delta")
+    iterations, _, structural = reference_zero_loop(r, mu, nu, cfg, stall_exit=True)
+    assert rep.iterations == iterations == 149
+    assert np.array_equal(mask, structural) and np.array_equal(mask, S_MASK)
+
+
+def test_zero_record_streak_boundary(appendix):
+    # P^n_02 first falls below z_tol at iteration n0: a structural zero in
+    # the run of n0 + 49 iterations (50 masks below), not in that of n0 + 48
+    r, mu, nu = appendix
+    kernel, n0 = _LogIteration(r, mu, nu), 0
+    while not kernel.couplings()[0][0, 2] < Z_TOL_FACTOR * mu.sum():
+        kernel.step()
+        n0 += 1
+    assert n0 + 48 > 50  # both runs are longer than the streak
+    for extra, survives in ((48, True), (49, False)):
+        cfg = StopConfig(epsilon_tol=0.0, max_iter=n0 + extra, mode="iterate-delta")
+        rep = run_sinkhorn(r, mu, nu, cfg)
+        assert rep.structural_support[0, 2] == survives
+        assert np.array_equal(rep.structural_support, reference_zero_loop(r, mu, nu, cfg)[2])
+
+
+def test_huge_mass_raises_overflow_detected(appendix, monkeypatch):
+    # masses near the float limit overflow the absorbed kernel's matrix-vector
+    # products; the run stops there, without a RuntimeWarning
+    steps = []
+    step = _LogIteration.step
+    monkeypatch.setattr(_LogIteration, "step", lambda kernel: (steps.append(1), step(kernel)))
+    r, mu, nu = appendix
+    cfg = StopConfig(epsilon_tol=1e-13, max_iter=200_000, mode="iterate-delta")
+    with pytest.raises(OverflowDetected):
+        run_sinkhorn(r, mu * 1e300, nu * 1e300, cfg)
+    assert len(steps) < 100
+
+
+# Invariances of the limit couplings P*, Q*, each run to a move below
+# 1e-13 M(mu) and compared to 1e-12 M(mu).
+
+
+def _invariance_cases():
+    rng = np.random.default_rng(2024)
+    return [appendix_a_instance(), staircase_instance(12, [4, 4, 4], block_ratio_schedule(3))[:3],
+            *(random_instance(rng, max_n=6, full_support=True) for _ in range(3))]
+
+
+INVARIANCE_CASES = _invariance_cases()
+
+
+def _limits(r, mu, nu, tol=None):
+    tol = 1e-13 * max(mu.sum(), 1.0) if tol is None else tol
+    rep = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=tol, max_iter=20_000, mode="iterate-delta"))
+    assert rep.converged
+    return rep.p_star, rep.q_star
+
+
+def _assert_close(got, want, mu):
+    assert np.abs(got - want).max() <= 1e-12 * max(mu.sum(), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(0, len(INVARIANCE_CASES) - 1), seed=st.integers(0, 2**32 - 1))
+def test_limits_follow_permutation(case, seed):
+    r, mu, nu = INVARIANCE_CASES[case]
+    rng = np.random.default_rng(seed)
+    pr, pc = rng.permutation(r.shape[0]), rng.permutation(r.shape[1])
+    p, q = _limits(r, mu, nu)
+    p_perm, q_perm = _limits(r[np.ix_(pr, pc)], mu[pr], nu[pc])
+    _assert_close(p_perm, p[np.ix_(pr, pc)], mu)
+    _assert_close(q_perm, q[np.ix_(pr, pc)], mu)
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=st.integers(0, len(INVARIANCE_CASES) - 1))
+def test_limits_follow_transposition(case):
+    # P*(R^T, nu, mu) = Q*(R, mu, nu)^T and the other way round
+    r, mu, nu = INVARIANCE_CASES[case]
+    p, q = _limits(r, mu, nu)
+    p_t, q_t = _limits(r.T, nu, mu)
+    _assert_close(p_t, q.T, mu)
+    _assert_close(q_t, p.T, mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(0, len(INVARIANCE_CASES) - 1), k=st.integers(-100, 100),
+       mantissa=st.floats(1.0, 10.0))
+def test_limits_ignore_reference_scale(case, k, mantissa):
+    r, mu, nu = INVARIANCE_CASES[case]
+    p, q = _limits(r, mu, nu)
+    p_c, q_c = _limits(mantissa * 10.0 ** k * r, mu, nu)
+    _assert_close(p_c, p, mu)
+    _assert_close(q_c, q, mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(0, len(INVARIANCE_CASES) - 1), k=st.integers(-100, 100))
+def test_limits_scale_with_mass(case, k):
+    # the stop threshold scales with the mass: unscaled, a mass of 1e-100
+    # moves by less than 1e-13 from the second iteration on
+    r, mu, nu = INVARIANCE_CASES[case]
+    scale = 10.0 ** k
+    p, q = _limits(r, mu, nu)
+    p_s, q_s = _limits(r, scale * mu, scale * nu, tol=scale * 1e-13 * max(mu.sum(), 1.0))
+    _assert_close(p_s / scale, p, mu)
+    _assert_close(q_s / scale, q, mu)
