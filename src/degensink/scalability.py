@@ -260,71 +260,118 @@ def _loose_rows(adj, carry):
     return None
 
 
-def _max_flow(adj, mu, nu):
+def _greedy_fill(adj, mu, nu):
+    """A feasible flow on the support ``adj`` with row capacities ``mu``
+    and column capacities ``nu``: each row in index order fills its
+    support columns in index order up to their spare capacity, written as
+    diff(min(cumsum(spare_col adj_i), mu_i)).  A spare capacity that
+    rounding leaves negative is clamped to 0."""
+    n, m = adj.shape
+    flow = np.zeros((n, m))
+    spare_col = np.array(nu, dtype=float)
+    filled = np.empty(m)
+    for i, mu_i in enumerate(mu.tolist()):
+        np.minimum(np.add.accumulate(spare_col * adj[i]), mu_i, out=filled)
+        row = flow[i]
+        row[:1] = filled[:1]
+        np.subtract(filled[1:], filled[:-1], out=row[1:])
+        spare_col -= row
+        np.maximum(spare_col, 0.0, out=spare_col)
+    return flow
+
+
+def _max_flow(adj, mu, nu, start=None):
     """Maximum flow from a source through the rows (capacities ``mu``) and
     the support ``adj`` (uncapacitated) into the columns (capacities ``nu``)
     and on to a sink.  Returns ``(flow, reached)``: the (n, m) flow on the
     support, and the boolean mask of the rows reachable from the source in
     its residual graph, the source side of a minimum cut.
 
-    A greedy fill comes first: each row in index order fills its support
-    columns up to their remaining capacity.  Then each phase searches
+    It starts from ``start``, a flow feasible for these capacities, or
+    else from :func:`_greedy_fill`.  Then each phase (Dinic) searches
     breadth first from every row with spare supply, rows to columns
     through the support and columns back to rows through entries that
     carry flow, and stops at the first layer that reaches a column with
-    spare capacity.  Flow is pushed along every tree path to such a
-    column whose bottleneck is still above the tolerance.  The paths are
-    shortest, so the Edmonds-Karp bound on the number of augmentations
-    holds whatever the capacities.  A residual at or below 1e-12 M(mu)
-    counts as saturated: an edge saturated one ulp short is not an edge.
+    spare capacity; :func:`_blocking_flow` then saturates every shortest
+    augmenting path of that layered graph, so the next phase's paths are
+    longer.  A residual at or below 1e-12 M(mu) counts as saturated: an
+    edge saturated one ulp short is not an edge.
     """
-    n, m = adj.shape
+    m = adj.shape[1]
     tol = _RESIDUAL_TOL * total_mass(mu)
-    flow = np.zeros((n, m))
-    spare_col = np.array(nu, dtype=float)
-    for i in range(n):
-        cap = np.where(adj[i], spare_col, 0.0)
-        flow[i] = np.clip(mu[i] - (np.cumsum(cap) - cap), 0.0, cap)
-        spare_col -= flow[i]
+    flow = _greedy_fill(adj, mu, nu) if start is None else start.copy()
     spare_row = mu - flow.sum(axis=1)
-    row_via = np.empty(n, dtype=np.int64)  # column each reached row was reached from, -1: source
-    col_via = np.empty(m, dtype=np.int64)  # row each reached column was reached from
+    spare_col = nu - flow.sum(axis=0)
     while True:
         reached = spare_row > tol
-        row_via[reached] = -1
+        layers = [reached.nonzero()[0]]  # rows, columns, rows, ..., columns
         seen_col = np.zeros(m, dtype=bool)
-        frontier = np.flatnonzero(reached)
-        sinks = frontier[:0]
-        while frontier.size:
-            step = adj[frontier] & ~seen_col
-            cols = np.flatnonzero(step.any(axis=0))
+        while True:
+            cols = (adj[layers[-1]].any(axis=0) & ~seen_col).nonzero()[0]
             if not cols.size:
-                break
-            col_via[cols] = frontier[step[:, cols].argmax(axis=0)]
+                return flow, reached
             seen_col[cols] = True
-            sinks = cols[spare_col[cols] > tol]
-            if sinks.size:
+            layers.append(cols)
+            if (spare_col[cols] > tol).any():
                 break
-            back = (flow[:, cols] > tol) & ~reached[:, None]
-            frontier = np.flatnonzero(back.any(axis=1))
-            row_via[frontier] = cols[back[frontier].argmax(axis=1)]
-            reached[frontier] = True
-        if not sinks.size:
-            return flow, reached
-        for j in sinks.tolist():
-            rows, cols = [], [j]
-            while True:
-                rows.append(int(col_via[cols[-1]]))
-                if row_via[rows[-1]] < 0:
+            rows = ((flow[:, cols] > tol).any(axis=1) & ~reached).nonzero()[0]
+            if not rows.size:
+                return flow, reached
+            reached[rows] = True
+            layers.append(rows)
+        _blocking_flow(adj, flow, spare_row, spare_col, layers, tol)
+
+
+def _blocking_flow(adj, flow, spare_row, spare_col, layers, tol):
+    """Augment ``flow`` in place along shortest paths of the layered graph
+    ``layers`` (rows with spare supply, then alternately columns and rows,
+    ending at the columns with spare capacity) until none is left.  Depth
+    first from each source row, each node keeps the list of its untried
+    successors, the last one being its current arc (Dinic): an arc leaves
+    the list once it is saturated or leads to a dead end.  Each
+    augmentation empties its bottleneck exactly."""
+    last = len(layers) - 1
+    members = []  # each layer as a boolean mask over the rows or the columns
+    for k, nodes in enumerate(layers):
+        mask = np.zeros(adj.shape[k % 2], dtype=bool)
+        mask[nodes] = True
+        members.append(mask)
+    arcs = [{} for _ in layers]
+    for s in layers[0].tolist():
+        path = [s]
+        while path:
+            k = len(path) - 1
+            if k == last:  # forward edges path[2h] -> path[2h + 1], backward path[2h + 1] -> path[2h + 2]
+                back = list(zip(path[2::2], path[1::2]))
+                delta = min(spare_row[s], spare_col[path[-1]], *(flow[e] for e in back))
+                for e in zip(path[0::2], path[1::2]):
+                    flow[e] += delta
+                for e in back:
+                    flow[e] -= delta
+                spare_row[s] -= delta
+                spare_col[path[-1]] -= delta
+                if spare_row[s] <= tol:
                     break
-                cols.append(int(row_via[rows[-1]]))
-            # forward edges rows[k] -> cols[k]; backward edges cols[k+1] -> rows[k]
-            delta = min(spare_col[j], spare_row[rows[-1]], flow[rows[:-1], cols[1:]].min(initial=np.inf))
-            if delta > tol:
-                flow[rows, cols] += delta
-                flow[rows[:-1], cols[1:]] -= delta
-                spare_col[j] -= delta
-                spare_row[rows[-1]] -= delta
+                # go on from the tail of the first edge that went saturated
+                del path[next((2 * h + 2 for h, e in enumerate(back) if flow[e] <= tol), last):]
+                continue
+            v = path[-1]
+            todo = arcs[k].get(v)
+            if todo is None:  # columns v reaches, or rows sending flow into column v
+                link = flow[:, v] > tol if k % 2 else adj[v]
+                todo = arcs[k][v] = (link & members[k + 1]).nonzero()[0].tolist()
+            while todo:
+                w = todo[-1]
+                saturated = flow[w, v] <= tol if k % 2 else k + 1 == last and spare_col[w] <= tol
+                if not saturated and arcs[k + 1].get(w) != []:
+                    break
+                todo.pop()
+            if todo:
+                path.append(todo[-1])
+            else:  # v is a dead end
+                path.pop()
+                if path:
+                    arcs[k - 1][path[-1]].pop()
 
 
 def _carries_mass(value, m_mu):

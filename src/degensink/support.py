@@ -84,8 +84,9 @@ def maximal_theta(r, mu, nu):
     adj = r > 0
     n, m = adj.shape
     theta = total_mass(mu) / total_mass(nu)
+    flow = None
     while True:
-        flow, reached = _max_flow(adj, mu, theta * nu)
+        flow, reached = _max_flow(adj, mu, theta * nu, start=flow)
         if not reached.any():
             break
         ratio = mu[reached].sum() / nu[adj[reached].any(axis=0)].sum()
@@ -166,7 +167,8 @@ def exact_support_procedure(r, mu, nu):
         removed_rows = [rows[i] for i in local]
         img_local = np.nonzero(sub[local].any(axis=0))[0]
         removed_cols = [cols[j] for j in img_local]
-        remaining_rows = [i for i in rows if i not in set(removed_rows)]
+        gone_rows, gone_cols = set(removed_rows), set(removed_cols)
+        remaining_rows = [i for i in rows if i not in gone_rows]
         current[np.ix_(remaining_rows, removed_cols)] = 0.0
         steps.append(ProcedureStep(
             rows=tuple(rows), cols=tuple(cols),
@@ -176,7 +178,7 @@ def exact_support_procedure(r, mu, nu):
         mu_star[removed_rows] = mu[removed_rows] / theta.theta_m
         nu_star[removed_cols] = theta.theta_m * nu[removed_cols]
         rows = remaining_rows
-        cols = [j for j in cols if j not in set(removed_cols)]
+        cols = [j for j in cols if j not in gone_cols]
     if cols:
         raise Assumption2Violated("columns left over after the rows were exhausted")
     return ProcedureTrace(

@@ -52,18 +52,22 @@ def appendix():
 
 @pytest.fixture
 def max_flow_calls(monkeypatch):
-    """Records one entry per call of ``scalability._max_flow``, the one
-    flow routine of the package; networkx is made unreachable from it."""
-    from degensink import scalability
+    """Records one ``(args, kwargs, result)`` entry per call of
+    ``scalability._max_flow``, the one flow routine of the package, where
+    ``scalability`` and ``support`` call it; networkx is made unreachable
+    from it."""
+    from degensink import scalability, support
 
     calls = []
     max_flow = scalability._max_flow
 
-    def counting(*args):
-        calls.append(args)
-        return max_flow(*args)
+    def counting(*args, **kwargs):
+        result = max_flow(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
 
     monkeypatch.setattr(scalability, "_max_flow", counting)
+    monkeypatch.setattr(support, "_max_flow", counting)
     monkeypatch.setattr(scalability, "nx", None)
     return calls
 
@@ -150,9 +154,12 @@ def random_instance(rng, max_n=8, balanced=True, full_support=False):
 # ---------------------------------------------------------------------------
 # Pure-Python subset enumeration: the reference the max-flow answers of
 # ``classify_exact`` and ``maximal_theta`` are checked against.  One
-# frozenset union and one sum per subset, so keep it to n <= 12 rows.
+# frozenset union and one sum per subset, so keep it to n <= 12 rows;
+# the integer bitmasks of ``oracle_maximal_theta`` reach 16 rows (about
+# 0.15 s there).
 
 ORACLE_MAX_ROWS = 12
+THETA_ORACLE_MAX_ROWS = 16
 
 
 def _oracle_subsets(row_idx, adjacency_rows):
@@ -231,7 +238,7 @@ def oracle_maximal_theta(r, mu, nu):
     rel = 1e-12
     r, mu, nu = (np.asarray(x, dtype=float) for x in (r, mu, nu))
     n, m = r.shape
-    assert n <= ORACLE_MAX_ROWS
+    assert n <= THETA_ORACLE_MAX_ROWS
     row_img = [sum(1 << j for j in range(m) if r[i, j] > 0) for i in range(n)]
     images = [0] * (1 << n)
     mu_sum = [0.0] * (1 << n)

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degensink import (
     Assumption2Violated,
@@ -15,11 +17,12 @@ from degensink import (
     maximal_theta,
     run_sinkhorn,
 )
-from degensink import support
+from degensink import scalability, support
 from degensink.instances import (
     KIND_RANDOM,
     InstanceSpec,
     block_ratio_schedule,
+    appendix_a_instance,
     gen_instance,
     staircase_instance,
 )
@@ -56,6 +59,29 @@ def test_maximal_theta_guards():
     # 25 rows: 2^25 subsets, beyond the reach of enumeration
     out = maximal_theta(np.ones((25, 2)), np.ones(25), np.ones(2))
     assert out == ThetaSetResult(theta_m=12.5, smallest=[tuple(range(25))])
+
+
+def test_maximal_theta_chains_its_flows(max_flow_calls, monkeypatch):
+    # each Dinkelbach flow after the first starts from the one before,
+    # which stays feasible as theta grows, so the greedy fill runs once
+    fills = []
+    greedy_fill = scalability._greedy_fill
+
+    def counting_fill(*args):
+        fills.append(args)
+        return greedy_fill(*args)
+
+    monkeypatch.setattr(scalability, "_greedy_fill", counting_fill)
+    r, mu, nu, _, _ = staircase_instance(16, [6, 5, 5], block_ratio_schedule(3))
+    out = maximal_theta(r, mu, nu)
+    assert len(max_flow_calls) >= 2
+    assert len(fills) == 1
+    assert max_flow_calls[0][1].get("start") is None
+    for (_, _, (flow, _)), (_, kwargs, _) in zip(max_flow_calls, max_flow_calls[1:]):
+        assert kwargs["start"] is flow
+    theta_m, _, smallest = oracle_maximal_theta(r, mu, nu)
+    assert out.theta_m == pytest.approx(theta_m, rel=1e-12, abs=0)
+    assert out.smallest == smallest
 
 
 def _assert_theta_matches_oracle(r, mu, nu):
@@ -170,6 +196,77 @@ def test_each_removed_block_is_sisp_for_its_restriction():
             sub_r = r[np.ix_(rows, cols)]
             local = [rows.index(i) for i in step.sisp_rows]
             assert is_sisp(local, sub_r, mu[rows], nu[cols], sub_ref)
+
+
+# Symmetries of the exact layer: the worked example, the 16-row staircases
+# of 3, 4 and 5 blocks and the oracle instances.  The minimal maximizers,
+# the removed blocks and the limit support follow a relabelling, and
+# theta is a ratio of masses.
+def _staircase16(n_blocks):
+    sizes = [16 // n_blocks + (i < 16 % n_blocks) for i in range(n_blocks)]
+    return staircase_instance(16, sizes, block_ratio_schedule(n_blocks))[:3]
+
+
+EXACT_CASES = [appendix_a_instance()] + [_staircase16(b) for b in (3, 4, 5)] + oracle_cases(507)
+
+
+def _relabelled_with_maps(seed, r, mu, nu):
+    """A relabelled instance and the original labels of its rows and
+    columns."""
+    rng = np.random.default_rng(seed)
+    pr, pc = rng.permutation(r.shape[0]), rng.permutation(r.shape[1])
+    return (r[np.ix_(pr, pc)], mu[pr], nu[pc]), pr, pc
+
+
+def _original_rows(pr, rows):
+    return tuple(sorted(pr[list(rows)].tolist()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.integers(0, len(EXACT_CASES) - 1), seed=st.integers(0, 2**32 - 1))
+def test_maximal_theta_follows_relabelling(case, seed):
+    r, mu, nu = EXACT_CASES[case]
+    want = maximal_theta(r, mu, nu)
+    moved, pr, _ = _relabelled_with_maps(seed, r, mu, nu)
+    got = maximal_theta(*moved)
+    assert got.theta_m == pytest.approx(want.theta_m, rel=1e-12, abs=0)
+    assert sorted(_original_rows(pr, rows) for rows in got.smallest) == want.smallest
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.integers(0, len(EXACT_CASES) - 1), k=st.integers(-100, 100))
+def test_maximal_theta_invariant_under_mass_scaling(case, k):
+    r, mu, nu = EXACT_CASES[case]
+    want = maximal_theta(r, mu, nu)
+    got = maximal_theta(r, 10.0 ** k * mu, 10.0 ** k * nu)
+    assert got.theta_m == pytest.approx(want.theta_m, rel=1e-12, abs=0)
+    assert got.smallest == want.smallest
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.integers(0, len(EXACT_CASES) - 1), seed=st.integers(0, 2**32 - 1))
+def test_exact_procedure_follows_relabelling(case, seed):
+    r, mu, nu = EXACT_CASES[case]
+    want = exact_support_procedure(r, mu, nu)
+    moved, pr, pc = _relabelled_with_maps(seed, r, mu, nu)
+    got = exact_support_procedure(*moved)
+    assert np.array_equal(got.final_mask, want.final_mask[np.ix_(pr, pc)])
+    assert len(got.steps) == len(want.steps)
+    for step, ref in zip(got.steps, want.steps):
+        assert step.theta == pytest.approx(ref.theta, rel=1e-12, abs=0)
+        assert _original_rows(pr, step.sisp_rows) == ref.sisp_rows
+        assert _original_rows(pc, step.sisp_cols) == ref.sisp_cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.integers(0, len(EXACT_CASES) - 1), k=st.integers(-100, 100))
+def test_exact_procedure_invariant_under_mass_scaling(case, k):
+    r, mu, nu = EXACT_CASES[case]
+    want = exact_support_procedure(r, mu, nu)
+    got = exact_support_procedure(r, 10.0 ** k * mu, 10.0 ** k * nu)
+    assert np.array_equal(got.final_mask, want.final_mask)
+    assert [step.sisp_rows for step in got.steps] == [step.sisp_rows for step in want.steps]
+    assert [step.theta for step in got.steps] == pytest.approx([step.theta for step in want.steps], rel=1e-12, abs=0)
 
 
 def test_is_sisp_appendix(appendix):
