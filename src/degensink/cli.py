@@ -143,7 +143,7 @@ def _cmd_support(args):
                  "theta": s.theta}
                 for s in trace.steps
             ]
-            payload["stationary_at"] = trace.stationary_at
+            payload["stationary_at"] = len(trace.steps)
         code = EXIT_OK
     else:
         result = approx_support_algorithm1(r, mu, nu, stop_cfg=StopConfig(epsilon_tol=args.tol))

@@ -26,7 +26,7 @@ from .sinkhorn import (
     run_sinkhorn,
     sinkhorn_step,
 )
-from .support import approx_support_algorithm1, default_thresholds, masked_solve
+from .support import _exact_limit, approx_support_algorithm1, default_thresholds, masked_solve
 from .unbalanced import sweep_epsilon, sweep_lambda
 from .scalability import (
     classify_exact,
@@ -176,14 +176,14 @@ def experiment_fig6(size=100):
 
     The instance has one block with mass ratio above 1 (removed first by
     the reduction) and one below, hence no constrained solution exists.
-    Returns ``(lambda_rows, epsilon_rows, classification)``.
+    Both sweeps measure against R* of ``support._exact_limit``, computed
+    once.  Returns ``(lambda_rows, epsilon_rows, classification)``.
     """
     ratios = block_ratio_schedule(2)
     sizes = [size // 2, size - size // 2]
     r, mu, nu, _, _ = staircase_instance(size, sizes, ratios)
     classification = classify_exact(r, mu, nu)
-    limit = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=1e-12 * size,
-                                               max_iter=100_000, mode="iterate-delta"))
-    lam_rows = sweep_lambda(r, mu, nu, LAMBDAS, r_star=limit.r_star)
-    eps_rows = sweep_epsilon(r, mu, nu, EPSILONS, r_star=limit.r_star)
+    r_star = _exact_limit(r, mu, nu).r_star
+    lam_rows = sweep_lambda(r, mu, nu, LAMBDAS, r_star=r_star)
+    eps_rows = sweep_epsilon(r, mu, nu, EPSILONS, r_star=r_star)
     return lam_rows, eps_rows, classification

@@ -171,12 +171,6 @@ class ScalabilityClass:
         return self.tag.removeprefix("Unbalanced")
 
 
-def _is_unbalanced(mu, nu):
-    """Total masses differ by more than 1e-12 times the larger one."""
-    m_mu, m_nu = total_mass(mu), total_mass(nu)
-    return abs(m_mu - m_nu) > 1e-12 * max(m_mu, m_nu)
-
-
 def classify_exact(r, mu, nu):
     """Classify (r, mu, nu) as scalable, approximately scalable or
     non-scalable with one maximum flow.
@@ -201,7 +195,7 @@ def classify_exact(r, mu, nu):
     if not check_assumption1(r, mu, nu):
         raise Assumption1Violated("classification undefined: assumption check failed")
     m_mu, m_nu = total_mass(mu), total_mass(nu)
-    unbalanced = _is_unbalanced(mu, nu)
+    unbalanced = abs(m_mu - m_nu) > 1e-12 * max(m_mu, m_nu)
     if unbalanced:
         if m_mu == 0 or m_nu == 0:
             raise Assumption1Violated("one marginal is the zero measure but the other is not")

@@ -135,7 +135,6 @@ class ProcedureTrace:
 
     steps: list
     final_mask: np.ndarray
-    stationary_at: int
     mu_star_pred: np.ndarray
     nu_star_pred: np.ndarray
 
@@ -184,7 +183,6 @@ def exact_support_procedure(r, mu, nu):
     return ProcedureTrace(
         steps=steps,
         final_mask=current > 0,
-        stationary_at=len(steps),
         mu_star_pred=mu_star,
         nu_star_pred=nu_star,
     )
@@ -406,3 +404,15 @@ def masked_solve(r, mu, nu, mask, cfg=None):
     if cfg.mode == MODE_ITERATE_DELTA:
         report.rate_slope, report.rate_r_squared = _fit_rate([gap for _, gap in report.gap_trace])
     return report
+
+
+def _exact_limit(r, mu, nu):
+    """P*, Q* and R* at a linear rate whatever the degeneracy: the report of
+    :func:`masked_solve` on the support of :func:`exact_support_procedure`
+    (of the triple reduced by :func:`reduce_to_full_support`), iterate-delta
+    at 1e-13 max(M(mu), 1)."""
+    reduced, mu_r, nu_r, row_map, col_map = reduce_to_full_support(r, mu, nu)
+    mask = np.zeros(np.shape(r), dtype=bool)
+    mask[np.ix_(row_map, col_map)] = exact_support_procedure(reduced, mu_r, nu_r).final_mask
+    return masked_solve(r, mu, nu, mask, StopConfig(epsilon_tol=1e-13 * max(total_mass(mu), 1.0),
+                                                    max_iter=100_000, mode=MODE_ITERATE_DELTA))

@@ -31,6 +31,7 @@ from .measures import (
 )
 from .scalability import check_assumption1
 from .sinkhorn import StopConfig, run_sinkhorn
+from .support import _exact_limit
 
 __all__ = [
     "PenaltyConfig",
@@ -241,11 +242,11 @@ def sweep_lambda(r, mu, nu, lambdas, r_star=None):
     """Distance of the two-sided solution to the geometric-mean limit, per lam.
 
     Returns a list of ``(lam, tv)`` rows, sorted by lam.  ``r_star`` is the
-    reference limit coupling; when omitted it is computed by a tight
-    constrained run.
+    reference limit coupling; when omitted, that of the masked run on the
+    exact limit support (``support._exact_limit``).
     """
     if r_star is None:
-        r_star = _tight_limit(r, mu, nu).r_star
+        r_star = _exact_limit(r, mu, nu).r_star
     rows = []
     for lam in sorted(float(x) for x in lambdas):
         sol = solve_two_sided(r, mu, nu, PenaltyConfig(lam=lam))
@@ -261,20 +262,13 @@ def sweep_epsilon(r, mu, nu, epsilons, r_star=None):
     and records the total-variation distance of its limit to ``r_star``
     along with the iteration count (iterate-delta criterion at 1e-10, at
     most 200,000 iterations).  Returns ``(eps, tv, iterations)`` rows
-    sorted by decreasing eps.
+    sorted by decreasing eps.  ``r_star`` defaults as in :func:`sweep_lambda`.
     """
     if r_star is None:
-        r_star = _tight_limit(r, mu, nu).r_star
+        r_star = _exact_limit(r, mu, nu).r_star
     cfg = StopConfig(epsilon_tol=1e-10, max_iter=200_000, mode="iterate-delta")
     rows = []
     for eps in sorted((float(x) for x in epsilons), reverse=True):
         report = run_sinkhorn(epsilon_fill(r, eps), mu, nu, cfg)
         rows.append((eps, tv_distance(report.r_star, r_star), report.iterations))
     return rows
-
-
-def _tight_limit(r, mu, nu):
-    return run_sinkhorn(r, mu, nu,
-                        StopConfig(epsilon_tol=1e-13 * max(total_mass(mu), 1.0),
-                                   max_iter=200_000, mode="iterate-delta"),
-                        stall_exit=True)

@@ -16,10 +16,13 @@ from degensink import (
     masked_solve,
     maximal_theta,
     run_sinkhorn,
+    total_mass,
+    tv_distance,
 )
 from degensink import scalability, support
 from degensink.instances import (
     KIND_RANDOM,
+    KIND_STAIRCASE,
     InstanceSpec,
     block_ratio_schedule,
     appendix_a_instance,
@@ -127,7 +130,7 @@ def test_exact_procedure_agrees_with_enumeration_oracle(monkeypatch):
 def test_exact_procedure_appendix(appendix):
     r, mu, nu = appendix
     trace = exact_support_procedure(r, mu, nu)
-    assert trace.stationary_at == 2
+    assert len(trace.steps) == 2
     first, second = trace.steps
     assert first.sisp_rows == (2,) and first.sisp_cols == (2,)
     assert first.theta == pytest.approx(2.0)
@@ -141,7 +144,7 @@ def test_exact_procedure_appendix(appendix):
 def test_exact_procedure_scalable_single_step():
     r, mu, nu, support, _ = staircase_instance(6, [6], [1.0])
     trace = exact_support_procedure(r, mu, nu)
-    assert trace.stationary_at == 1
+    assert len(trace.steps) == 1
     assert np.array_equal(trace.final_mask, r > 0)
     assert np.array_equal(trace.final_mask, support)
 
@@ -150,7 +153,7 @@ def test_exact_procedure_staircase_block_order():
     ratios = block_ratio_schedule(3)
     r, mu, nu, support, bounds = staircase_instance(12, [4, 4, 4], ratios)
     trace = exact_support_procedure(r, mu, nu)
-    assert trace.stationary_at == 3
+    assert len(trace.steps) == 3
     # blocks peel bottom-right first, with strictly decreasing theta
     assert [s.sisp_rows[0] for s in trace.steps] == [8, 4, 0]
     thetas = [s.theta for s in trace.steps]
@@ -405,3 +408,27 @@ def test_masked_solve_rejects_bad_mask(appendix):
     bad = np.ones((3, 3), dtype=bool)
     with pytest.raises(ValueError):
         masked_solve(r, mu, nu, bad)
+
+
+@pytest.mark.parametrize("blocks", [None, 2, 4, 10])
+def test_exact_limit_agrees_with_long_run(blocks):
+    # the support-first limits against the plain iteration run to stationarity
+    if blocks is None:
+        r, mu, nu = appendix_a_instance()
+    else:
+        r, mu, nu = gen_instance(InstanceSpec(KIND_STAIRCASE, 100, 100, n_blocks=blocks))
+    got = support._exact_limit(r, mu, nu)
+    _, want = detect_limit_support(r, mu, nu, max_iter=200_000)
+    assert got.converged and got.iterations < want.iterations
+    for name in ("p_star", "q_star", "r_star"):
+        assert tv_distance(getattr(got, name), getattr(want, name)) <= 1e-12 * total_mass(mu)
+
+
+def test_exact_limit_reduces_to_full_support(appendix):
+    # a massless row and column, each with reference support, drop out
+    r, mu, nu = appendix
+    padded = np.ones((4, 4))
+    padded[:3, :3] = r
+    got = support._exact_limit(padded, np.append(mu, 0.0), np.append(nu, 0.0))
+    np.testing.assert_allclose(got.r_star[:3, :3], R_STAR, rtol=0, atol=1e-12)
+    assert (got.r_star[3] == 0).all() and (got.r_star[:, 3] == 0).all()

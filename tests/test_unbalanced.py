@@ -21,10 +21,9 @@ from degensink import (
 from degensink.instances import block_ratio_schedule, staircase_instance
 from degensink.sinkhorn import StopConfig
 from degensink import unbalanced
+from degensink.support import _exact_limit
 from degensink.unbalanced import SIDE_SECOND
 from conftest import MU_G, NU_G, NU_STAR, R_STAR, Z_NORM, _lse_rows, log_arrays
-
-TIGHT = StopConfig(epsilon_tol=1e-13 * 6, max_iter=10_000, mode="iterate-delta")
 
 R_POS = np.array([[1.0, 0.4], [0.3, 1.0]])
 MU2 = np.array([1.0, 2.0])
@@ -70,7 +69,7 @@ def test_two_sided_returns_reference_when_coupled():
 
 def test_two_sided_gamma_limit(appendix):
     r, mu, nu = appendix
-    limit = run_sinkhorn(r, mu, nu, TIGHT)
+    limit = _exact_limit(r, mu, nu)
     tvs = []
     for lam in (10.0, 100.0, 1e3, 1e4):
         sol = solve_two_sided(r, mu, nu, PenaltyConfig(lam=lam))
@@ -208,7 +207,7 @@ def test_sweep_lambda_scalable_vanishes():
 
 def test_sweep_epsilon_appendix(appendix):
     r, mu, nu = appendix
-    limit = run_sinkhorn(r, mu, nu, TIGHT)
+    limit = _exact_limit(r, mu, nu)
     rows = sweep_epsilon(r, mu, nu, [1e-1, 1e-2, 1e-3], r_star=limit.r_star)
     eps_vals = [e for e, _, _ in rows]
     assert eps_vals == sorted(eps_vals, reverse=True)
@@ -216,6 +215,19 @@ def test_sweep_epsilon_appendix(appendix):
         assert tv >= 0.1
     iters = [it for _, _, it in rows]
     assert iters == sorted(iters)  # smaller fill, slower convergence
+
+
+def test_sweeps_default_reference_is_the_exact_limit():
+    # ApproximatelyScalable: R* = I, which a plain scaling run reaches only
+    # at a sublinear rate; the default reference must not carry that error
+    r, mu, nu = np.triu(np.ones((4, 4))), np.ones(4), np.ones(4)
+    [(_, tv)] = sweep_lambda(r, mu, nu, [1e8])
+    sol = solve_two_sided(r, mu, nu, PenaltyConfig(lam=1e8))
+    assert tv == pytest.approx(tv_distance(sol, np.eye(4)), abs=1e-6)
+    assert tv < 1e-5
+    [(_, tv, iters)] = sweep_epsilon(r, mu, nu, [1e-2])
+    [(_, tv_eye, iters_eye)] = sweep_epsilon(r, mu, nu, [1e-2], r_star=np.eye(4))
+    assert tv == pytest.approx(tv_eye, abs=1e-12) and iters == iters_eye
 
 
 def test_sweep_epsilon_degenerate_on_positive_reference():
