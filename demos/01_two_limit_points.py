@@ -21,7 +21,7 @@ print("targets     mu =", mu, "  nu =", nu)
 print("\nclassification:", dg.classify_exact(R, mu, nu))
 print("(the witness row set {x3} has mu-mass 2 but its image carries only nu-mass 1)")
 
-cfg = dg.StopConfig(epsilon_tol=1e-13 * 6, max_iter=5000, mode="iterate-delta")
+cfg = dg.StopConfig(epsilon_tol=1e-13 * 6, max_iter=5000)
 report = dg.run_sinkhorn(R, mu, nu, cfg)
 
 print("\nP* (first marginal = mu exactly):\n", report.p_star)

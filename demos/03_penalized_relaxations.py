@@ -17,7 +17,7 @@ np.set_printoptions(precision=4, suppress=True)
 
 R, mu, nu = dg.appendix_a_instance()
 limit = dg.run_sinkhorn(R, mu, nu,
-                        dg.StopConfig(epsilon_tol=1e-13 * 6, max_iter=5000, mode="iterate-delta"))
+                        dg.StopConfig(epsilon_tol=1e-13 * 6, max_iter=5000))
 print("reference limit R* (geometric mean of the two scaling limits):\n", limit.r_star)
 
 print("\nKL-penalized solutions approach R* as the penalty grows:")

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    degensink solve     --instance f.json [--tol T --lambda L --max-iter N --stop gap|delta --emit report|trace]
+    degensink solve     --instance f.json [--tol T --lambda L --max-iter N --stop delta|gap --emit report|trace]
     degensink classify  --instance f.json
     degensink support   --instance f.json [--method exact|approx --tol T --emit-trace]
     degensink experiment tv-vs-lambda|tv-vs-epsilon|iterations-vs-zeros|fig6 ...
@@ -16,6 +16,7 @@ near the float limit), 3 infeasible instance or assumption violation.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -137,24 +138,14 @@ def _cmd_support(args):
         mask = trace.final_mask
         payload = {"mask": mask.tolist()}
         if args.emit_trace:
-            payload["trace"] = [
-                {"rows": list(s.rows), "cols": list(s.cols),
-                 "sisp_rows": list(s.sisp_rows), "sisp_cols": list(s.sisp_cols),
-                 "theta": s.theta}
-                for s in trace.steps
-            ]
+            payload["trace"] = [dataclasses.asdict(s) for s in trace.steps]
             payload["stationary_at"] = len(trace.steps)
         code = EXIT_OK
     else:
         result = approx_support_algorithm1(r, mu, nu, stop_cfg=StopConfig(epsilon_tol=args.tol))
         payload = {"mask": result.mask.tolist()}
         if args.emit_trace:
-            payload["steps"] = [
-                {"removed_rows": list(s["removed_rows"]),
-                 "removed_cols": list(s["removed_cols"]),
-                 "inner_iterations": s["inner_iterations"]}
-                for s in result.steps
-            ]
+            payload["steps"] = result.steps
             payload["inner_iterations"] = result.inner_iterations
         code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
     _write(json.dumps(payload, indent=2) + "\n", args.out)
@@ -200,7 +191,7 @@ def build_parser():
     solve.add_argument("--tol", type=float, default=1e-3)
     solve.add_argument("--lambda", dest="lam", type=float, default=1e3)
     solve.add_argument("--max-iter", type=int, default=100_000)
-    solve.add_argument("--stop", choices=("gap", "delta"), default="gap")
+    solve.add_argument("--stop", choices=("gap", "delta"), default="delta")
     solve.add_argument("--emit", choices=("report", "trace"), default="report")
     solve.set_defaults(func=_cmd_solve)
 

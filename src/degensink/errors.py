@@ -33,8 +33,7 @@ class NotConverged(DegensinkError):
 
 
 class OverflowDetected(DegensinkError):
-    """A float overflowed: a scaling potential of the literal recursion
-    ``sinkhorn_step`` became non-finite and its (c, 1/c) rescaling could
-    not recover it, or a product of ``run_sinkhorn``'s absorbed kernel
-    overflowed, which only masses near the float limit cause (the
-    potentials themselves are absorbed into a log-kernel)."""
+    """A float overflowed: a diverging potential of the literal recursion
+    ``sinkhorn_step`` left float range, or a product of ``run_sinkhorn``'s
+    absorbed kernel overflowed, which only masses near the float limit
+    cause (the potentials themselves are absorbed into a log-kernel)."""

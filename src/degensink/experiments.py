@@ -95,8 +95,7 @@ def run_appendix_a():
         for row in entry[kind]:
             buf.write(f"    {_fmt(row)}\n")
     r, mu, nu = appendix_a_instance()
-    report = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=1e-13 * total_mass(mu),
-                                                max_iter=5000, mode="iterate-delta"))
+    report = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=1e-13 * total_mass(mu), max_iter=5000))
     z_tol = Z_TOL_FACTOR * total_mass(mu)
     for name, mat in (("P*", report.p_star), ("Q*", report.q_star), ("R*", report.r_star)):
         buf.write(f"{name} =\n")
@@ -145,7 +144,7 @@ def experiment_iterations_vs_zeros(block_range, size=100):
     Returns a list of row dicts matching ``ITERATIONS_CSV_HEADER``, plus
     the couplings under key "_p_stars" for cross-method comparisons.
     """
-    cfg = StopConfig(epsilon_tol=1e-11 * size, max_iter=100_000, mode="iterate-delta")
+    cfg = StopConfig(epsilon_tol=1e-11 * size)
     rows = []
     for n_blocks in block_range:
         r, mu, nu = gen_instance(InstanceSpec(KIND_STAIRCASE, size, size, n_blocks=n_blocks))

@@ -163,10 +163,6 @@ class ScalabilityClass:
     witness: tuple | None = None
 
     @property
-    def is_unbalanced(self):
-        return self.tag.startswith("Unbalanced")
-
-    @property
     def base_tag(self):
         return self.tag.removeprefix("Unbalanced")
 
@@ -386,20 +382,7 @@ def feasibility_flow(r, mu, nu):
     m_mu, m_nu = total_mass(mu), total_mass(nu)
     if abs(m_mu - m_nu) > _FLOW_TOL * max(m_mu, m_nu):
         raise ValueError("feasibility_flow requires balanced masses")
-    if m_mu == 0:
-        return True
-    return _hall_violator(r, mu, nu) is None
-
-
-def _hall_violator(r, mu, nu):
-    """None when the maximum flow of :func:`_max_flow` carries the whole
-    mass of mu (:func:`_carries_mass`); otherwise a row subset A with
-    mu(A) > nu(F(A)), read off the same flow: the rows reachable from the
-    source in its residual graph."""
-    flow, reached = _max_flow(support_graph(r), mu, nu)
-    if _carries_mass(float(flow.sum()), total_mass(mu)):
-        return None
-    return tuple(np.flatnonzero(reached).tolist())
+    return feasible_coupling(r, mu, nu) is not None
 
 
 def feasible_coupling(r, mu, nu):

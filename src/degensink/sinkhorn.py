@@ -19,9 +19,8 @@ In that degenerate regime some potentials diverge.  ``run_sinkhorn`` and
 the support detectors share one absorption-stabilized kernel (Schmitzer,
 SIAM J. Sci. Comput. 2019): scaled potentials a, b are updated at
 matrix-vector speed and folded into a log-kernel whenever they leave a
-fixed window.  ``sinkhorn_step`` keeps the literal recursion, with a
-(c, 1/c) rescaling that recentres the geometric mean of the positive
-entries of ``a`` at 1 (no product a_i b_j changes).
+fixed window.  ``sinkhorn_step`` keeps the literal recursion, whose
+potentials are a^n and b^n themselves until the first float overflow.
 """
 
 import math
@@ -63,8 +62,6 @@ MODE_BALANCED_GAP = "balanced-gap"
 MODE_UNBALANCED_GAP = "unbalanced-gap"
 MODE_ITERATE_DELTA = "iterate-delta"
 
-_RESCALE_HI = 1e150
-_RESCALE_LO = 1e-150
 _ABSORB = 1e50
 _ZERO_STREAK = 50
 # An entry is a structural zero of the limit once it stays below
@@ -77,16 +74,18 @@ _OPTIMALITY_TOL = 1e-6  # of OptimalityDiagnostics.violations
 class StopConfig:
     """Stopping rule for :func:`run_sinkhorn`.
 
-    ``epsilon_tol`` is the criterion threshold, ``lam`` the penalization
-    weight used by the unbalanced-gap criterion (the default pairing
-    lam = 1/epsilon_tol works well in practice), ``mode`` one of
-    "balanced-gap", "unbalanced-gap", "iterate-delta".
+    ``epsilon_tol`` is the criterion threshold and ``mode`` one of
+    "iterate-delta" (the default: the move max(TV(P^n, P^{n-1}),
+    TV(Q^n, Q^{n-1})), which fires on degenerate triples too),
+    "balanced-gap" or "unbalanced-gap".  ``lam`` is the penalization
+    weight of the unbalanced-gap criterion (the pairing lam =
+    1/epsilon_tol works well in practice).
     """
 
     epsilon_tol: float = 1e-3
     lam: float = 1e3
     max_iter: int = 100_000
-    mode: str = MODE_UNBALANCED_GAP
+    mode: str = MODE_ITERATE_DELTA
 
     def __post_init__(self):
         if self.epsilon_tol < 0:
@@ -105,10 +104,9 @@ class SinkhornState:
 
     ``b_prev`` is the b vector from before the latest b-update, so that
     the coupling P^n = a (x) b_prev . R of the most recent a-update can be
-    reconstructed.  ``overflow_flag`` records that the potentials left
-    their stable range at least once: in ``sinkhorn_step`` that the drift
-    rescaling fired, in a :func:`run_sinkhorn` report that the kernel
-    absorbed its scaled potentials at least once.
+    reconstructed.  ``overflow_flag`` is set in a :func:`run_sinkhorn`
+    report when the kernel absorbed its scaled potentials at least once;
+    ``sinkhorn_step`` never sets it.
     """
 
     a: np.ndarray
@@ -134,54 +132,31 @@ def current_Q(state, r):
 
 
 def sinkhorn_step(state, r, mu, nu):
-    """One full (a then b) update of the potentials.
+    """One full (a then b) update of the potentials: the literal recursion,
+    whose ``a`` and ``b`` are a^n and b^n themselves.
 
     Rows with mu_i = 0 keep a_i = 0; a zero denominator under positive
     target mass means the iteration is undefined (Assumption1Violated).
-    Potentials beyond the representable comfort zone trigger the
-    (c, 1/c) recentring; a non-finite potential after that raises
-    OverflowDetected.  Raises ValueError on NaN, infinite or negative input.
+    On a degenerate triple some potentials diverge, and the first float
+    overflow raises OverflowDetected (on the worked example at step
+    1,023); :func:`run_sinkhorn` is the form for long runs.  Raises
+    ValueError on NaN, infinite or negative input.
     """
     r, mu, nu = as_triple(r, mu, nu)
-    b_prev = state.b
-    den_a = r @ b_prev
-    if np.any((mu > 0) & (den_a == 0.0)):
-        raise Assumption1Violated("zero denominator under positive first-marginal mass")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = np.where(mu > 0, mu / np.where(den_a > 0, den_a, 1.0), 0.0)
-    den_b = r.T @ a
-    if np.any((nu > 0) & (den_b == 0.0)):
-        raise Assumption1Violated("zero denominator under positive second-marginal mass")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b = np.where(nu > 0, nu / np.where(den_b > 0, den_b, 1.0), 0.0)
-
-    overflow = state.overflow_flag
-    pos = a > 0
-    if pos.any():
-        hi = max(a[pos].max(), b[b > 0].max() if (b > 0).any() else 0.0)
-        lo = min(a[pos].min(), b[b > 0].min() if (b > 0).any() else math.inf)
-        if hi > _RESCALE_HI or lo < _RESCALE_LO:
-            # Recentre the geometric mean of a at 1; clip so the scaling
-            # itself cannot push any potential over the representable cap
-            # (products a_i b_j are invariant either way).
-            log_c = -float(np.log(a[pos]).mean())
-            bpos = b[b > 0]
-            cap_hi = math.log(_RESCALE_HI)
-            log_c = min(log_c, cap_hi - math.log(a[pos].max()))
-            log_c = max(log_c, math.log(a[pos].min()) - cap_hi)
-            if bpos.size:
-                log_c = max(log_c, math.log(bpos.max()) - cap_hi)
-                log_c = min(log_c, cap_hi + math.log(bpos.min()))
-            c = math.exp(log_c)
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                a = a * c
-                b = b / c
-                b_prev = b_prev / c
-            overflow = True
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise OverflowDetected("non-finite potential after rescaling")
-    return replace(state, a=a, b=b, b_prev=b_prev, iteration=state.iteration + 1,
-                   overflow_flag=overflow)
+    try:
+        with np.errstate(over="raise"):
+            den_a = r @ state.b
+            if np.any((mu > 0) & (den_a == 0.0)):
+                raise Assumption1Violated("zero denominator under positive first-marginal mass")
+            a = np.where(mu > 0, mu / np.where(den_a > 0, den_a, 1.0), 0.0)
+            den_b = r.T @ a
+            if np.any((nu > 0) & (den_b == 0.0)):
+                raise Assumption1Violated("zero denominator under positive second-marginal mass")
+            b = np.where(nu > 0, nu / np.where(den_b > 0, den_b, 1.0), 0.0)
+    except FloatingPointError as exc:
+        raise OverflowDetected(f"float overflow at step {state.iteration + 1} ({exc}); "
+                               "run_sinkhorn absorbs diverging potentials") from exc
+    return replace(state, a=a, b=b, b_prev=state.b, iteration=state.iteration + 1)
 
 
 def _log_dot(log_vec, weights):
@@ -225,7 +200,7 @@ def gap_unbalanced(state, r, mu, nu, lam):
 
     SCu^n = H(P^n|R) + lam (H(nu^{P^n}|nu) - <1 - (1/b^{n-1})^{1/lam}, nu>) - <log a^n, mu>.
 
-    Used as the default stopping criterion with lam = 1/epsilon.  Note a
+    The "unbalanced-gap" stopping criterion, with lam = 1/epsilon.  Note a
     caveat inherited from the formula: in the non-scalable case the trace
     dips for a number of iterations of order lam and later diverges, so it
     is a window criterion, not a limit.  Raises ValueError on NaN,
@@ -366,8 +341,8 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
     r, mu, nu : array-like
         Reference coupling and target marginals.
     cfg : StopConfig, optional
-        Stopping rule; defaults to the unbalanced-gap criterion at 1e-3
-        with lam = 1000.
+        Stopping rule; defaults to ``StopConfig()``, the iterate-delta
+        criterion at 1e-3 within 100,000 iterations.
     stall_exit : bool
         Also stop (with ``converged`` reflecting the criterion, not the
         stall) once the iterates are numerically stationary: successive
@@ -472,7 +447,7 @@ def detect_limit_support(r, mu, nu, max_iter=50_000):
     to ``max_iter`` iterations, with the stall exit enabled, and returns
     the boolean support mask together with the report.
     """
-    cfg = StopConfig(epsilon_tol=0.0, max_iter=max_iter, mode=MODE_ITERATE_DELTA)
+    cfg = StopConfig(epsilon_tol=0.0, max_iter=max_iter)
     report = run_sinkhorn(r, mu, nu, cfg, stall_exit=True)
     return report.structural_support, report
 

@@ -398,8 +398,7 @@ def masked_solve(r, mu, nu, mask, cfg=None):
         raise ValueError("mask shape mismatch")
     if (mask & ~(r > 0)).any():
         raise ValueError("mask is not contained in the support of R")
-    cfg = cfg or StopConfig(epsilon_tol=1e-12 * max(total_mass(mu), 1.0),
-                            max_iter=100_000, mode=MODE_ITERATE_DELTA)
+    cfg = cfg or StopConfig(epsilon_tol=1e-12 * max(total_mass(mu), 1.0))
     report = run_sinkhorn(r * mask, mu, nu, cfg)
     if cfg.mode == MODE_ITERATE_DELTA:
         report.rate_slope, report.rate_r_squared = _fit_rate([gap for _, gap in report.gap_trace])
@@ -414,5 +413,4 @@ def _exact_limit(r, mu, nu):
     reduced, mu_r, nu_r, row_map, col_map = reduce_to_full_support(r, mu, nu)
     mask = np.zeros(np.shape(r), dtype=bool)
     mask[np.ix_(row_map, col_map)] = exact_support_procedure(reduced, mu_r, nu_r).final_mask
-    return masked_solve(r, mu, nu, mask, StopConfig(epsilon_tol=1e-13 * max(total_mass(mu), 1.0),
-                                                    max_iter=100_000, mode=MODE_ITERATE_DELTA))
+    return masked_solve(r, mu, nu, mask, StopConfig(epsilon_tol=1e-13 * max(total_mass(mu), 1.0)))

@@ -266,7 +266,7 @@ def sweep_epsilon(r, mu, nu, epsilons, r_star=None):
     """
     if r_star is None:
         r_star = _exact_limit(r, mu, nu).r_star
-    cfg = StopConfig(epsilon_tol=1e-10, max_iter=200_000, mode="iterate-delta")
+    cfg = StopConfig(epsilon_tol=1e-10, max_iter=200_000)
     rows = []
     for eps in sorted((float(x) for x in epsilons), reverse=True):
         report = run_sinkhorn(epsilon_fill(r, eps), mu, nu, cfg)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from degensink.cli import main
-from degensink.instances import appendix_a_instance, dump_instance
+from degensink.instances import KIND_UPPER, InstanceSpec, appendix_a_instance, dump_instance, gen_instance
+from degensink.sinkhorn import run_sinkhorn
 
 
 @pytest.fixture
@@ -48,6 +49,18 @@ def test_solve_gen_and_trace(tmp_path):
     assert len(lines) > 5
 
 
+def test_solve_default_stop_fires_on_degenerate_triple(capsys):
+    # no flags: the default iterate-delta rule at 1e-3 stops the
+    # non-scalable upper-triangular triple, as StopConfig() does
+    assert main(["solve", "--gen", "kind=upper,n=3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is True and payload["iterations"] <= 100
+    assert payload["classification"]["tag"] == "NonScalable"
+    r, mu, nu = gen_instance(InstanceSpec(KIND_UPPER, 3, 3))
+    report = run_sinkhorn(r, mu, nu)
+    assert report.converged and report.iterations == payload["iterations"]
+
+
 def test_solve_not_converged_exit_code(instance_file, tmp_path):
     code = main(["solve", "--instance", instance_file, "--stop", "gap",
                  "--max-iter", "5", "--out", str(tmp_path / "r.json")])
@@ -73,15 +86,30 @@ def test_support_exact_with_trace(instance_file, capsys):
     assert main(["support", "--instance", instance_file, "--method", "exact",
                  "--emit-trace"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["mask"] == [[True, True, False], [False, True, False], [False, False, True]]
-    assert payload["stationary_at"] == 2
-    assert payload["trace"][0]["sisp_rows"] == [2]
+    assert payload == {
+        "mask": [[True, True, False], [False, True, False], [False, False, True]],
+        "trace": [
+            {"rows": [0, 1, 2], "cols": [0, 1, 2], "sisp_rows": [2], "sisp_cols": [2],
+             "theta": 2.0},
+            {"rows": [0, 1], "cols": [0, 1], "sisp_rows": [0, 1], "sisp_cols": [0, 1],
+             "theta": 0.8},
+        ],
+        "stationary_at": 2,
+    }
 
 
 def test_support_approx(instance_file, capsys):
-    assert main(["support", "--instance", instance_file, "--method", "approx"]) == 0
+    assert main(["support", "--instance", instance_file, "--method", "approx",
+                 "--emit-trace"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["mask"] == [[True, True, False], [False, True, False], [False, False, True]]
+    assert payload == {
+        "mask": [[True, True, False], [False, True, False], [False, False, True]],
+        "steps": [
+            {"removed_rows": [2], "removed_cols": [2], "inner_iterations": 2},
+            {"removed_rows": [0, 1], "removed_cols": [0, 1], "inner_iterations": 12},
+        ],
+        "inner_iterations": 14,
+    }
 
 
 def test_experiment_tv_vs_lambda_csv(tmp_path, instance_file):

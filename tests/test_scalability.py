@@ -273,7 +273,7 @@ def test_max_flow_agrees_with_networkx():
     for r, mu, nu in _flow_oracle_cases():
         m_mu = total_mass(mu)
         value, witness = oracle_max_flow(r, mu, nu)
-        flow, _ = scalability._max_flow(support_graph(r), mu, nu)
+        flow, reached = scalability._max_flow(support_graph(r), mu, nu)
         assert abs(flow.sum() - value) <= 1e-12 * m_mu
         assert flow.min() >= 0 and not flow[r == 0].any()
         feasible = feasibility_flow(r, mu, nu)
@@ -286,7 +286,8 @@ def test_max_flow_agrees_with_networkx():
             assert np.abs(p.sum(axis=0) - nu).max() <= 1e-12 * m_mu
             continue
         assert p is None
-        hall = scalability._hall_violator(r, mu, nu)
+        # the rows reachable from the source in the residual graph
+        hall = tuple(np.flatnonzero(reached).tolist())
         assert hall == witness
         assert mu[list(hall)].sum() > nu[sorted(forward_image(support_graph(r), hall))].sum()
         if check_assumption1(r, mu, nu):

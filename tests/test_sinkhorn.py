@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -301,14 +302,21 @@ def test_log_domain_switch_keeps_iterating(appendix):
     assert np.array_equal(rep.structural_support, S_MASK)
 
 
-def _log_domain_couplings(r, mu, nu, n):
-    """P^n and Q^n of the plain log-domain recursion."""
+def _log_domain_potentials(r, mu, nu, n):
+    """log a^n, log b^{n-1} and log b^n of the plain log-domain recursion."""
     log_r, log_mu, log_nu = log_arrays(r, mu, nu)
     u, v = np.zeros(mu.size), np.zeros(nu.size)
     for _ in range(n):
         v_prev = v
         u = log_mu - _lse_rows(log_r + v[None, :])
         v = log_nu - _lse_rows((log_r + u[:, None]).T)
+    return u, v_prev, v
+
+
+def _log_domain_couplings(r, mu, nu, n):
+    """P^n and Q^n of the plain log-domain recursion."""
+    u, v_prev, v = _log_domain_potentials(r, mu, nu, n)
+    log_r = log_arrays(r, mu, nu)[0]
     return np.exp(u[:, None] + v_prev[None, :] + log_r), np.exp(u[:, None] + v[None, :] + log_r)
 
 
@@ -369,12 +377,28 @@ def test_restrict_before_first_step_matches_masked_kernel():
 
 
 def test_standalone_linear_step_eventually_overflows(appendix):
+    # the literal recursion keeps no defence of its own: its first float
+    # overflow raises, without a RuntimeWarning, and overflow_flag is left
+    # to run_sinkhorn's absorptions
     r, mu, nu = appendix
     state = init_state(3, 3)
-    with pytest.raises(OverflowDetected):
-        for _ in range(5000):
-            state = sinkhorn_step(state, r, mu, nu)
-    assert state.overflow_flag  # the rescale fired before the failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowDetected, match="step 1023"):
+            for _ in range(1100):
+                state = sinkhorn_step(state, r, mu, nu)
+    assert state.iteration == 1022
+    assert not state.overflow_flag
+
+
+def test_literal_step_potentials_are_a_n_and_b_n(appendix):
+    # at step 600 a_3 is near 1e181 and b_3 near 1e-181; the potentials are
+    # still those of the recursion itself, not a rescaled pair
+    r, mu, nu = appendix
+    state = _steps(r, mu, nu, 600)
+    u, v_prev, v = _log_domain_potentials(r, mu, nu, 600)
+    for got, log_want in ((state.a, u), (state.b_prev, v_prev), (state.b, v)):
+        np.testing.assert_allclose(got, np.exp(log_want), rtol=1e-11, atol=0)
 
 
 def test_balanced_gap_mode_stops_on_scalable():
