@@ -103,7 +103,7 @@ def _report_payload(report):
     arrays = ("p_star", "q_star", "r_star", "r_bar_star", "mu_star", "nu_star", "mu_g", "nu_g")
     payload = {name: getattr(report, name).tolist() for name in arrays}
     return payload | {"z_norm": report.z_norm, "iterations": report.iterations,
-                      "converged": report.converged}
+                      "converged": report.converged, "stop_reason": report.stop_reason}
 
 
 def _classification(r, mu, nu):

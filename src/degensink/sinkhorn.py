@@ -67,6 +67,8 @@ _ZERO_STREAK = 50
 # An entry is a structural zero of the limit once it stays below
 # Z_TOL_FACTOR * M(mu) for _ZERO_STREAK consecutive iterations.
 Z_TOL_FACTOR = 1e-12
+# A rebuilt kernel entry below _FLUSH * M(mu) is set to 0 (_LogIteration._absorb).
+_FLUSH = Z_TOL_FACTOR / _ABSORB ** 3
 _OPTIMALITY_TOL = 1e-6  # of OptimalityDiagnostics.violations
 
 
@@ -222,7 +224,10 @@ class SolveReport:
     and ``mu_g``/``nu_g`` their componentwise geometric means with the
     targets.  ``structural_support`` marks entries of R judged to survive
     in the limit (an entry is a structural zero after staying below
-    z_tol = 1e-12 M(mu) for 50 consecutive iterations).  ``rate_slope`` and
+    z_tol = 1e-12 M(mu) for 50 consecutive iterations).  ``stop_reason``
+    says why the run ended: "criterion" (the stopping criterion fired),
+    "stall" (the stall exit of :func:`run_sinkhorn`) or "max_iter" (the
+    iteration cap).  ``rate_slope`` and
     ``rate_r_squared`` are set by :func:`degensink.support.masked_solve`:
     the least-squares slope of log10 of the successive moves in
     ``gap_trace`` against n, and the R^2 of that fit."""
@@ -238,6 +243,7 @@ class SolveReport:
     z_norm: float
     iterations: int
     converged: bool
+    stop_reason: str
     structural_support: np.ndarray
     gap_trace: list = field(default_factory=list)
     state: SinkhornState | None = None
@@ -253,17 +259,19 @@ class _LogIteration:
     projections a = mu / K b and b = nu / K^T a.  Scaled potentials
     outside [1/_ABSORB, _ABSORB] are absorbed into U, V and K is rebuilt
     from log R, so no float overflows however far u and v diverge.
-    Massless rows and columns keep a zero scaling; :meth:`restrict` zeroes
-    reference entries as it goes.
+    Massless rows and columns keep a zero scaling; :meth:`restrict` and
+    :meth:`drop_rows` zero reference entries as they go.
     """
 
     def __init__(self, r, mu, nu):
+        self.k_floor = _FLUSH * total_mass(mu)
         self._set_masses(mu, nu)
         with np.errstate(divide="ignore"):
             # a rebuilt kernel is zero on massless rows and columns; the
             # first step uses R itself, like the literal recursion's b^0 = 1
             self.log_r = np.log(r * (mu > 0)[:, None] * (nu > 0)[None, :])
-        self.k = r
+        self.support = self.log_r > -np.inf
+        self.k = self._ref = r  # the caller's R, never written into
         self.u_abs = np.zeros(mu.size)
         self.v_abs = np.zeros(nu.size)
         self.a = np.ones(mu.size)
@@ -272,11 +280,11 @@ class _LogIteration:
 
     def _set_masses(self, mu, nu):
         self.mu, self.nu = mu, nu
-        self.rows = slice(None) if (mu > 0).all() else mu > 0
-        self.cols = slice(None) if (nu > 0).all() else nu > 0
+        self.rows, self.cols = mu > 0, nu > 0
         # massless rows/columns get the scaling 0/(den + 1) = 0, never 0/0
-        self.pad_row = (mu == 0).astype(float)
-        self.pad_col = (nu == 0).astype(float)
+        self.pad_row = (~self.rows).astype(float)
+        self.pad_col = (~self.cols).astype(float)
+        self.pad = np.concatenate((self.pad_row, self.pad_col))
 
     def restrict(self, keep):
         """Zero the reference outside the boolean entry mask ``keep``;
@@ -288,26 +296,55 @@ class _LogIteration:
         self._set_masses(np.where(self.support.any(axis=1), self.mu, 0.0),
                          np.where(self.support.any(axis=0), self.nu, 0.0))
 
+    def drop_rows(self, drop):
+        """``restrict(~drop[:, None])`` for the boolean row mask ``drop``,
+        in place: the rows kept keep all their entries, so only the dropped
+        rows and the columns left without an entry change."""
+        if self.k is self._ref:
+            self.k = self.k.copy()
+        self.k[drop] = 0.0
+        self.log_r[drop] = -np.inf
+        self.support[drop] = False
+        self._set_masses(np.where(drop, 0.0, self.mu),
+                         np.where(self.support.any(axis=0), self.nu, 0.0))
+
     def _absorb(self):
+        """Fold the scaled potentials into U, V and rebuild K, setting to 0
+        every entry below the floor _FLUSH M(mu) = z_tol / _ABSORB^3.
+
+        While the scaled potentials stay in [1/_ABSORB, _ABSORB], such an
+        entry gives P_ij = a_i b_j K_ij <= _ABSORB^2 K_ij < z_tol / _ABSORB,
+        below z_tol with the flush and without it.  So the structural-zero
+        record cannot change; P and Q change only on entries below
+        z_tol / _ABSORB, far under the float resolution of the moves and
+        the gaps, and the iteration counts stay the same.  What goes are
+        the subnormal entries of K and the products K_ij b_j that would
+        underflow: every entry left is at least 1e-162 M(mu) and every
+        such product at least 1e-212 M(mu), so no matrix-vector product
+        takes the slow subnormal path.  The floor scales with the mass, as
+        z_tol does."""
         self.u_abs[self.rows] += np.log(self.a[self.rows])
         self.v_abs[self.cols] += np.log(self.b[self.cols])
         self.b = 1.0 - self.pad_col
         self.k = np.exp(self.log_r + self.u_abs[:, None] + self.v_abs[None, :])
+        self.k[self.k < self.k_floor] = 0.0
         self.absorbed = True
 
     def update_a(self):
         """The a half-update (P^n of :meth:`couplings`), absorbing first
         when a scaled potential has left the window."""
-        # initial=1 lies inside the window and covers all-massless sides
-        if max(self.a.max(initial=1.0), self.b.max(initial=1.0)) > _ABSORB or \
-                min(self.a[self.rows].min(initial=1.0), self.b[self.cols].min(initial=1.0)) < 1.0 / _ABSORB:
+        # initial=1 lies inside the window; the pads lift the zero scalings
+        # of massless rows and columns to 1, outside the minimum's reach
+        scalings = np.concatenate((self.a, self.b))
+        if scalings.max(initial=1.0) > _ABSORB or (scalings + self.pad).min(initial=1.0) < 1.0 / _ABSORB:
             self._absorb()
         self.b_prev = self.b
         self.a = self.mu / (self.k @ self.b + self.pad_row)
 
-    def update_b(self):
-        """The b half-update (Q^n of :meth:`couplings`)."""
-        self.b = self.nu / (self.k.T @ self.a + self.pad_col)
+    def update_b(self, kta=None):
+        """The b half-update (Q^n of :meth:`couplings`); ``kta`` is K^T a
+        when the caller has it already."""
+        self.b = self.nu / ((self.k.T @ self.a if kta is None else kta) + self.pad_col)
 
     def step(self):
         self.update_a()
@@ -353,7 +390,8 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
         range.
 
     Returns a :class:`SolveReport`; ``converged`` is False when max_iter
-    (or a stall exit) was reached without meeting the criterion.  Under
+    (or a stall exit) was reached without meeting the criterion, and
+    ``stop_reason`` tells which.  Under
     the iterate-delta mode ``gap_trace`` holds the successive moves
     max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})).  The structural-zero record
     is the last 50 masks P^n < z_tol, bit-packed in a ring (6.25 bytes per
@@ -377,6 +415,7 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
     kernel = _LogIteration(r, mu, nu)
     prev_p = prev_q = None
     converged = False
+    stop_reason = "max_iter"
     stall_run = 0
 
     try:
@@ -399,7 +438,7 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
                 trace.append((n, gap))
 
                 if gap <= cfg.epsilon_tol:
-                    converged = True
+                    converged, stop_reason = True, "criterion"
                     break
 
                 if stall_exit:
@@ -407,6 +446,7 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
                     # every entry below z_tol now has been for _ZERO_STREAK iterations
                     if stall_run >= _ZERO_STREAK and n >= 2 * _ZERO_STREAK and \
                             np.array_equal(np.bitwise_and.reduce(zero_ring), zeros):
+                        stop_reason = "stall"
                         break
                 prev_p, prev_q = p, q
     except FloatingPointError as exc:
@@ -434,6 +474,7 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
         z_norm=z,
         iterations=n,
         converged=converged,
+        stop_reason=stop_reason,
         structural_support=structural,
         gap_trace=trace,
         state=state,

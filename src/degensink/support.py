@@ -257,8 +257,9 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
     into components with different mass ratios is at its fixed point while
     its global error stays put.  Each inner iteration costs two
     matrix-vector products and one masked row minimum: the column marginal
-    is b_prev (K^T a), and min_j (u_i + v_j) over row i's support is
-    u_i + min_j v_j.
+    is b_prev (K^T a), the b-update reuses K^T a unless a row was dropped,
+    and min_j (u_i + v_j) over row i's support is u_i + min_j v_j, one
+    ``np.minimum.reduceat`` over the support columns listed row by row.
     """
     r, mu, nu = as_triple(r, mu, nu)
     stop_cfg = stop_cfg or StopConfig()
@@ -283,13 +284,20 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
         block = indicator[np.ix_(active_rows, active_cols)]
         kernel = _LogIteration(block, mu_r[active_rows], nu_r[active_cols])
         kernel.restrict(block > 0)
-        log_m_block = log_m[active_rows]
+        # row i's support columns, row by row; a drop removes whole rows,
+        # so the rows left keep theirs
+        sup_rows, sup_cols = np.nonzero(kernel.support)
+        starts = np.flatnonzero(np.diff(sup_rows, prepend=-1))
+        sup_rows = sup_rows[starts]
+        log_m_sup = log_m[active_rows][sup_rows]
+        mu_mass, nu_share = kernel.mu.sum(), kernel.nu / kernel.nu.sum()
         it, prev_err, comps = 0, math.inf, None
         while True:
             kernel.update_a()
             # column marginal of P = a (x) b_prev . K by one matrix-vector product
-            col = kernel.b_prev * (kernel.k.T @ kernel.a)
-            err = _column_error(col, kernel)
+            kta = kernel.k.T @ kernel.a
+            col = kernel.b_prev * kta
+            err = float(np.abs(col / mu_mass - nu_share).sum())  # _column_error of the block
             if err <= eps:
                 break
             if abs(err - prev_err) <= _STALL * err:
@@ -304,20 +312,25 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
                 converged = False
                 break
             it += 1
-            # min_j (u_i + v_j) over row i's live support is u_i + min_j v_j,
-            # float addition being monotone; a massless row has no support,
-            # its -inf + inf is NaN and never below the threshold
-            v_min = np.minimum.reduce(np.broadcast_to(kernel.log_b_prev(), kernel.support.shape),
-                                      axis=1, where=kernel.support, initial=np.inf)
-            with np.errstate(invalid="ignore"):
-                low = kernel.log_a() + v_min < log_m_block
-            if not (kernel.mu[~low] > 0).any():
+            # min_j (u_i + v_j) over row i's support is u_i + min_j v_j, float
+            # addition being monotone.  The pads turn the zero scalings of
+            # dropped rows and massless columns into log 1 = 0: no log 0, and
+            # those rows are masked out (a live row's columns are all live)
+            u = kernel.u_abs + np.log(kernel.a + kernel.pad_row)
+            v = kernel.v_abs + np.log(kernel.b_prev + kernel.pad_col)
+            low = np.zeros(u.size, dtype=bool)
+            low[sup_rows] = u[sup_rows] + np.minimum.reduceat(v[sup_cols], starts) < log_m_sup
+            low &= kernel.rows  # the live rows
+            if not (kernel.rows & ~low).any():
                 raise NotConverged("approximate support detection dropped every row "
                                    "(thresholds too large for this instance)")
             if low.any():
-                kernel.restrict(~low[:, None])
+                kernel.drop_rows(low)
+                mu_mass, nu_share = kernel.mu.sum(), kernel.nu / kernel.nu.sum()
                 comps = None
-            kernel.update_b()
+                kernel.update_b()
+            else:
+                kernel.update_b(kta)
         total_inner += it
 
         comps = comps if comps is not None else _live_components(kernel)

@@ -170,9 +170,10 @@ def solve_two_sided(r, mu, nu, cfg):
     attached.
     """
     p = _newton_dual(r, mu, nu, cfg, SIDE_BOTH)
-    _, roundoff = _stationarity_sums(p, r, mu, nu, cfg.lam)
-    res_tol = max(1e-8 * max(total_mass(mu), total_mass(nu), 1.0), roundoff)
     residual = stationarity_residual(p, r, mu, nu, cfg.lam)
+    res_tol = 1e-8 * max(total_mass(mu), total_mass(nu), 1.0)
+    if not residual <= res_tol:  # the roundoff bound is needed only now
+        res_tol = max(res_tol, _stationarity_sums(p, r, mu, nu, cfg.lam)[1])
     if not residual <= res_tol:
         raise NotConverged(f"two-sided penalized solve: stationarity residual {residual:.3g} "
                            f"above {res_tol:.3g}", result=p)

@@ -55,6 +55,7 @@ def test_solve_default_stop_fires_on_degenerate_triple(capsys):
     assert main(["solve", "--gen", "kind=upper,n=3"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is True and payload["iterations"] <= 100
+    assert payload["stop_reason"] == "criterion"
     assert payload["classification"]["tag"] == "NonScalable"
     r, mu, nu = gen_instance(InstanceSpec(KIND_UPPER, 3, 3))
     report = run_sinkhorn(r, mu, nu)
@@ -65,6 +66,7 @@ def test_solve_not_converged_exit_code(instance_file, tmp_path):
     code = main(["solve", "--instance", instance_file, "--stop", "gap",
                  "--max-iter", "5", "--out", str(tmp_path / "r.json")])
     assert code == 2
+    assert json.loads((tmp_path / "r.json").read_text())["stop_reason"] == "max_iter"
 
 
 def test_solve_overflow_exit_code(tmp_path, capsys):

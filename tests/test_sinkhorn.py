@@ -354,6 +354,39 @@ def test_absorbing_kernel_matches_log_domain(instance, cfg, absorbs, appendix, m
     np.testing.assert_allclose(rep.q_star, q_ref, rtol=1e-12, atol=1e-12 * q_ref.max())
 
 
+@pytest.mark.parametrize("instance, cfg, flushes", [
+    ("appendix", StopConfig(epsilon_tol=0.0, max_iter=3000, mode="unbalanced-gap"), False),
+    ("staircase10", StopConfig(epsilon_tol=1e-11 * 100, max_iter=100_000, mode="iterate-delta"), True),
+], ids=["appendix-3000", "staircase10"])
+def test_kernel_flush_keeps_the_run(instance, cfg, flushes, appendix, monkeypatch):
+    # a rebuilt kernel entry below z_tol / _ABSORB^3 is set to 0: the run is
+    # the same as without the flush, but for entries far below z_tol, and
+    # no absorption leaves a subnormal kernel entry
+    r, mu, nu = _named_instance(instance, appendix)
+    subnormal = []
+    absorb = _LogIteration._absorb
+
+    def checked(kernel):
+        absorb(kernel)
+        subnormal.append(int(((kernel.k > 0) & (kernel.k < np.finfo(float).tiny)).sum()))
+
+    monkeypatch.setattr(_LogIteration, "_absorb", checked)
+    rep = run_sinkhorn(r, mu, nu, cfg)
+    assert subnormal and not any(subnormal)
+    monkeypatch.setattr(sinkhorn, "_FLUSH", 0.0)
+    subnormal.clear()
+    ref = run_sinkhorn(r, mu, nu, cfg)
+    assert any(subnormal) == flushes  # without the flush, subnormal entries appear
+    assert rep.iterations == ref.iterations
+    assert rep.gap_trace == ref.gap_trace
+    assert np.array_equal(rep.structural_support, ref.structural_support)
+    floor = Z_TOL_FACTOR * mu.sum() / sinkhorn._ABSORB
+    for got, want in ((rep.p_star, ref.p_star), (rep.q_star, ref.q_star)):
+        moved = got != want
+        assert moved.any() == flushes
+        assert (got[moved] < floor).all() and (want[moved] < floor).all()
+
+
 def test_restrict_before_first_step_matches_masked_kernel():
     r, mu, nu, support, _ = staircase_instance(100, [10] * 10, block_ratio_schedule(10))
     mask = support.copy()
@@ -374,6 +407,32 @@ def test_restrict_before_first_step_matches_masked_kernel():
     for got, want in zip(restricted.couplings(), fresh.couplings()):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
         assert not got[:5].any() and not got[:, 95:].any()
+
+
+def test_drop_rows_is_row_restrict_in_place():
+    r, mu, nu, _, _ = staircase_instance(100, [10] * 10, block_ratio_schedule(10))
+    r_before = r.copy()
+    drop = np.zeros(100, dtype=bool)
+    drop[:10] = True  # rows 0-9 and columns 0-9 lose every entry
+    dropped, restricted = _LogIteration(r, mu, nu), _LogIteration(r, mu, nu)
+    for kernel in (dropped, restricted):
+        for _ in range(300):
+            kernel.step()
+    assert dropped.absorbed
+    dropped.drop_rows(drop)
+    restricted.restrict(~drop[:, None])
+    assert np.array_equal(r, r_before)  # the caller's R is untouched
+    for name in ("mu", "nu", "support", "log_r", "k", "pad"):
+        np.testing.assert_array_equal(getattr(dropped, name), getattr(restricted, name))
+    assert not dropped.nu[:10].any() and dropped.nu[10:].all()
+    for _ in range(300):
+        dropped.step()
+        restricted.step()
+    for got, want in zip(dropped.couplings(), restricted.couplings()):
+        np.testing.assert_array_equal(got, want)
+    fresh = _LogIteration(r, mu, nu)
+    fresh.drop_rows(drop)  # before any absorption, K is still the caller's R
+    assert np.array_equal(r, r_before) and not fresh.k[:10].any()
 
 
 def test_standalone_linear_step_eventually_overflows(appendix):
@@ -427,6 +486,16 @@ def test_zero_record_matches_int64_counter(instance, cfg, stall_exit, appendix):
     assert rep.gap_trace == trace
     assert np.array_equal(rep.structural_support, structural)
     assert not structural.all()
+
+
+def test_stop_reason(appendix):
+    r, mu, nu = appendix
+    capped = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=0.0, max_iter=50))
+    assert (capped.stop_reason, capped.converged, capped.iterations) == ("max_iter", False, 50)
+    _, stalled = detect_limit_support(r, mu, nu)
+    assert stalled.stop_reason == "stall" and stalled.iterations < 50_000
+    default = run_sinkhorn(r, mu, nu)
+    assert default.stop_reason == "criterion" and default.converged
 
 
 def test_zero_record_holds_back_the_stall_exit(appendix, monkeypatch):

@@ -341,6 +341,28 @@ def test_algorithm1_converges_on_sparse_random_instance():
     assert np.array_equal(res.mask, exact_support_procedure(r, mu, nu).final_mask)
 
 
+@pytest.mark.parametrize("n_blocks, inner", [
+    (4, [21, 15, 11, 3]),
+    (6, [24, 42, 24, 35, 12, 3]),
+    (10, [27, 47, 67, 86, 42, 93, 73, 43, 13, 3]),
+])
+def test_algorithm1_steps_on_relabelled_staircases(n_blocks, inner):
+    # the 100x100 staircases with rows and columns relabelled from seed
+    # 1000 + n_blocks: each reduction step removes one diagonal block, the
+    # last first, after a pinned number of inner iterations
+    r, mu, nu = gen_instance(InstanceSpec(KIND_STAIRCASE, 100, 100, n_blocks=n_blocks))
+    rng = np.random.default_rng(1000 + n_blocks)
+    pr, pc = rng.permutation(100), rng.permutation(100)
+    res = approx_support_algorithm1(r[np.ix_(pr, pc)], mu[pr], nu[pc])
+    assert res.converged and res.inner_iterations == sum(inner)
+    assert [step["inner_iterations"] for step in res.steps] == inner
+    sizes = [100 // n_blocks + (i < 100 % n_blocks) for i in range(n_blocks)]
+    ends = np.cumsum(sizes)
+    for step, lo, hi in zip(res.steps, (ends - sizes)[::-1], ends[::-1]):
+        assert step["removed_rows"] == tuple(np.flatnonzero((pr >= lo) & (pr < hi)).tolist())
+        assert step["removed_cols"] == tuple(np.flatnonzero((pc >= lo) & (pc < hi)).tolist())
+
+
 def test_algorithm1_equals_exact_where_thresholds_hold():
     # criterion 6's random instances (same seed and filter: limit densities
     # at least twice the default thresholds), under its bounded criterion:
