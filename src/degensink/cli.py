@@ -53,6 +53,8 @@ def _parse_gen(text):
     kind = _GEN_KINDS.get(fields.pop("kind", ""))
     if kind is None:
         raise ValueError(f"--gen kind must be one of {sorted(_GEN_KINDS)}")
+    if "n" not in fields:
+        raise ValueError("--gen needs n=<rows>")
     n = int(fields.pop("n"))
     m = int(fields.pop("m", n))
     spec = InstanceSpec(

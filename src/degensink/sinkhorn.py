@@ -79,9 +79,12 @@ class StopConfig:
     ``epsilon_tol`` is the criterion threshold and ``mode`` one of
     "iterate-delta" (the default: the move max(TV(P^n, P^{n-1}),
     TV(Q^n, Q^{n-1})), which fires on degenerate triples too),
-    "balanced-gap" or "unbalanced-gap".  ``lam`` is the penalization
-    weight of the unbalanced-gap criterion (the pairing lam =
-    1/epsilon_tol works well in practice).
+    "balanced-gap" or "unbalanced-gap".  Iterate-delta also ends a run
+    that has stalled, its moves at or below 1e-15 M(mu) (see
+    :func:`run_sinkhorn`); with ``epsilon_tol`` at or above that floor the
+    criterion fires first.  ``lam`` is the penalization weight of the
+    unbalanced-gap criterion (the pairing lam = 1/epsilon_tol works well
+    in practice).  NaN settings are rejected.
     """
 
     epsilon_tol: float = 1e-3
@@ -90,10 +93,10 @@ class StopConfig:
     mode: str = MODE_ITERATE_DELTA
 
     def __post_init__(self):
-        if self.epsilon_tol < 0:
-            raise ValueError("epsilon_tol must be nonnegative")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not self.epsilon_tol >= 0:  # NaN fails every comparison
+            raise ValueError("epsilon_tol must be a nonnegative number")
+        if not self.lam > 0:
+            raise ValueError("lam must be a positive number")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.mode not in (MODE_BALANCED_GAP, MODE_UNBALANCED_GAP, MODE_ITERATE_DELTA):
@@ -226,8 +229,8 @@ class SolveReport:
     in the limit (an entry is a structural zero after staying below
     z_tol = 1e-12 M(mu) for 50 consecutive iterations).  ``stop_reason``
     says why the run ended: "criterion" (the stopping criterion fired),
-    "stall" (the stall exit of :func:`run_sinkhorn`) or "max_iter" (the
-    iteration cap).  ``rate_slope`` and
+    "stall" (the iterate-delta stall exit of :func:`run_sinkhorn`) or
+    "max_iter" (the iteration cap).  ``rate_slope`` and
     ``rate_r_squared`` are set by :func:`degensink.support.masked_solve`:
     the least-squares slope of log10 of the successive moves in
     ``gap_trace`` against n, and the R^2 of that fit."""
@@ -370,7 +373,7 @@ class _LogIteration:
         return self.v_abs + _safe_log(self.b_prev)
 
 
-def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
+def run_sinkhorn(r, mu, nu, cfg=None):
     """Run the scaling iteration until the configured criterion fires.
 
     Parameters
@@ -380,25 +383,21 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
     cfg : StopConfig, optional
         Stopping rule; defaults to ``StopConfig()``, the iterate-delta
         criterion at 1e-3 within 100,000 iterations.
-    stall_exit : bool
-        Also stop (with ``converged`` reflecting the criterion, not the
-        stall) once the iterates are numerically stationary: successive
-        total-variation moves below 1e-15 M(mu) for 50 consecutive steps
-        with all structural-zero counters saturated.  Used by long-run
-        support detection, where further iterations cannot change any
-        decision but the diverging potentials eventually exhaust float
-        range.
 
-    Returns a :class:`SolveReport`; ``converged`` is False when max_iter
-    (or a stall exit) was reached without meeting the criterion, and
-    ``stop_reason`` tells which.  Under
-    the iterate-delta mode ``gap_trace`` holds the successive moves
-    max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})).  The structural-zero record
-    is the last 50 masks P^n < z_tol, bit-packed in a ring (6.25 bytes per
-    entry of R); ``structural_support`` and the stall test are ANDs over
-    it.  Raises ValueError on inconsistent shapes and on NaN, infinite or
-    negative input, and OverflowDetected as soon as a float overflows, as
-    with masses near the float limit.
+    Returns a :class:`SolveReport`; ``converged`` is False when the run
+    ended without meeting the criterion, and ``stop_reason`` tells why.
+    Under the iterate-delta mode ``gap_trace`` holds the successive moves
+    max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})), and the run also stops
+    ("stall") once the iterates are numerically stationary: moves at or
+    below 1e-15 M(mu) for 50 consecutive iterations, with every
+    structural-zero streak complete.  The criterion is tested first, so
+    only a threshold below that floor, such as the 0 of
+    :func:`detect_limit_support`, can reach the stall.  The structural-zero
+    record is the last 50 masks P^n < z_tol, bit-packed in a ring (6.25
+    bytes per entry of R); ``structural_support`` and the stall test are
+    ANDs over it.  Raises ValueError on inconsistent shapes and on NaN,
+    infinite or negative input, and OverflowDetected as soon as a float
+    overflows, as with masses near the float limit.
     """
     r, mu, nu = as_triple(r, mu, nu)
     if not check_assumption1(r, mu, nu):
@@ -407,7 +406,7 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
 
     mass = total_mass(mu)
     z_tol = Z_TOL_FACTOR * mass
-    stall_tol = 1e-15 * max(mass, 1.0)
+    stall_tol = 1e-15 * mass
     # the masks p < z_tol of the last _ZERO_STREAK iterations, bit-packed;
     # all ones before the first, so their AND covers only the iterations run
     zero_ring = np.full((_ZERO_STREAK, (r.size + 7) // 8), 0xFF, dtype=np.uint8)
@@ -417,6 +416,7 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
     converged = False
     stop_reason = "max_iter"
     stall_run = 0
+    delta = cfg.mode == MODE_ITERATE_DELTA
 
     try:
         with np.errstate(over="raise"):
@@ -425,10 +425,9 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
                 p, q = kernel.couplings()
                 zeros = zero_ring[n % _ZERO_STREAK] = np.packbits(p < z_tol)
 
-                if cfg.mode == MODE_ITERATE_DELTA or stall_exit:
-                    move = math.inf if prev_p is None else max(tv_distance(p, prev_p), tv_distance(q, prev_q))
-                if cfg.mode == MODE_ITERATE_DELTA:
-                    gap = move
+                if delta:
+                    gap = math.inf if prev_p is None else max(tv_distance(p, prev_p), tv_distance(q, prev_q))
+                    prev_p, prev_q = p, q
                 else:
                     log_a, log_b_prev = kernel.log_a(), kernel.log_b_prev()
                     if cfg.mode == MODE_BALANCED_GAP:
@@ -441,14 +440,13 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
                     converged, stop_reason = True, "criterion"
                     break
 
-                if stall_exit:
-                    stall_run = stall_run + 1 if move <= stall_tol else 0
+                if delta:
+                    stall_run = stall_run + 1 if gap <= stall_tol else 0
                     # every entry below z_tol now has been for _ZERO_STREAK iterations
                     if stall_run >= _ZERO_STREAK and n >= 2 * _ZERO_STREAK and \
                             np.array_equal(np.bitwise_and.reduce(zero_ring), zeros):
                         stop_reason = "stall"
                         break
-                prev_p, prev_q = p, q
     except FloatingPointError as exc:
         raise OverflowDetected(f"float overflow at iteration {n} ({exc}); "
                                "masses near the float limit cause it") from exc
@@ -484,12 +482,12 @@ def run_sinkhorn(r, mu, nu, cfg=None, *, stall_exit=False):
 def detect_limit_support(r, mu, nu, max_iter=50_000):
     """Structural support of the limit couplings from a long scaling run.
 
-    Runs with the iterate-delta criterion at threshold 0 (never fires) up
-    to ``max_iter`` iterations, with the stall exit enabled, and returns
-    the boolean support mask together with the report.
+    Runs the iterate-delta criterion at threshold 0, which never fires, so
+    the run ends on the stall exit of :func:`run_sinkhorn` or at
+    ``max_iter``; returns the boolean support mask together with the
+    report.
     """
-    cfg = StopConfig(epsilon_tol=0.0, max_iter=max_iter)
-    report = run_sinkhorn(r, mu, nu, cfg, stall_exit=True)
+    report = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=0.0, max_iter=max_iter))
     return report.structural_support, report
 
 

@@ -150,35 +150,29 @@ def exact_support_procedure(r, mu, nu):
     """
     r, mu, nu = _require_full_support(r, mu, nu)
     current = r.copy()
-    rows = list(range(r.shape[0]))
-    cols = list(range(r.shape[1]))
+    rows, cols = np.arange(r.shape[0]), np.arange(r.shape[1])
     steps = []
     mu_star = np.zeros_like(mu)
     nu_star = np.zeros_like(nu)
-    while rows:
+    while rows.size:
+        # maximal_theta raises Assumption2Violated should the active triple
+        # have lost full support
         sub = current[np.ix_(rows, cols)]
-        sub_mu = mu[rows]
-        sub_nu = nu[cols]
-        if (marginal_row(sub) <= 0).any() or (marginal_col(sub) <= 0).any():
-            raise Assumption2Violated("restricted triple lost full support")
-        theta = maximal_theta(sub, sub_mu, sub_nu)
-        local = sorted({i for subset in theta.smallest for i in subset})
-        removed_rows = [rows[i] for i in local]
-        img_local = np.nonzero(sub[local].any(axis=0))[0]
-        removed_cols = [cols[j] for j in img_local]
-        gone_rows, gone_cols = set(removed_rows), set(removed_cols)
-        remaining_rows = [i for i in rows if i not in gone_rows]
-        current[np.ix_(remaining_rows, removed_cols)] = 0.0
+        theta = maximal_theta(sub, mu[rows], nu[cols])
+        local = np.zeros(rows.size, dtype=bool)
+        local[[i for subset in theta.smallest for i in subset]] = True
+        image = sub[local].any(axis=0)
+        removed_rows, removed_cols = rows[local], cols[image]
         steps.append(ProcedureStep(
-            rows=tuple(rows), cols=tuple(cols),
-            sisp_rows=tuple(removed_rows), sisp_cols=tuple(removed_cols),
+            rows=tuple(rows.tolist()), cols=tuple(cols.tolist()),
+            sisp_rows=tuple(removed_rows.tolist()), sisp_cols=tuple(removed_cols.tolist()),
             theta=theta.theta_m,
         ))
         mu_star[removed_rows] = mu[removed_rows] / theta.theta_m
         nu_star[removed_cols] = theta.theta_m * nu[removed_cols]
-        rows = remaining_rows
-        cols = [j for j in cols if j not in gone_cols]
-    if cols:
+        rows, cols = rows[~local], cols[~image]
+        current[np.ix_(rows, removed_cols)] = 0.0
+    if cols.size:
         raise Assumption2Violated("columns left over after the rows were exhausted")
     return ProcedureTrace(
         steps=steps,
@@ -199,19 +193,15 @@ def is_sisp(subset, r, mu, nu, r_star_reference):
     on NaN, infinite or negative input."""
     r, mu, nu = as_triple(r, mu, nu)
     ref = as_coupling(r_star_reference)
-    rows = sorted(set(int(i) for i in subset))
-    if not rows:
+    rows = np.zeros(r.shape[0], dtype=bool)
+    rows[[int(i) for i in subset]] = True
+    if not rows.any():
         raise ValueError("subset must be nonempty")
-    z_tol = Z_TOL_FACTOR * total_mass(mu)
+    above = ref >= Z_TOL_FACTOR * total_mass(mu)
     adj = support_graph(r)
-    image = sorted(int(j) for j in np.nonzero(adj[rows].any(axis=0))[0])
-    others = [i for i in range(r.shape[0]) if i not in set(rows)]
-    if others and image and (ref[np.ix_(others, image)] >= z_tol).any():
+    if above[np.ix_(~rows, adj[rows].any(axis=0))].any():
         return False
-    for i in rows:
-        if not np.array_equal(ref[i] >= z_tol, adj[i]):
-            return False
-    return True
+    return np.array_equal(above[rows], adj[rows])
 
 
 def default_thresholds(r, mu):
@@ -219,6 +209,8 @@ def default_thresholds(r, mu):
     support detector (N = number of rows).  Raises ValueError on NaN,
     infinite or negative input."""
     r, mu = as_coupling(r), as_measure(mu)
+    if mu.shape != r.shape[:1]:
+        raise ValueError("mu must have one entry per row of R")
     row = marginal_row(r)
     if (mu <= 0).any() or (row <= 0).any():
         raise Assumption2Violated("thresholds need positive mu and positive row marginals")
@@ -279,11 +271,12 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
     converged = True
 
     while active_rows.size:
-        # the absorbing kernel on the active indicator block: immune to the
-        # potential drift of mass-unbalanced subproblems at any run length
+        # the absorbing kernel on the active indicator block, immune to the
+        # potential drift of mass-unbalanced subproblems at any run length;
+        # rows and columns left without an entry get no mass
         block = indicator[np.ix_(active_rows, active_cols)]
-        kernel = _LogIteration(block, mu_r[active_rows], nu_r[active_cols])
-        kernel.restrict(block > 0)
+        kernel = _LogIteration(block, np.where(block.any(axis=1), mu_r[active_rows], 0.0),
+                               np.where(block.any(axis=0), nu_r[active_cols], 0.0))
         # row i's support columns, row by row; a drop removes whole rows,
         # so the rows left keep theirs
         sup_rows, sup_cols = np.nonzero(kernel.support)
@@ -364,9 +357,9 @@ def _live_components(kernel):
             for comp_rows, comp_cols in connected_components(kernel.support[np.ix_(rows, cols)])]
 
 
-def _column_error(col, kernel, rows=slice(None), cols=slice(None)):
+def _column_error(col, kernel, rows, cols):
     """Normalized column-marginal error sum_j |col_j / mu(rows) - nu_j / nu(cols)|
-    over ``cols``, of the whole block by default."""
+    over ``cols``."""
     return float(np.abs(col[cols] / kernel.mu[rows].sum() - kernel.nu[cols] / kernel.nu[cols].sum()).sum())
 
 
@@ -399,11 +392,11 @@ def masked_solve(r, mu, nu, mask, cfg=None):
     the support of R), with a convergence-rate estimate.
 
     Masking R to the limit support does not change the limits but restores
-    a linear rate.  Under the iterate-delta criterion (the default) the
-    report carries the least-squares slope of log10 of the successive
-    moves max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})) against n, and the R^2 of
-    that fit; these moves decay at the same geometric rate as
-    TV(P^n, P*).  Under the gap criteria the rate fields stay None.
+    a linear rate.  Under the iterate-delta criterion (the default, at
+    1e-12 M(mu)) the report carries the least-squares slope of log10 of
+    the successive moves max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})) against
+    n, and the R^2 of that fit; these moves decay at the same geometric
+    rate as TV(P^n, P*).  Under the gap criteria the rate fields stay None.
     """
     r = np.asarray(r, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -411,7 +404,7 @@ def masked_solve(r, mu, nu, mask, cfg=None):
         raise ValueError("mask shape mismatch")
     if (mask & ~(r > 0)).any():
         raise ValueError("mask is not contained in the support of R")
-    cfg = cfg or StopConfig(epsilon_tol=1e-12 * max(total_mass(mu), 1.0))
+    cfg = cfg or StopConfig(epsilon_tol=1e-12 * total_mass(mu))
     report = run_sinkhorn(r * mask, mu, nu, cfg)
     if cfg.mode == MODE_ITERATE_DELTA:
         report.rate_slope, report.rate_r_squared = _fit_rate([gap for _, gap in report.gap_trace])
@@ -422,8 +415,8 @@ def _exact_limit(r, mu, nu):
     """P*, Q* and R* at a linear rate whatever the degeneracy: the report of
     :func:`masked_solve` on the support of :func:`exact_support_procedure`
     (of the triple reduced by :func:`reduce_to_full_support`), iterate-delta
-    at 1e-13 max(M(mu), 1)."""
+    at 1e-13 M(mu)."""
     reduced, mu_r, nu_r, row_map, col_map = reduce_to_full_support(r, mu, nu)
     mask = np.zeros(np.shape(r), dtype=bool)
     mask[np.ix_(row_map, col_map)] = exact_support_procedure(reduced, mu_r, nu_r).final_mask
-    return masked_solve(r, mu, nu, mask, StopConfig(epsilon_tol=1e-13 * max(total_mass(mu), 1.0)))
+    return masked_solve(r, mu, nu, mask, StopConfig(epsilon_tol=1e-13 * total_mass(mu)))

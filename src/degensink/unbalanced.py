@@ -62,6 +62,7 @@ class PenaltyConfig:
     (``None``: 1e-12 max(M(mu), M(nu), 1)) or at most its own float
     roundoff, eps_mach (<row P, |u|> + <col P, |v|>), if that is larger, as
     on degenerate instances from lam of about 1e5 on (|u|, |v| grow like lam).
+    NaN settings and a negative ``epsilon_tol`` are rejected.
     """
 
     lam: float
@@ -70,8 +71,10 @@ class PenaltyConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not self.lam > 0:  # NaN fails every comparison
+            raise ValueError("lam must be a positive number")
+        if self.epsilon_tol is not None and not self.epsilon_tol >= 0:
+            raise ValueError("epsilon_tol must be a nonnegative number or None")
         if self.sides not in (SIDE_SECOND, SIDE_BOTH):
             raise ValueError(f"unknown sides {self.sides!r}")
         if self.max_iter < 1:

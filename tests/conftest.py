@@ -401,12 +401,12 @@ def oracle_cases(seed):
 # ring of the last _ZERO_STREAK masks is checked against.
 
 
-def reference_zero_loop(r, mu, nu, cfg, stall_exit=False):
+def reference_zero_loop(r, mu, nu, cfg):
     """``(iterations, gap_trace, structural_support)`` of ``run_sinkhorn``,
     with an int64 counter of the consecutive iterations each entry of P^n
     has stayed below z_tol."""
     z_tol = sinkhorn.Z_TOL_FACTOR * total_mass(mu)
-    stall_tol = 1e-15 * max(total_mass(mu), 1.0)
+    stall_tol = 1e-15 * total_mass(mu)
     below = np.zeros(r.shape, dtype=np.int64)
     trace = []
     kernel = _LogIteration(r, mu, nu)
@@ -418,10 +418,8 @@ def reference_zero_loop(r, mu, nu, cfg, stall_exit=False):
         isbelow = p < z_tol
         below += isbelow
         below *= isbelow
-        if cfg.mode == MODE_ITERATE_DELTA or stall_exit:
-            move = math.inf if prev_p is None else max(tv_distance(p, prev_p), tv_distance(q, prev_q))
         if cfg.mode == MODE_ITERATE_DELTA:
-            gap = move
+            gap = math.inf if prev_p is None else max(tv_distance(p, prev_p), tv_distance(q, prev_q))
         elif cfg.mode == MODE_BALANCED_GAP:
             gap = _gap_balanced_from_logs(kernel.log_a(), kernel.log_b_prev(), p, r, mu, nu)
         else:
@@ -429,8 +427,8 @@ def reference_zero_loop(r, mu, nu, cfg, stall_exit=False):
         trace.append((n, gap))
         if gap <= cfg.epsilon_tol:
             break
-        if stall_exit:
-            stall_run = stall_run + 1 if move <= stall_tol else 0
+        if cfg.mode == MODE_ITERATE_DELTA:
+            stall_run = stall_run + 1 if gap <= stall_tol else 0
             if stall_run >= _ZERO_STREAK and n >= 2 * _ZERO_STREAK and \
                     bool((below[isbelow] >= _ZERO_STREAK).all()):
                 break

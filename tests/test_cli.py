@@ -163,3 +163,22 @@ def test_gen_parse_errors():
         main(["solve", "--gen", "kind=bogus,n=3"])
     with pytest.raises(SystemExit):
         main(["solve"])
+
+
+def test_gen_without_size_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--gen", "kind=upper"])
+    assert exc.value.code == 2
+    assert "n=" in capsys.readouterr().err
+
+
+def test_solve_nan_tolerance_is_a_usage_error(monkeypatch, capsys):
+    # rejected before the first iteration, not reported as not converged
+    # after --max-iter of them
+    from degensink import cli
+
+    monkeypatch.setattr(cli, "run_sinkhorn", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--gen", "kind=upper,n=3", "--tol", "nan"])
+    assert exc.value.code == 2
+    assert "epsilon_tol" in capsys.readouterr().err

@@ -273,6 +273,16 @@ def test_check_optimality_rejects_nan(appendix):
         assert len(diag.violations()) == 1, name
 
 
+@pytest.mark.parametrize("settings", [dict(epsilon_tol=math.nan), dict(lam=math.nan),
+                                      dict(epsilon_tol=-1.0), dict(lam=0.0), dict(max_iter=0),
+                                      dict(mode="bogus")],
+                         ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_stop_config_rejects_invalid_settings(settings):
+    # a NaN threshold used to run to max_iter, as no move is <= NaN
+    with pytest.raises(ValueError):
+        StopConfig(**settings)
+
+
 def test_step_and_gaps_reject_invalid_input(appendix):
     r, mu, nu = appendix
     state = sinkhorn_step(init_state(3, 3), r, mu, nu)
@@ -289,11 +299,10 @@ def test_step_and_gaps_reject_invalid_input(appendix):
 
 def test_log_domain_switch_keeps_iterating(appendix):
     # on the degenerate instance the potentials leave float range around
-    # iteration ~1100; the run must survive well beyond that point (it may
-    # stop earlier only because the iterates have become bit-identical,
-    # which satisfies the delta criterion exactly)
+    # iteration ~1100; the run must survive well beyond that point (the
+    # unbalanced gap stays positive there, so a 0 threshold never fires)
     r, mu, nu = appendix
-    rep = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=0.0, max_iter=3000, mode="iterate-delta"))
+    rep = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=0.0, max_iter=3000, mode="unbalanced-gap"))
     assert rep.iterations > 500
     assert rep.iterations == 3000 or rep.gap_trace[-1][1] == 0.0
     assert rep.state.overflow_flag  # the kernel absorbed its potentials
@@ -468,21 +477,22 @@ def test_balanced_gap_mode_stops_on_scalable():
     assert rep.gap_trace[-1][1] <= 1e-10
 
 
-@pytest.mark.parametrize("instance, cfg, stall_exit", [
+@pytest.mark.parametrize("instance, cfg", [
     # detect_limit_support's run: ends on the stall exit, whose test reads
     # the record
-    ("appendix", StopConfig(epsilon_tol=0.0, max_iter=50_000, mode="iterate-delta"), True),
-    ("staircase10", StopConfig(epsilon_tol=1e-9, max_iter=100_000, mode="iterate-delta"), False),
+    ("appendix", StopConfig(epsilon_tol=0.0, max_iter=50_000, mode="iterate-delta")),
+    ("staircase10", StopConfig(epsilon_tol=1e-9, max_iter=100_000, mode="iterate-delta")),
     # structural zeros after 29 iterations, fewer than the streak length
-    ("massless", StopConfig(epsilon_tol=0.0, max_iter=5000, mode="iterate-delta"), True),
-    ("massless", StopConfig(epsilon_tol=0.0, max_iter=500, mode="balanced-gap"), False),
+    ("massless", StopConfig(epsilon_tol=0.0, max_iter=5000, mode="iterate-delta")),
+    ("massless", StopConfig(epsilon_tol=0.0, max_iter=500, mode="balanced-gap")),
 ], ids=["appendix-detect", "staircase10", "massless-stall", "massless-500"])
-def test_zero_record_matches_int64_counter(instance, cfg, stall_exit, appendix):
+def test_zero_record_matches_int64_counter(instance, cfg, appendix):
     r, mu, nu = _named_instance(instance, appendix)
-    rep = run_sinkhorn(r, mu, nu, cfg, stall_exit=stall_exit)
-    iterations, trace, structural = reference_zero_loop(r, mu, nu, cfg, stall_exit)
+    rep = run_sinkhorn(r, mu, nu, cfg)
+    iterations, trace, structural = reference_zero_loop(r, mu, nu, cfg)
     assert rep.iterations == iterations
-    assert iterations < cfg.max_iter or not stall_exit  # the stall exit fired
+    # at threshold 0 too, the iterate-delta runs end before the cap
+    assert iterations < cfg.max_iter or cfg.mode != "iterate-delta"
     assert rep.gap_trace == trace
     assert np.array_equal(rep.structural_support, structural)
     assert not structural.all()
@@ -498,7 +508,7 @@ def test_stop_reason(appendix):
     assert default.stop_reason == "criterion" and default.converged
 
 
-def test_zero_record_holds_back_the_stall_exit(appendix, monkeypatch):
+def test_zero_record_holds_back_the_stall(appendix, monkeypatch):
     # at z_tol = 1e-40 M(mu) the two vanishing entries of the worked example
     # cross the threshold after the moves have stalled: the exit waits until
     # both have stayed below it for 50 iterations
@@ -506,7 +516,7 @@ def test_zero_record_holds_back_the_stall_exit(appendix, monkeypatch):
     r, mu, nu = appendix
     mask, rep = detect_limit_support(r, mu, nu)
     cfg = StopConfig(epsilon_tol=0.0, max_iter=50_000, mode="iterate-delta")
-    iterations, _, structural = reference_zero_loop(r, mu, nu, cfg, stall_exit=True)
+    iterations, _, structural = reference_zero_loop(r, mu, nu, cfg)
     assert rep.iterations == iterations == 149
     assert np.array_equal(mask, structural) and np.array_equal(mask, S_MASK)
 

@@ -293,6 +293,12 @@ def test_default_thresholds(appendix):
         default_thresholds(np.diag([1.0, 0.0]), np.ones(2))
 
 
+def test_default_thresholds_rejects_mismatched_mu():
+    # one mass for three rows used to broadcast into three thresholds
+    with pytest.raises(ValueError, match="one entry per row"):
+        default_thresholds(np.triu(np.ones((3, 3))), [2.0])
+
+
 def test_algorithm1_appendix(appendix):
     r, mu, nu = appendix
     res = approx_support_algorithm1(r, mu, nu)
@@ -425,6 +431,15 @@ def test_masked_solve_gap_mode_leaves_rate_unset(appendix):
     assert rep.rate_slope is None and rep.rate_r_squared is None
 
 
+@pytest.mark.parametrize("k", [-100, -8, 8])
+def test_masked_solve_default_stop_scales_with_mass(appendix, k):
+    r, mu, nu = appendix
+    want = masked_solve(r, mu, nu, S_MASK)
+    got = masked_solve(r, 10.0 ** k * mu, 10.0 ** k * nu, S_MASK)
+    assert got.iterations == want.iterations
+    np.testing.assert_allclose(got.p_star / 10.0 ** k, want.p_star, rtol=0, atol=1e-14 * want.p_star.max())
+
+
 def test_masked_solve_rejects_bad_mask(appendix):
     r, mu, nu = appendix
     bad = np.ones((3, 3), dtype=bool)
@@ -454,3 +469,25 @@ def test_exact_limit_reduces_to_full_support(appendix):
     got = support._exact_limit(padded, np.append(mu, 0.0), np.append(nu, 0.0))
     np.testing.assert_allclose(got.r_star[:3, :3], R_STAR, rtol=0, atol=1e-12)
     assert (got.r_star[3] == 0).all() and (got.r_star[:, 3] == 0).all()
+
+
+@pytest.mark.parametrize("k", [-100, -20, -3])
+@pytest.mark.parametrize("blocks", [None, 10], ids=["appendix", "staircase10"])
+def test_limit_support_and_exact_limit_scale_with_mass(blocks, k):
+    # every threshold the package picks is a factor of M(mu): scaling mu and
+    # nu by 10^k scales P* and R* and keeps the support and the iterations
+    if blocks is None:
+        r, mu, nu = appendix_a_instance()
+    else:
+        r, mu, nu = gen_instance(InstanceSpec(KIND_STAIRCASE, 100, 100, n_blocks=blocks))
+    scale = 10.0 ** k
+    want = support._exact_limit(r, mu, nu)
+    got = support._exact_limit(r, scale * mu, scale * nu)
+    assert got.iterations == want.iterations
+    np.testing.assert_allclose(got.r_star / scale, want.r_star, rtol=0, atol=1e-14 * want.r_star.max())
+    mask, long_run = detect_limit_support(r, mu, nu)
+    mask_s, long_run_s = detect_limit_support(r, scale * mu, scale * nu)
+    assert long_run_s.stop_reason == long_run.stop_reason == "stall"
+    assert np.array_equal(mask_s, mask)
+    np.testing.assert_allclose(long_run_s.p_star / scale, long_run.p_star,
+                               rtol=0, atol=1e-12 * long_run.p_star.max())

@@ -54,6 +54,16 @@ def test_schu_appendix(appendix):
     assert gap == pytest.approx(rel_entropy(NU_STAR, nu), rel=5e-2)
 
 
+@pytest.mark.parametrize("settings", [dict(lam=np.nan), dict(lam=1.0, epsilon_tol=np.nan),
+                                      dict(lam=1.0, epsilon_tol=-1e-9), dict(lam=0.0),
+                                      dict(lam=1.0, max_iter=0), dict(lam=1.0, sides="bogus")],
+                         ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_penalty_config_rejects_invalid_settings(settings):
+    # NaN settings used to end in NotConverged after 0 or 100 Newton steps
+    with pytest.raises(ValueError):
+        PenaltyConfig(**settings)
+
+
 def test_schu_requires_one_sided_config():
     with pytest.raises(ValueError):
         solve_schu_lambda(R_POS, MU2, NU2, PenaltyConfig(lam=1.0))
