@@ -126,7 +126,7 @@ def _naive_threshold_solve(r, mu, nu, cfg):
             iterations = n
             break
         p_old, q_old = p, q
-    return p, q, r * (kernel.log_r > -np.inf), iterations
+    return kernel.scatter(p), kernel.scatter(q), r * (kernel.log_r > -np.inf), iterations
 
 
 def experiment_iterations_vs_zeros(block_range, size=100):

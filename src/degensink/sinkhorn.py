@@ -24,6 +24,7 @@ potentials are a^n and b^n themselves until the first float overflow.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,6 +73,13 @@ _FLUSH = Z_TOL_FACTOR / _ABSORB ** 3
 _OPTIMALITY_TOL = 1e-6  # of OptimalityDiagnostics.violations
 
 
+def _check_max_iter(max_iter):
+    """Reject an iteration cap that is not an integer (a Python or numpy
+    one) of at least 1: ``range`` would fail on it mid-solve."""
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+
+
 @dataclass(frozen=True)
 class StopConfig:
     """Stopping rule for :func:`run_sinkhorn`.
@@ -84,7 +92,8 @@ class StopConfig:
     :func:`run_sinkhorn`); with ``epsilon_tol`` at or above that floor the
     criterion fires first.  ``lam`` is the penalization weight of the
     unbalanced-gap criterion (the pairing lam = 1/epsilon_tol works well
-    in practice).  NaN settings are rejected.
+    in practice).  NaN settings and a ``max_iter`` that is not an integer
+    of at least 1 are rejected.
     """
 
     epsilon_tol: float = 1e-3
@@ -97,8 +106,7 @@ class StopConfig:
             raise ValueError("epsilon_tol must be a nonnegative number")
         if not self.lam > 0:
             raise ValueError("lam must be a positive number")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        _check_max_iter(self.max_iter)
         if self.mode not in (MODE_BALANCED_GAP, MODE_UNBALANCED_GAP, MODE_ITERATE_DELTA):
             raise ValueError(f"unknown stopping mode {self.mode!r}")
 
@@ -264,6 +272,13 @@ class _LogIteration:
     from log R, so no float overflows however far u and v diverge.
     Massless rows and columns keep a zero scaling; :meth:`restrict` and
     :meth:`drop_rows` zero reference entries as they go.
+
+    The couplings are formed on supp(R) only: :meth:`couplings` returns P
+    and Q as vectors over the entry list, the flat indices of the support
+    of K taken at its first call, and :meth:`scatter` puts such a vector
+    back into an n x m array.  From then on the support only shrinks
+    (restrictions, dropped rows and flushed entries leave K at exactly 0
+    off the list), so the vectors hold every nonzero entry.
     """
 
     def __init__(self, r, mu, nu):
@@ -280,6 +295,9 @@ class _LogIteration:
         self.a = np.ones(mu.size)
         self.b = self.b_prev = np.ones(nu.size)
         self.absorbed = False
+        self._entries = None  # see entry_list
+        self._k_on = None  # K on the entry list, gathered once per rebuild of K
+        self._b_on = (None, None)  # (b, b on the entry list), reused for b_prev
 
     def _set_masses(self, mu, nu):
         self.mu, self.nu = mu, nu
@@ -295,6 +313,7 @@ class _LogIteration:
         entries left are kept as the boolean mask ``support``."""
         self.log_r = np.where(keep, self.log_r, -np.inf)
         self.k = self.k * keep
+        self._k_on = None
         self.support = self.log_r > -np.inf
         self._set_masses(np.where(self.support.any(axis=1), self.mu, 0.0),
                          np.where(self.support.any(axis=0), self.nu, 0.0))
@@ -306,6 +325,7 @@ class _LogIteration:
         if self.k is self._ref:
             self.k = self.k.copy()
         self.k[drop] = 0.0
+        self._k_on = None
         self.log_r[drop] = -np.inf
         self.support[drop] = False
         self._set_masses(np.where(drop, 0.0, self.mu),
@@ -331,6 +351,7 @@ class _LogIteration:
         self.b = 1.0 - self.pad_col
         self.k = np.exp(self.log_r + self.u_abs[:, None] + self.v_abs[None, :])
         self.k[self.k < self.k_floor] = 0.0
+        self._k_on = None
         self.absorbed = True
 
     def update_a(self):
@@ -353,10 +374,34 @@ class _LogIteration:
         self.update_a()
         self.update_b()
 
+    def entry_list(self):
+        """Flat (row-major) indices of the entries the couplings are
+        formed on, taken at the first call: the support of K then, and of
+        log R, which a later rebuild of K may lift back above the flush."""
+        if self._entries is None:
+            self._entries = np.flatnonzero((self.k > 0) | self.support)
+            rows, self._entry_cols = np.unravel_index(self._entries, self.k.shape)
+            self._row_counts = np.bincount(rows, minlength=self.k.shape[0])
+        return self._entries
+
     def couplings(self):
-        """P = a (x) b_prev . K and Q = a (x) b . K."""
-        ak = self.a[:, None] * self.k
-        return ak * self.b_prev[None, :], ak * self.b[None, :]
+        """P = a (x) b_prev . K and Q = a (x) b . K on the entry list, each
+        entry (a_i K_ij) b_j."""
+        entries = self.entry_list()
+        if self._k_on is None:
+            self._k_on = self.k.take(entries)
+        b_src, b_on = self._b_on
+        b_prev_on = b_on if self.b_prev is b_src else self.b_prev.take(self._entry_cols)
+        self._b_on = self.b, self.b.take(self._entry_cols)
+        # the entries run row by row, so a_i repeats over row i's entries
+        ak = np.repeat(self.a, self._row_counts) * self._k_on
+        return ak * b_prev_on, ak * self._b_on[1]
+
+    def scatter(self, values):
+        """The n x m array with ``values`` on the entry list and 0 off it."""
+        out = np.zeros(self.k.shape, dtype=values.dtype)
+        np.put(out, self.entry_list(), values)
+        return out
 
     # Log-potentials, -inf where the scaling is zero; each caller takes
     # only the ones it reads.
@@ -392,12 +437,14 @@ def run_sinkhorn(r, mu, nu, cfg=None):
     below 1e-15 M(mu) for 50 consecutive iterations, with every
     structural-zero streak complete.  The criterion is tested first, so
     only a threshold below that floor, such as the 0 of
-    :func:`detect_limit_support`, can reach the stall.  The structural-zero
-    record is the last 50 masks P^n < z_tol, bit-packed in a ring (6.25
-    bytes per entry of R); ``structural_support`` and the stall test are
-    ANDs over it.  Raises ValueError on inconsistent shapes and on NaN,
-    infinite or negative input, and OverflowDetected as soon as a float
-    overflows, as with masses near the float limit.
+    :func:`detect_limit_support`, can reach the stall.  P^n, Q^n, the
+    moves and the structural-zero record are formed on supp(R) only, and
+    P*, Q* and ``structural_support`` scattered back to n x m at the end.
+    The record is the last 50 masks P^n < z_tol, bit-packed in a ring
+    (6.25 bytes per support entry); ``structural_support`` and the stall
+    test are ANDs over it.  Raises ValueError on inconsistent shapes and
+    on NaN, infinite or negative input, and OverflowDetected as soon as a
+    float overflows, as with masses near the float limit.
     """
     r, mu, nu = as_triple(r, mu, nu)
     if not check_assumption1(r, mu, nu):
@@ -407,11 +454,12 @@ def run_sinkhorn(r, mu, nu, cfg=None):
     mass = total_mass(mu)
     z_tol = Z_TOL_FACTOR * mass
     stall_tol = 1e-15 * mass
-    # the masks p < z_tol of the last _ZERO_STREAK iterations, bit-packed;
-    # all ones before the first, so their AND covers only the iterations run
-    zero_ring = np.full((_ZERO_STREAK, (r.size + 7) // 8), 0xFF, dtype=np.uint8)
-    trace = []
     kernel = _LogIteration(r, mu, nu)
+    # the masks p < z_tol on the entry list of the last _ZERO_STREAK
+    # iterations, bit-packed; all ones before the first, so their AND
+    # covers only the iterations run
+    zero_ring = np.full((_ZERO_STREAK, (kernel.entry_list().size + 7) // 8), 0xFF, dtype=np.uint8)
+    trace = []
     prev_p = prev_q = None
     converged = False
     stop_reason = "max_iter"
@@ -429,11 +477,11 @@ def run_sinkhorn(r, mu, nu, cfg=None):
                     gap = math.inf if prev_p is None else max(tv_distance(p, prev_p), tv_distance(q, prev_q))
                     prev_p, prev_q = p, q
                 else:
-                    log_a, log_b_prev = kernel.log_a(), kernel.log_b_prev()
+                    log_a, log_b_prev, p_full = kernel.log_a(), kernel.log_b_prev(), kernel.scatter(p)
                     if cfg.mode == MODE_BALANCED_GAP:
-                        gap = _gap_balanced_from_logs(log_a, log_b_prev, p, r, mu, nu)
+                        gap = _gap_balanced_from_logs(log_a, log_b_prev, p_full, r, mu, nu)
                     else:
-                        gap = _gap_unbalanced_from_logs(log_a, log_b_prev, p, r, mu, nu, cfg.lam)
+                        gap = _gap_unbalanced_from_logs(log_a, log_b_prev, p_full, r, mu, nu, cfg.lam)
                 trace.append((n, gap))
 
                 if gap <= cfg.epsilon_tol:
@@ -456,8 +504,10 @@ def run_sinkhorn(r, mu, nu, cfg=None):
                               b_prev=np.exp(kernel.log_b_prev()),
                               iteration=n, overflow_flag=kernel.absorbed)
 
-    held = np.unpackbits(np.bitwise_and.reduce(zero_ring), count=r.size).reshape(r.shape)
-    structural = (r > 0) & ~held.astype(bool)
+    held = np.unpackbits(np.bitwise_and.reduce(zero_ring), count=p.size).astype(bool)
+    # the entry list lies within supp(R): K starts as R itself
+    structural = kernel.scatter(~held)
+    p, q = kernel.scatter(p), kernel.scatter(q)
     r_star = geometric_mean(p, q)
     z = total_mass(r_star)
     return SolveReport(

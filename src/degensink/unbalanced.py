@@ -30,7 +30,7 @@ from .measures import (
     tv_distance,
 )
 from .scalability import check_assumption1
-from .sinkhorn import StopConfig, run_sinkhorn
+from .sinkhorn import StopConfig, _check_max_iter, run_sinkhorn
 from .support import _exact_limit
 
 __all__ = [
@@ -62,7 +62,8 @@ class PenaltyConfig:
     (``None``: 1e-12 max(M(mu), M(nu), 1)) or at most its own float
     roundoff, eps_mach (<row P, |u|> + <col P, |v|>), if that is larger, as
     on degenerate instances from lam of about 1e5 on (|u|, |v| grow like lam).
-    NaN settings and a negative ``epsilon_tol`` are rejected.
+    NaN settings, a negative ``epsilon_tol`` and a ``max_iter`` that is not
+    an integer of at least 1 are rejected.
     """
 
     lam: float
@@ -77,8 +78,7 @@ class PenaltyConfig:
             raise ValueError("epsilon_tol must be a nonnegative number or None")
         if self.sides not in (SIDE_SECOND, SIDE_BOTH):
             raise ValueError(f"unknown sides {self.sides!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        _check_max_iter(self.max_iter)
 
 
 def _newton_dual(r, mu, nu, cfg, sides):

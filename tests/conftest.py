@@ -414,12 +414,13 @@ def reference_zero_loop(r, mu, nu, cfg):
     stall_run = 0
     for n in range(1, cfg.max_iter + 1):
         kernel.step()
-        p, q = kernel.couplings()
+        p_on, q_on = kernel.couplings()  # on the kernel's entry list
+        p = kernel.scatter(p_on)
         isbelow = p < z_tol
         below += isbelow
         below *= isbelow
         if cfg.mode == MODE_ITERATE_DELTA:
-            gap = math.inf if prev_p is None else max(tv_distance(p, prev_p), tv_distance(q, prev_q))
+            gap = math.inf if prev_p is None else max(tv_distance(p_on, prev_p), tv_distance(q_on, prev_q))
         elif cfg.mode == MODE_BALANCED_GAP:
             gap = _gap_balanced_from_logs(kernel.log_a(), kernel.log_b_prev(), p, r, mu, nu)
         else:
@@ -432,5 +433,5 @@ def reference_zero_loop(r, mu, nu, cfg):
             if stall_run >= _ZERO_STREAK and n >= 2 * _ZERO_STREAK and \
                     bool((below[isbelow] >= _ZERO_STREAK).all()):
                 break
-        prev_p, prev_q = p, q
+        prev_p, prev_q = p_on, q_on
     return n, trace, (r > 0) & ~(isbelow & (below >= min(_ZERO_STREAK, n)))

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from degensink import (
     rel_entropy,
     run_sinkhorn,
     sinkhorn_step,
+    total_mass,
+    tv_distance,
 )
 from degensink import appendix_a_instance, sinkhorn
 from degensink.instances import block_ratio_schedule, staircase_instance
@@ -275,12 +279,19 @@ def test_check_optimality_rejects_nan(appendix):
 
 @pytest.mark.parametrize("settings", [dict(epsilon_tol=math.nan), dict(lam=math.nan),
                                       dict(epsilon_tol=-1.0), dict(lam=0.0), dict(max_iter=0),
+                                      dict(max_iter=2.5), dict(max_iter=math.nan),
                                       dict(mode="bogus")],
                          ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
 def test_stop_config_rejects_invalid_settings(settings):
-    # a NaN threshold used to run to max_iter, as no move is <= NaN
+    # a NaN threshold used to run to max_iter, as no move is <= NaN; a
+    # fractional or NaN max_iter used to fail in range() mid-solve
     with pytest.raises(ValueError):
         StopConfig(**settings)
+
+
+def test_stop_config_accepts_numpy_integer_max_iter(appendix):
+    rep = run_sinkhorn(*appendix, StopConfig(epsilon_tol=0.0, max_iter=np.int64(7)))
+    assert rep.iterations == 7
 
 
 def test_step_and_gaps_reject_invalid_input(appendix):
@@ -413,7 +424,8 @@ def test_restrict_before_first_step_matches_masked_kernel():
         restricted.step()
         fresh.step()
     assert restricted.absorbed and fresh.absorbed
-    for got, want in zip(restricted.couplings(), fresh.couplings()):
+    for got, want in zip(map(restricted.scatter, restricted.couplings()),
+                         map(fresh.scatter, fresh.couplings())):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
         assert not got[:5].any() and not got[:, 95:].any()
 
@@ -437,11 +449,96 @@ def test_drop_rows_is_row_restrict_in_place():
     for _ in range(300):
         dropped.step()
         restricted.step()
-    for got, want in zip(dropped.couplings(), restricted.couplings()):
+    for got, want in zip(map(dropped.scatter, dropped.couplings()),
+                         map(restricted.scatter, restricted.couplings())):
         np.testing.assert_array_equal(got, want)
     fresh = _LogIteration(r, mu, nu)
     fresh.drop_rows(drop)  # before any absorption, K is still the caller's R
     assert np.array_equal(r, r_before) and not fresh.k[:10].any()
+
+
+def _dense_couplings(kernel):
+    """P and Q over all n x m entries, each entry (a_i K_ij) b_j."""
+    ak = kernel.a[:, None] * kernel.k
+    return ak * kernel.b_prev[None, :], ak * kernel.b[None, :]
+
+
+def _assert_couplings_match_dense(kernel):
+    off = np.ones(kernel.k.size, dtype=bool)
+    off[kernel.entry_list()] = False
+    for on_list, dense in zip(kernel.couplings(), _dense_couplings(kernel)):
+        got = kernel.scatter(on_list)
+        assert got.dtype == dense.dtype and got.tobytes() == dense.tobytes()
+        assert not got.ravel()[off].any()
+
+
+def test_couplings_on_the_entry_list_are_the_dense_formula(appendix):
+    rng = np.random.default_rng(5)
+    r_dense = rng.random((7, 9)) + 0.1
+    cases = [appendix, (r_dense, rng.random(7), rng.random(9)), _named_instance("massless", appendix)]
+    for r, mu, nu in cases:
+        kernel = _LogIteration(r, mu, nu)
+        for n in range(1, 1201):
+            kernel.step()
+            if n in (1, 2, 3, 50, 1200):
+                _assert_couplings_match_dense(kernel)
+        assert np.array_equal(kernel.entry_list(), np.flatnonzero(r))  # massless rows and columns too
+
+    r, mu, nu, _, _ = staircase_instance(100, [10] * 10, block_ratio_schedule(10))
+    kernel = _LogIteration(r, mu, nu)
+    for _ in range(600):
+        kernel.step()
+    # first taken after the kernel has flushed entries of K to 0
+    assert kernel.absorbed and (kernel.support & (kernel.k == 0)).any()
+    _assert_couplings_match_dense(kernel)
+    assert np.array_equal(kernel.entry_list(), np.flatnonzero(r))
+    mask = r > 0
+    mask[:, 95:] = False
+    kernel.restrict(mask)
+    for _ in range(200):
+        kernel.step()
+    _assert_couplings_match_dense(kernel)
+    drop = np.zeros(100, dtype=bool)
+    drop[:10] = True
+    kernel.drop_rows(drop)
+    kernel.step()
+    _assert_couplings_match_dense(kernel)
+    _assert_couplings_match_dense(kernel)  # twice without a step between
+
+
+def _dense_reference_run(r, mu, nu, epsilon_tol):
+    """Iterations, P*, Q* and structural support of an iterate-delta run
+    whose couplings, moves and zero record span all n x m entries."""
+    z_tol = Z_TOL_FACTOR * total_mass(mu)
+    kernel = _LogIteration(r, mu, nu)
+    below = np.zeros(r.shape, dtype=np.int64)
+    prev = None
+    for n in range(1, 100_001):
+        kernel.step()
+        p, q = _dense_couplings(kernel)
+        below = (below + 1) * (p < z_tol)
+        if prev is not None and max(tv_distance(p, prev[0]), tv_distance(q, prev[1])) <= epsilon_tol:
+            break
+        prev = p, q
+    return n, p, q, (r > 0) & (below < min(sinkhorn._ZERO_STREAK, n))
+
+
+def test_bench_staircases_match_the_dense_run():
+    # the benchmark's three relabelled 100x100 staircases at seed 1
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    iterations = []
+    for n_blocks in workloads.STAIRCASE_BLOCKS:
+        r, mu, nu, _ = workloads._permuted(1000 + n_blocks, *workloads._staircase(100, n_blocks))
+        rep = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=1e-11 * 100))
+        n, p, q, structural = _dense_reference_run(r, mu, nu, 1e-11 * 100)
+        assert rep.iterations == n
+        assert rep.p_star.tobytes() == p.tobytes() and rep.q_star.tobytes() == q.tobytes()
+        assert np.array_equal(rep.structural_support, structural) and not structural.all()
+        iterations.append(n)
+    assert iterations == [195, 482, 1323]
 
 
 def test_standalone_linear_step_eventually_overflows(appendix):
@@ -526,7 +623,7 @@ def test_zero_record_streak_boundary(appendix):
     # the run of n0 + 49 iterations (50 masks below), not in that of n0 + 48
     r, mu, nu = appendix
     kernel, n0 = _LogIteration(r, mu, nu), 0
-    while not kernel.couplings()[0][0, 2] < Z_TOL_FACTOR * mu.sum():
+    while not kernel.scatter(kernel.couplings()[0])[0, 2] < Z_TOL_FACTOR * mu.sum():
         kernel.step()
         n0 += 1
     assert n0 + 48 > 50  # both runs are longer than the streak

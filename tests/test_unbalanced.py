@@ -56,12 +56,18 @@ def test_schu_appendix(appendix):
 
 @pytest.mark.parametrize("settings", [dict(lam=np.nan), dict(lam=1.0, epsilon_tol=np.nan),
                                       dict(lam=1.0, epsilon_tol=-1e-9), dict(lam=0.0),
-                                      dict(lam=1.0, max_iter=0), dict(lam=1.0, sides="bogus")],
+                                      dict(lam=1.0, max_iter=0), dict(lam=1.0, max_iter=2.5),
+                                      dict(lam=1.0, max_iter=np.nan), dict(lam=1.0, sides="bogus")],
                          ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
 def test_penalty_config_rejects_invalid_settings(settings):
-    # NaN settings used to end in NotConverged after 0 or 100 Newton steps
+    # NaN settings used to end in NotConverged after 0 or 100 Newton steps,
+    # and a fractional max_iter in a TypeError from range()
     with pytest.raises(ValueError):
         PenaltyConfig(**settings)
+
+
+def test_penalty_config_accepts_numpy_integer_max_iter():
+    assert PenaltyConfig(lam=1.0, max_iter=np.int64(5)).max_iter == 5
 
 
 def test_schu_requires_one_sided_config():
