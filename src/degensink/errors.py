@@ -25,11 +25,15 @@ class Assumption2Violated(DegensinkError):
 class NotConverged(DegensinkError):
     """An iterative solver hit its iteration cap before meeting its
     stopping criterion.  ``result`` carries the partial output when one
-    is available."""
+    is available; the penalized Newton solvers also set ``steps``, the
+    Newton steps taken, and ``grad_norm``, the final l1 norm of the dual
+    gradient."""
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result=None, steps=None, grad_norm=None):
         super().__init__(message)
         self.result = result
+        self.steps = steps
+        self.grad_norm = grad_norm
 
 
 class OverflowDetected(DegensinkError):

@@ -72,7 +72,7 @@ def as_triple(r, mu, nu):
 
 def total_mass(m):
     """Sum of all weights of a measure (or of all entries of a coupling)."""
-    return math.fsum(np.asarray(m, dtype=float).ravel())
+    return math.fsum(np.asarray(m, dtype=float).ravel().tolist())
 
 
 def marginal_row(r):

@@ -507,9 +507,10 @@ def run_sinkhorn(r, mu, nu, cfg=None):
     held = np.unpackbits(np.bitwise_and.reduce(zero_ring), count=p.size).astype(bool)
     # the entry list lies within supp(R): K starts as R itself
     structural = kernel.scatter(~held)
-    p, q = kernel.scatter(p), kernel.scatter(q)
-    r_star = geometric_mean(p, q)
-    z = total_mass(r_star)
+    # R* is 0 off the entry list, so its mass is the fsum over the list
+    r_entries = geometric_mean(p, q)
+    z = math.fsum(r_entries.tolist())
+    p, q, r_star = kernel.scatter(p), kernel.scatter(q), kernel.scatter(r_entries)
     return SolveReport(
         p_star=p,
         q_star=q,

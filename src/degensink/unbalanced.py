@@ -8,10 +8,14 @@ problem.  Both maximize the smooth, strictly concave dual
     D(u, v) = -<R, exp(u (+) v)> + F(u) + lam <nu, 1 - exp(-v/lam)>,   P = R . exp(u (+) v),
 
 on the positive-mass rows and columns, with F(u) = lam <mu, 1 - exp(-u/lam)>
-(two-sided) or its lam -> inf limit F(u) = <mu, u> (one-sided).  Newton's
-method with Armijo backtracking (Brauer-Clason-Lorenz-Wirth, arXiv
-1710.06635) takes a few dozen m x m linear solves at any lam, m the number
-of positive-mass columns.
+(two-sided) or its lam -> inf limit F(u) = <mu, u> (one-sided).  A fixed
+number of closed-form block ascent sweeps of D, the unbalanced scaling
+iteration (Chizat-Peyre-Schmitzer-Vialard, Math. Comp. 2018), gives the
+start of Newton's method with Armijo backtracking (Brauer-Clason-Lorenz-
+Wirth, arXiv 1710.06635).  Newton then takes 0 to 5 m x m linear solves
+on the 100 x 100 fig6 instance at lam from 1 to 1e4, and at most 16 on
+the test instances at lam up to 1e8 (20 from x = 0), m the number of
+positive-mass columns.
 """
 
 from dataclasses import dataclass
@@ -48,6 +52,12 @@ SIDE_SECOND = "second-marginal-only"
 SIDE_BOTH = "both-marginals"
 
 _ARMIJO, _HALVINGS = 1e-4, 60
+# block ascent sweeps before the first Newton step, each two
+# matrix-vector products.  The seven fig6 solves of the bench (lam = 1 to
+# 1e3) take 109 Newton steps and 39 ms from x = 0; after 10 / 20 / 30 /
+# 50 / 80 sweeps 29 / 24 / 21 / 21 / 18 steps and 17 / 13.2 / 13.1 /
+# 14.5 / 15.6 ms (2 shared vCPUs, one BLAS thread, best of 15)
+_SWEEPS = 30
 # a trial step is rejected only when D falls by more than its float
 # roundoff: this share of the total size of D's terms, of either sign
 _ROUNDOFF = 1e-14
@@ -82,11 +92,17 @@ class PenaltyConfig:
 
 
 def _newton_dual(r, mu, nu, cfg, sides):
-    """Maximize the dual of the module docstring over x = (u, v) by Newton
-    steps with Armijo backtracking, from x = 0; each step is one m x m
-    linear solve (:func:`_newton_direction`).  Returns P; raises
-    NotConverged, carrying the last P, if the stop rule of
-    :class:`PenaltyConfig` has not fired after ``cfg.max_iter`` steps."""
+    """Maximize the dual of the module docstring over x = (u, v): from
+    x = 0, ``_SWEEPS`` block ascent sweeps (:func:`_scaling_sweeps`), then
+    Newton steps with Armijo backtracking, each one m x m linear solve
+    (:func:`_newton_direction`).  On the fig6 instance of the bench the
+    seven solves at lam = 1 to 1e3 take 0, 2, 3, 3 (two-sided) and 3, 5, 5
+    (one-sided) Newton steps, 109 in all from x = 0.  Returns P, the
+    number of Newton steps and the final l1 norm of the gradient; raises
+    NotConverged, carrying the last P, the steps and that norm, if the
+    stop rule of :class:`PenaltyConfig` has not fired after
+    ``cfg.max_iter`` steps, no ascent step is left or the Newton system
+    is singular."""
     if cfg.sides != sides:
         raise ValueError(f"this solver requires a {sides} config")
     r, mu, nu = as_triple(r, mu, nu)
@@ -106,22 +122,29 @@ def _newton_dual(r, mu, nu, cfg, sides):
             pen = weights * np.where(hard, x, -lam * np.expm1(-np.where(hard, 0.0, x) / lam))
             return p, pen.sum() - p.sum(), np.abs(pen).sum() + p.sum()
 
-    x = np.zeros(weights.size)
+    damp = lam / (lam + 1.0)
+    x = _scaling_sweeps(r[block], weights[:k], weights[k:], 1.0 if sides == SIDE_SECOND else damp, damp)
     p, d, size = dual(x)
     out = np.zeros(r.shape)
+    reason = "step cap reached"
     for step in range(cfg.max_iter + 1):
         marg = np.concatenate([p.sum(axis=1), p.sum(axis=0)])
         # derivatives of the penalty terms: mu exp(-u/lam) (mu if hard), nu exp(-v/lam)
         w = weights * np.exp(-np.where(hard, 0.0, x) / lam)
         grad = w - marg
-        if np.abs(grad).sum() <= max(tol, np.finfo(float).eps * (marg @ np.abs(x))):
+        grad_norm = float(np.abs(grad).sum())
+        if grad_norm <= max(tol, np.finfo(float).eps * (marg @ np.abs(x))):
             if sides == SIDE_SECOND:  # the exact maximization over u: row P = mu
                 p *= (weights[:k] / marg[:k])[:, None]
             out[block] = p
-            return out
+            return out, step, grad_norm
         if step == cfg.max_iter:
             break
-        direction = _newton_direction(p, marg + np.where(hard, 0.0, w / lam), grad)
+        try:
+            direction = _newton_direction(p, marg + np.where(hard, 0.0, w / lam), grad)
+        except np.linalg.LinAlgError:
+            reason = "singular Newton system"
+            break
         t = 1.0
         for _ in range(_HALVINGS):
             p_t, d_t, size_t = dual(x + t * direction)
@@ -129,11 +152,32 @@ def _newton_dual(r, mu, nu, cfg, sides):
                 break
             t /= 2
         else:
-            break  # no ascent step above float roundoff is left
+            reason = "no ascent step above float roundoff"
+            break
         x, p, d, size = x + t * direction, p_t, d_t, size_t
     out[block] = p
-    raise NotConverged(f"penalized dual: gradient above the stop rule after {step} Newton steps",
-                       result=out)
+    raise NotConverged(f"penalized dual: gradient l1 norm {grad_norm:.3g} above the stop rule "
+                       f"after {step} Newton steps ({reason})",
+                       result=out, steps=step, grad_norm=grad_norm)
+
+
+def _scaling_sweeps(r, mu, nu, damp_u, damp_v):
+    """Block ascent on the dual from x = 0: ``_SWEEPS`` times, the exact
+    maximizer u = damp_u log(mu / R e^v), then v = damp_v log(nu / R^T e^u),
+    with damp = lam / (lam + 1), and damp_u = 1 where u is a hard
+    constraint.  Runs on the scalings e^u and e^v, so that each half-sweep
+    is one matrix-vector product and one power; stops early, keeping the
+    last x, should a scaling leave float range."""
+    x, scale_v = np.zeros(mu.size + nu.size), np.ones(nu.size)
+    with np.errstate(all="ignore"):
+        for _ in range(_SWEEPS):
+            scale_u = (mu / (r @ scale_v)) ** damp_u
+            scale_v = (nu / (r.T @ scale_u)) ** damp_v
+            x_next = np.log(np.concatenate([scale_u, scale_v]))
+            if not np.isfinite(x_next).all():
+                break
+            x = x_next
+    return x
 
 
 def _newton_direction(p, diag, grad):
@@ -156,7 +200,7 @@ def solve_schu_lambda(r, mu, nu, cfg):
     by Newton's method on its dual (module docstring, F(u) = <mu, u>).
     The returned coupling has first marginal mu to float roundoff.
     """
-    return _newton_dual(r, mu, nu, cfg, SIDE_SECOND)
+    return _newton_dual(r, mu, nu, cfg, SIDE_SECOND)[0]
 
 
 def solve_two_sided(r, mu, nu, cfg):
@@ -167,19 +211,19 @@ def solve_two_sided(r, mu, nu, cfg):
     by Newton's method on its dual (module docstring).  The solution must
     also have first-order stationarity residual at most 1e-8 (scaled by
     the target mass), or at most the residual's own float roundoff when
-    that is larger (:func:`_stationarity_sums`), as at lam below about
+    that is larger (:func:`_stationarity_roundoff`), as at lam below about
     1e-7, where g carries log(P/R)/lam.  A solve that stops short of it,
     under a loose ``epsilon_tol``, raises NotConverged with the solution
     attached.
     """
-    p = _newton_dual(r, mu, nu, cfg, SIDE_BOTH)
+    p, steps, grad_norm = _newton_dual(r, mu, nu, cfg, SIDE_BOTH)
     residual = stationarity_residual(p, r, mu, nu, cfg.lam)
     res_tol = 1e-8 * max(total_mass(mu), total_mass(nu), 1.0)
     if not residual <= res_tol:  # the roundoff bound is needed only now
-        res_tol = max(res_tol, _stationarity_sums(p, r, mu, nu, cfg.lam)[1])
+        res_tol = max(res_tol, _stationarity_roundoff(p, r, mu, nu, cfg.lam))
     if not residual <= res_tol:
         raise NotConverged(f"two-sided penalized solve: stationarity residual {residual:.3g} "
-                           f"above {res_tol:.3g}", result=p)
+                           f"above {res_tol:.3g}", result=p, steps=steps, grad_norm=grad_norm)
     return p
 
 
@@ -202,15 +246,23 @@ def stationarity_residual(p, r, mu, nu, lam):
     Raises ValueError on NaN, infinite or negative input, and when ``p``
     and ``r`` differ in shape.
     """
-    return _stationarity_sums(p, r, mu, nu, lam)[0]
+    p, r, g = _stationarity_terms(p, r, mu, nu, lam)
+    return _largest_sum(p * g)
 
 
-def _stationarity_sums(p, r, mu, nu, lam):
-    """The largest absolute row or column sum of P g (g of
-    :func:`stationarity_residual`), and the largest row or column sum of
-    eps_mach P (|g| + (1 + |log R|)/lam), which bounds its float roundoff:
-    P carries a relative error of a few eps_mach, which log(P/R)/lam
+def _stationarity_roundoff(p, r, mu, nu, lam):
+    """The largest row or column sum of eps_mach P (|g| + (1 + |log R|)/lam),
+    which bounds the float roundoff of :func:`stationarity_residual`: P
+    carries a relative error of a few eps_mach, which log(P/R)/lam
     multiplies by 1/lam."""
+    p, r, g = _stationarity_terms(p, r, mu, nu, lam)
+    log_r = np.abs(np.log(np.where(p > 0, r, 1.0)))
+    return _largest_sum(np.finfo(float).eps * p * (np.abs(g) + (1.0 + log_r) / lam))
+
+
+def _stationarity_terms(p, r, mu, nu, lam):
+    """The validated P and R and the g of :func:`stationarity_residual`,
+    0 off supp(P)."""
     p, (r, mu, nu) = as_coupling(p), as_triple(r, mu, nu)
     if p.shape != r.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {r.shape}")
@@ -222,14 +274,13 @@ def _stationarity_sums(p, r, mu, nu, lam):
         g[sup] = np.log(p[sup] / r[sup]) / lam
         lrow = np.where(row > 0, np.log(np.where(row > 0, row, 1.0) / np.where(mu > 0, mu, 1.0)), 0.0)
         lcol = np.where(col > 0, np.log(np.where(col > 0, col, 1.0) / np.where(nu > 0, nu, 1.0)), 0.0)
-    g = np.where(sup, g + lrow[:, None] + lcol[None, :], 0.0)
-    error = np.finfo(float).eps * p * (np.abs(g) + (1.0 + np.abs(np.log(np.where(sup, r, 1.0)))) / lam)
+    return p, r, np.where(sup, g + lrow[:, None] + lcol[None, :], 0.0)
 
-    def largest_sum(terms):
-        return float(max(np.abs(terms.sum(axis=1)).max(initial=0.0),
-                         np.abs(terms.sum(axis=0)).max(initial=0.0)))
 
-    return largest_sum(p * g), largest_sum(error)
+def _largest_sum(terms):
+    """The largest absolute row or column sum of ``terms``."""
+    return float(max(np.abs(terms.sum(axis=1)).max(initial=0.0),
+                     np.abs(terms.sum(axis=0)).max(initial=0.0)))
 
 
 def epsilon_fill(r, eps):

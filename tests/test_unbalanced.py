@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,15 @@ from degensink import (
     sweep_lambda,
     tv_distance,
 )
-from degensink.instances import block_ratio_schedule, staircase_instance
+from degensink.errors import NotConverged
+from degensink.instances import (
+    KIND_RANDOM,
+    KIND_STAIRCASE,
+    InstanceSpec,
+    block_ratio_schedule,
+    gen_instance,
+    staircase_instance,
+)
 from degensink.sinkhorn import StopConfig
 from degensink import unbalanced
 from degensink.support import _exact_limit
@@ -165,30 +175,41 @@ def test_newton_steps_bounded_on_fig6_instance(monkeypatch):
         steps.append(0)
         sol = solve_schu_lambda(r, mu, nu, PenaltyConfig(lam=lam, sides=SIDE_SECOND))
         np.testing.assert_allclose(marginal_row(sol), mu, rtol=0, atol=1e-9)
-    assert steps == [8, 12, 17, 20, 20, 14, 18, 20]
+    # from x = 0 these took [8, 12, 17, 20, 20, 14, 18, 20]; the block
+    # ascent sweeps before the first step leave 0 to 5
+    assert steps == [0, 2, 3, 3, 3, 3, 5, 5]
 
 
 def test_schur_direction_matches_dense_solve(monkeypatch):
     # the m x m Schur complement solve against the dense (n+m) x (n+m)
-    # Newton system H d = g, at every step of the fig6 solves.  Both are
-    # backward stable; their difference grows with cond(H), about 100 lam
-    # here, so it is held to 1e-12 relative only where lam <= 10
-    seen = []
+    # Newton system H d = g, at every step of the fig6 solves and at the
+    # cold point x = 0 (P = R) at lam = 1, where the sweeps leave no step.
+    # Both are backward stable: the residual is held to 1e-15 ||H|| ||d||
+    # (at most 2.3e-16 measured; after the sweeps ||g|| is far below
+    # ||H|| ||d|| at lam = 1e4, so a bound in ||g|| reads cond(H), not the
+    # solve).  Their difference grows with cond(H), about 100 lam here, so
+    # it is held to 1e-12 relative only where lam <= 10
+    r, mu, nu = _fig6_instance()
+    lam = 1.0
+    cold = r[np.ix_(mu > 0, nu > 0)]
+    weights = np.concatenate([mu[mu > 0], nu[nu > 0]])
+    marg = np.concatenate([cold.sum(axis=1), cold.sum(axis=0)])
+    seen = [(lam, cold, marg + weights / lam, weights - marg,
+             unbalanced._newton_direction(cold, marg + weights / lam, weights - marg))]
     direction = unbalanced._newton_direction
     monkeypatch.setattr(unbalanced, "_newton_direction",
                         lambda p, diag, grad: seen.append((lam, p, diag, grad, direction(p, diag, grad)))
                         or seen[-1][-1])
-    r, mu, nu = _fig6_instance()
     for lam in (1.0, 10.0, 1e4):
         solve_two_sided(r, mu, nu, PenaltyConfig(lam=lam))
     for lam in (10.0, 1e3):
         solve_schu_lambda(r, mu, nu, PenaltyConfig(lam=lam, sides=SIDE_SECOND))
-    assert len(seen) == 8 + 12 + 20 + 14 + 20
+    assert len(seen) == 1 + 0 + 2 + 3 + 3 + 5  # 1 + 8 + 12 + 20 + 14 + 20 from x = 0
     for lam, p, diag, grad, got in seen:
         k, m = p.shape
         hess = np.block([[np.zeros((k, k)), p], [p.T, np.zeros((m, m))]])
         np.fill_diagonal(hess, diag)
-        assert np.linalg.norm(hess @ got - grad) <= 1e-12 * np.linalg.norm(grad)
+        assert np.linalg.norm(hess @ got - grad) <= 1e-15 * np.linalg.norm(hess, 2) * np.linalg.norm(got)
         if lam <= 10.0:
             want = np.linalg.solve(hess, grad)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -257,10 +278,10 @@ def test_sweep_epsilon_degenerate_on_positive_reference():
 
 def test_not_converged_carries_partial_result(appendix):
     r, mu, nu = appendix
-    from degensink import NotConverged
     with pytest.raises(NotConverged) as err:
         solve_two_sided(r, mu, nu, PenaltyConfig(lam=1e4, max_iter=2))
     assert err.value.result.shape == (3, 3)
+    assert err.value.steps == 2 and 1e-12 * 6 < err.value.grad_norm < np.inf
     with pytest.raises(NotConverged) as err:
         solve_schu_lambda(r, mu, nu, PenaltyConfig(lam=1e3, sides=SIDE_SECOND, max_iter=3))
     assert err.value.result.shape == (3, 3)
@@ -272,3 +293,72 @@ def test_two_sided_tiny_lambda_solves(appendix):
     r, mu, nu = appendix
     p = solve_two_sided(r, mu, nu, PenaltyConfig(lam=1e-9))
     assert np.abs(p - r).max() <= 1e-8
+
+
+@pytest.mark.parametrize("solver,sides", [(solve_two_sided, unbalanced.SIDE_BOTH),
+                                          (solve_schu_lambda, SIDE_SECOND)])
+def test_singular_newton_system_raises_not_converged(appendix, monkeypatch, solver, sides):
+    # numpy's LinAlgError used to escape, as at (mu, nu) * 1e-20 on the
+    # worked example
+    r, mu, nu = appendix
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NotConverged, match="singular Newton system") as err:
+        solver(r, mu, nu, PenaltyConfig(lam=1e3, sides=sides))
+    assert err.value.steps == 0 and 0 < err.value.grad_norm < np.inf
+    assert err.value.result.shape == (3, 3) and np.isfinite(err.value.result).all()
+
+
+@pytest.mark.parametrize("k", [-20, 20, 250])
+@pytest.mark.parametrize("lam", [1.0, 1e3])
+def test_penalized_solvers_at_extreme_masses(appendix, k, lam):
+    # from x = 0 these raised LinAlgError (k = -20) or NotConverged after
+    # 0 Newton steps (one-sided, k = 20 and 250, with RuntimeWarnings)
+    r, mu, nu = appendix
+    mu, nu = mu * 10.0 ** k, nu * 10.0 ** k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = solve_schu_lambda(r, mu, nu, PenaltyConfig(lam=lam, sides=SIDE_SECOND))
+        assert np.abs(marginal_row(p) - mu).max() <= 1e-15 * mu.sum()
+        p = solve_two_sided(r, mu, nu, PenaltyConfig(lam=lam))  # checks its stationarity
+        assert np.isfinite(p).all() and p.sum() > 0
+
+
+# Newton steps from x = 0, per instance, at lam = 1e-3, 1, 1e2, 1e4, each
+# two-sided then one-sided
+_STEPS_FROM_ZERO = {
+    "worked": [6, 7, 5, 5, 7, 8, 8, 8],
+    "triu4": [5, 6, 5, 6, 8, 9, 12, 13],
+    "staircase12": [7, 9, 6, 9, 10, 11, 11, 11],
+    "random8x10": [6, 7, 5, 7, 8, 8, 8, 8],
+    "random10x6": [6, 6, 5, 6, 7, 7, 7, 7],
+}
+
+
+def test_newton_steps_never_above_the_cold_start(appendix, monkeypatch):
+    steps = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        steps[-1] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    instances = {
+        "worked": appendix,
+        "triu4": (np.triu(np.ones((4, 4))), np.ones(4), np.ones(4)),
+        "staircase12": gen_instance(InstanceSpec(KIND_STAIRCASE, 12, 12, n_blocks=3)),
+        "random8x10": gen_instance(InstanceSpec(KIND_RANDOM, 8, 10, density=0.5, seed=3)),
+        "random10x6": gen_instance(InstanceSpec(KIND_RANDOM, 10, 6, density=0.7, seed=4)),
+    }
+    for name, (r, mu, nu) in instances.items():
+        steps.clear()
+        for lam in (1e-3, 1.0, 1e2, 1e4):
+            steps.append(0)
+            solve_two_sided(r, mu, nu, PenaltyConfig(lam=lam))
+            steps.append(0)
+            solve_schu_lambda(r, mu, nu, PenaltyConfig(lam=lam, sides=SIDE_SECOND))
+        assert all(s <= cold for s, cold in zip(steps, _STEPS_FROM_ZERO[name], strict=True)), name
