@@ -108,25 +108,24 @@ def run_appendix_a():
 def _naive_threshold_solve(r, mu, nu, cfg):
     """Scaling run that permanently zeroes reference entries whose scaling
     density a_i b_j falls below the minimal factor m_i (per-entry variant
-    of the row-dropping detector): after each step the kernel is
-    restricted to the live entries with u_i + v_j >= log m_i.  Stops on
-    the successive-iterate criterion of ``cfg``.  Returns
-    (P, Q, reference_used, iterations)."""
+    of the row-dropping detector): after each step the kernel drops the
+    entries with u_i + v_j < log m_i.  Stops on the successive-iterate
+    criterion of ``cfg``.  Returns (P, Q, reference_used, iterations)."""
     r = np.asarray(r, dtype=float)
-    log_m = np.log(default_thresholds(r, mu))[:, None]
     kernel = _LogIteration(r, mu, nu)
+    rows, cols = kernel.entry_rows, kernel.entry_cols
+    log_m = np.log(default_thresholds(r, mu)).take(rows)
     p_old = q_old = None
     iterations = cfg.max_iter
     for n in range(1, cfg.max_iter + 1):
         kernel.step()
-        log_ab = kernel.log_a()[:, None] + kernel.log_b()[None, :]
-        kernel.restrict((kernel.log_r > -np.inf) & (log_ab >= log_m))
+        kernel.drop(kernel.log_a().take(rows) + kernel.log_b().take(cols) < log_m)
         p, q = kernel.couplings()
         if p_old is not None and max(tv_distance(p, p_old), tv_distance(q, q_old)) <= cfg.epsilon_tol:
             iterations = n
             break
         p_old, q_old = p, q
-    return kernel.scatter(p), kernel.scatter(q), r * (kernel.log_r > -np.inf), iterations
+    return kernel.scatter(p), kernel.scatter(q), r * kernel.scatter(kernel.log_r > -np.inf), iterations
 
 
 def experiment_iterations_vs_zeros(block_range, size=100):

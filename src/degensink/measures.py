@@ -130,9 +130,9 @@ def project_first_marginal(r, mu):
     ``P_ij = (mu_i / mu^r_i) r_ij`` with the 0/0 = 0 convention, and its
     optimal value is H(mu | mu^r).  It exists iff ``mu`` is absolutely
     continuous w.r.t. ``mu^r``; otherwise InfeasibleProjection is raised.
+    Raises ValueError on NaN, infinite or negative input.
     """
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    r, mu = as_coupling(r), as_measure(mu)
     if mu.shape != (r.shape[0],):
         raise ValueError(f"first marginal has length {mu.shape}, expected {r.shape[0]}")
     row = marginal_row(r)
@@ -146,8 +146,7 @@ def project_first_marginal(r, mu):
 
 def project_second_marginal(r, nu):
     """Column analogue of :func:`project_first_marginal`."""
-    r = np.asarray(r, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    r, nu = as_coupling(r), as_measure(nu)
     if nu.shape != (r.shape[1],):
         raise ValueError(f"second marginal has length {nu.shape}, expected {r.shape[1]}")
     col = marginal_col(r)

@@ -80,6 +80,13 @@ def _check_max_iter(max_iter):
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
 
 
+def _check_lam(lam):
+    """Reject a penalization weight that is not > 0; NaN fails every
+    comparison."""
+    if not lam > 0:
+        raise ValueError(f"lam must be a positive number, got {lam!r}")
+
+
 @dataclass(frozen=True)
 class StopConfig:
     """Stopping rule for :func:`run_sinkhorn`.
@@ -104,8 +111,7 @@ class StopConfig:
     def __post_init__(self):
         if not self.epsilon_tol >= 0:  # NaN fails every comparison
             raise ValueError("epsilon_tol must be a nonnegative number")
-        if not self.lam > 0:
-            raise ValueError("lam must be a positive number")
+        _check_lam(self.lam)
         _check_max_iter(self.max_iter)
         if self.mode not in (MODE_BALANCED_GAP, MODE_UNBALANCED_GAP, MODE_ITERATE_DELTA):
             raise ValueError(f"unknown stopping mode {self.mode!r}")
@@ -217,9 +223,10 @@ def gap_unbalanced(state, r, mu, nu, lam):
     caveat inherited from the formula: in the non-scalable case the trace
     dips for a number of iterations of order lam and later diverges, so it
     is a window criterion, not a limit.  Raises ValueError on NaN,
-    infinite or negative input.
+    infinite or negative input and on a ``lam`` that is not > 0.
     """
     r, mu, nu = as_triple(r, mu, nu)
+    _check_lam(lam)
     return _gap_unbalanced_from_logs(_safe_log(state.a), _safe_log(state.b_prev),
                                      current_P(state, r), r, mu, nu, float(lam))
 
@@ -270,66 +277,65 @@ class _LogIteration:
     projections a = mu / K b and b = nu / K^T a.  Scaled potentials
     outside [1/_ABSORB, _ABSORB] are absorbed into U, V and K is rebuilt
     from log R, so no float overflows however far u and v diverge.
-    Massless rows and columns keep a zero scaling; :meth:`restrict` and
-    :meth:`drop_rows` zero reference entries as they go.
+    Massless rows and columns keep a zero scaling.
 
-    The couplings are formed on supp(R) only: :meth:`couplings` returns P
-    and Q as vectors over the entry list, the flat indices of the support
-    of K taken at its first call, and :meth:`scatter` puts such a vector
-    back into an n x m array.  From then on the support only shrinks
-    (restrictions, dropped rows and flushed entries leave K at exactly 0
-    off the list), so the vectors hold every nonzero entry.
+    The kernel keeps R on supp(R) only: ``entries`` are its flat
+    (row-major) indices, with their ``entry_rows`` and ``entry_cols``,
+    fixed at construction.  ``log_r`` is log R on that entry list and -inf
+    on its dead entries: those on massless rows and columns (the first
+    step uses R itself, like the literal recursion's b^0 = 1; a rebuilt K
+    is zero there) and those removed by :meth:`drop`, the one way to
+    shrink the kernel.  :meth:`couplings` returns P and Q as vectors over
+    the list, which :meth:`scatter` puts back into an n x m array; K is 0
+    off the list, so the vectors hold every nonzero entry.
     """
 
     def __init__(self, r, mu, nu):
         self.k_floor = _FLUSH * total_mass(mu)
         self._set_masses(mu, nu)
-        with np.errstate(divide="ignore"):
-            # a rebuilt kernel is zero on massless rows and columns; the
-            # first step uses R itself, like the literal recursion's b^0 = 1
-            self.log_r = np.log(r * (mu > 0)[:, None] * (nu > 0)[None, :])
-        self.support = self.log_r > -np.inf
+        self.entries = np.flatnonzero(r)
+        self.entry_rows, self.entry_cols = np.divmod(self.entries, r.shape[1])
+        self._row_counts = np.bincount(self.entry_rows, minlength=mu.size)
         self.k = self._ref = r  # the caller's R, never written into
+        self._k_on = r.take(self.entries)  # K on the entry list
+        self.log_r = np.log(self._k_on)
+        # live entries per row and column; those on massless ones are dead
+        self._live_rows = self._row_counts.copy()
+        self._live_cols = np.bincount(self.entry_cols, minlength=nu.size)
+        self._kill(np.flatnonzero(~(self.rows[self.entry_rows] & self.cols[self.entry_cols])))
         self.u_abs = np.zeros(mu.size)
         self.v_abs = np.zeros(nu.size)
         self.a = np.ones(mu.size)
         self.b = self.b_prev = np.ones(nu.size)
         self.absorbed = False
-        self._entries = None  # see entry_list
-        self._k_on = None  # K on the entry list, gathered once per rebuild of K
         self._b_on = (None, None)  # (b, b on the entry list), reused for b_prev
 
     def _set_masses(self, mu, nu):
         self.mu, self.nu = mu, nu
         self.rows, self.cols = mu > 0, nu > 0
         # massless rows/columns get the scaling 0/(den + 1) = 0, never 0/0
-        self.pad_row = (~self.rows).astype(float)
-        self.pad_col = (~self.cols).astype(float)
-        self.pad = np.concatenate((self.pad_row, self.pad_col))
+        self.pad = (~np.concatenate((self.rows, self.cols))).astype(float)
+        self.pad_row, self.pad_col = self.pad[:mu.size], self.pad[mu.size:]
 
-    def restrict(self, keep):
-        """Zero the reference outside the boolean entry mask ``keep``;
-        rows and columns left without an entry become massless.  The
-        entries left are kept as the boolean mask ``support``."""
-        self.log_r = np.where(keep, self.log_r, -np.inf)
-        self.k = self.k * keep
-        self._k_on = None
-        self.support = self.log_r > -np.inf
-        self._set_masses(np.where(self.support.any(axis=1), self.mu, 0.0),
-                         np.where(self.support.any(axis=0), self.nu, 0.0))
-
-    def drop_rows(self, drop):
-        """``restrict(~drop[:, None])`` for the boolean row mask ``drop``,
-        in place: the rows kept keep all their entries, so only the dropped
-        rows and the columns left without an entry change."""
+    def drop(self, off):
+        """Zero the reference in place on the entries where the boolean
+        mask ``off`` over the entry list is set; rows and columns left
+        without a live entry become massless.  Dead entries may be dropped
+        again, to no effect."""
+        idx = np.flatnonzero(off & (self.log_r > -np.inf))  # the live entries among them
         if self.k is self._ref:
             self.k = self.k.copy()
-        self.k[drop] = 0.0
-        self._k_on = None
-        self.log_r[drop] = -np.inf
-        self.support[drop] = False
-        self._set_masses(np.where(drop, 0.0, self.mu),
-                         np.where(self.support.any(axis=0), self.nu, 0.0))
+        self.k.put(self.entries[idx], 0.0)
+        self._k_on[idx] = 0.0
+        self._kill(idx)
+        self._set_masses(np.where(self._live_rows > 0, self.mu, 0.0),
+                         np.where(self._live_cols > 0, self.nu, 0.0))
+
+    def _kill(self, idx):
+        """Mark the live entries at positions ``idx`` of the list dead."""
+        self.log_r[idx] = -np.inf
+        self._live_rows -= np.bincount(self.entry_rows[idx], minlength=self._live_rows.size)
+        self._live_cols -= np.bincount(self.entry_cols[idx], minlength=self._live_cols.size)
 
     def _absorb(self):
         """Fold the scaled potentials into U, V and rebuild K, setting to 0
@@ -349,9 +355,9 @@ class _LogIteration:
         self.u_abs[self.rows] += np.log(self.a[self.rows])
         self.v_abs[self.cols] += np.log(self.b[self.cols])
         self.b = 1.0 - self.pad_col
-        self.k = np.exp(self.log_r + self.u_abs[:, None] + self.v_abs[None, :])
-        self.k[self.k < self.k_floor] = 0.0
-        self._k_on = None
+        k_on = np.exp(self.log_r + self.u_abs.take(self.entry_rows) + self.v_abs.take(self.entry_cols))
+        k_on[k_on < self.k_floor] = 0.0
+        self.k, self._k_on = self.scatter(k_on), k_on
         self.absorbed = True
 
     def update_a(self):
@@ -374,25 +380,12 @@ class _LogIteration:
         self.update_a()
         self.update_b()
 
-    def entry_list(self):
-        """Flat (row-major) indices of the entries the couplings are
-        formed on, taken at the first call: the support of K then, and of
-        log R, which a later rebuild of K may lift back above the flush."""
-        if self._entries is None:
-            self._entries = np.flatnonzero((self.k > 0) | self.support)
-            rows, self._entry_cols = np.unravel_index(self._entries, self.k.shape)
-            self._row_counts = np.bincount(rows, minlength=self.k.shape[0])
-        return self._entries
-
     def couplings(self):
         """P = a (x) b_prev . K and Q = a (x) b . K on the entry list, each
         entry (a_i K_ij) b_j."""
-        entries = self.entry_list()
-        if self._k_on is None:
-            self._k_on = self.k.take(entries)
         b_src, b_on = self._b_on
-        b_prev_on = b_on if self.b_prev is b_src else self.b_prev.take(self._entry_cols)
-        self._b_on = self.b, self.b.take(self._entry_cols)
+        b_prev_on = b_on if self.b_prev is b_src else self.b_prev.take(self.entry_cols)
+        self._b_on = self.b, self.b.take(self.entry_cols)
         # the entries run row by row, so a_i repeats over row i's entries
         ak = np.repeat(self.a, self._row_counts) * self._k_on
         return ak * b_prev_on, ak * self._b_on[1]
@@ -400,7 +393,7 @@ class _LogIteration:
     def scatter(self, values):
         """The n x m array with ``values`` on the entry list and 0 off it."""
         out = np.zeros(self.k.shape, dtype=values.dtype)
-        np.put(out, self.entry_list(), values)
+        np.put(out, self.entries, values)
         return out
 
     # Log-potentials, -inf where the scaling is zero; each caller takes
@@ -458,7 +451,7 @@ def run_sinkhorn(r, mu, nu, cfg=None):
     # the masks p < z_tol on the entry list of the last _ZERO_STREAK
     # iterations, bit-packed; all ones before the first, so their AND
     # covers only the iterations run
-    zero_ring = np.full((_ZERO_STREAK, (kernel.entry_list().size + 7) // 8), 0xFF, dtype=np.uint8)
+    zero_ring = np.full((_ZERO_STREAK, (kernel.entries.size + 7) // 8), 0xFF, dtype=np.uint8)
     trace = []
     prev_p = prev_q = None
     converged = False
@@ -505,8 +498,7 @@ def run_sinkhorn(r, mu, nu, cfg=None):
                               iteration=n, overflow_flag=kernel.absorbed)
 
     held = np.unpackbits(np.bitwise_and.reduce(zero_ring), count=p.size).astype(bool)
-    # the entry list lies within supp(R): K starts as R itself
-    structural = kernel.scatter(~held)
+    structural = kernel.scatter(~held)  # the entry list is supp(R)
     # R* is 0 off the entry list, so its mass is the fsum over the list
     r_entries = geometric_mean(p, q)
     z = math.fsum(r_entries.tolist())

@@ -190,13 +190,17 @@ def is_sisp(subset, r, mu, nu, r_star_reference):
     the subset) and (ii) the limit's row supports to coincide with those
     of R on the subset, both at the structural-zero threshold
     ``Z_TOL_FACTOR * M(mu)`` of :func:`run_sinkhorn`.  Raises ValueError
-    on NaN, infinite or negative input."""
+    on NaN, infinite or negative input, on an empty subset or a row index
+    outside [0, n), and on a reference limit whose shape is not R's."""
     r, mu, nu = as_triple(r, mu, nu)
     ref = as_coupling(r_star_reference)
+    if ref.shape != r.shape:
+        raise ValueError(f"reference limit has shape {ref.shape}, R has {r.shape}")
+    subset = [int(i) for i in subset]
+    if not subset or min(subset) < 0 or max(subset) >= r.shape[0]:
+        raise ValueError(f"subset must be a nonempty list of rows in [0, {r.shape[0]})")
     rows = np.zeros(r.shape[0], dtype=bool)
-    rows[[int(i) for i in subset]] = True
-    if not rows.any():
-        raise ValueError("subset must be nonempty")
+    rows[subset] = True
     above = ref >= Z_TOL_FACTOR * total_mass(mu)
     adj = support_graph(r)
     if above[np.ix_(~rows, adj[rows].any(axis=0))].any():
@@ -277,11 +281,10 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
         block = indicator[np.ix_(active_rows, active_cols)]
         kernel = _LogIteration(block, np.where(block.any(axis=1), mu_r[active_rows], 0.0),
                                np.where(block.any(axis=0), nu_r[active_cols], 0.0))
-        # row i's support columns, row by row; a drop removes whole rows,
-        # so the rows left keep theirs
-        sup_rows, sup_cols = np.nonzero(kernel.support)
-        starts = np.flatnonzero(np.diff(sup_rows, prepend=-1))
-        sup_rows = sup_rows[starts]
+        # row i's support columns, row by row on the entry list; a drop
+        # removes whole rows, so the rows left keep theirs
+        starts = np.flatnonzero(np.diff(kernel.entry_rows, prepend=-1))
+        sup_rows = kernel.entry_rows[starts]
         log_m_sup = log_m[active_rows][sup_rows]
         mu_mass, nu_share = kernel.mu.sum(), kernel.nu / kernel.nu.sum()
         it, prev_err, comps = 0, math.inf, None
@@ -297,7 +300,7 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
                 # the global error has stopped moving: a block split into
                 # components with different mass ratios is at its fixed point
                 # once each component is consistent on its own
-                comps = comps if comps is not None else _live_components(kernel)
+                comps = comps if comps is not None else _live_components(kernel, block)
                 if all(_column_error(col, kernel, *comp) <= eps for comp in comps):
                     break
             prev_err = err
@@ -312,13 +315,13 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
             u = kernel.u_abs + np.log(kernel.a + kernel.pad_row)
             v = kernel.v_abs + np.log(kernel.b_prev + kernel.pad_col)
             low = np.zeros(u.size, dtype=bool)
-            low[sup_rows] = u[sup_rows] + np.minimum.reduceat(v[sup_cols], starts) < log_m_sup
+            low[sup_rows] = u[sup_rows] + np.minimum.reduceat(v[kernel.entry_cols], starts) < log_m_sup
             low &= kernel.rows  # the live rows
             if not (kernel.rows & ~low).any():
                 raise NotConverged("approximate support detection dropped every row "
                                    "(thresholds too large for this instance)")
             if low.any():
-                kernel.drop_rows(low)
+                kernel.drop(low[kernel.entry_rows])
                 mu_mass, nu_share = kernel.mu.sum(), kernel.nu / kernel.nu.sum()
                 comps = None
                 kernel.update_b()
@@ -326,7 +329,7 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
                 kernel.update_b(kta)
         total_inner += it
 
-        comps = comps if comps is not None else _live_components(kernel)
+        comps = comps if comps is not None else _live_components(kernel, block)
         ratios = [kernel.mu[rows].sum() / kernel.nu[cols].sum() for rows, cols in comps]
         top = max(ratios)
         drop_rows = np.zeros(active_rows.size, dtype=bool)
@@ -349,12 +352,14 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
                             converged=converged)
 
 
-def _live_components(kernel):
-    """Connected components of the live block of ``kernel``: (rows, cols)
-    index arrays, both nonempty (a live row or column has support)."""
+def _live_components(kernel, block):
+    """Connected components of the live block of ``kernel``, built on the
+    indicator ``block`` and shrunk by dropping whole rows, so that the live
+    rows keep all their entries: (rows, cols) index arrays, both nonempty
+    (a live row or column has support)."""
     rows, cols = np.flatnonzero(kernel.mu > 0), np.flatnonzero(kernel.nu > 0)
     return [(rows[list(comp_rows)], cols[list(comp_cols)])
-            for comp_rows, comp_cols in connected_components(kernel.support[np.ix_(rows, cols)])]
+            for comp_rows, comp_cols in connected_components(block[np.ix_(rows, cols)])]
 
 
 def _column_error(col, kernel, rows, cols):

@@ -34,7 +34,7 @@ from .measures import (
     tv_distance,
 )
 from .scalability import check_assumption1
-from .sinkhorn import StopConfig, _check_max_iter, run_sinkhorn
+from .sinkhorn import StopConfig, _check_lam, _check_max_iter, run_sinkhorn
 from .support import _exact_limit
 
 __all__ = [
@@ -82,8 +82,7 @@ class PenaltyConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not self.lam > 0:  # NaN fails every comparison
-            raise ValueError("lam must be a positive number")
+        _check_lam(self.lam)
         if self.epsilon_tol is not None and not self.epsilon_tol >= 0:
             raise ValueError("epsilon_tol must be a nonnegative number or None")
         if self.sides not in (SIDE_SECOND, SIDE_BOTH):
@@ -229,8 +228,10 @@ def solve_two_sided(r, mu, nu, cfg):
 
 def penalized_objective(p, r, mu, nu, lam):
     """(1/lam) H(P|R) + H(mu^P|mu) + H(nu^P|nu): the rescaled two-sided
-    objective.  Raises ValueError on NaN, infinite or negative input."""
+    objective.  Raises ValueError on NaN, infinite or negative input and
+    on a ``lam`` that is not > 0."""
     p, (r, mu, nu) = as_coupling(p), as_triple(r, mu, nu)
+    _check_lam(lam)
     return (rel_entropy_coupling(p, r) / lam
             + rel_entropy(marginal_row(p), mu)
             + rel_entropy(marginal_col(p), nu))
@@ -243,8 +244,8 @@ def stationarity_residual(p, r, mu, nu, lam):
     The directional derivative along scaling row i is
     sum_j P_ij g_ij with g = (1/lam) log(P/R) + log(mu^P/mu) (+) log(nu^P/nu);
     the maximizer of the penalized dual zeroes it identically.
-    Raises ValueError on NaN, infinite or negative input, and when ``p``
-    and ``r`` differ in shape.
+    Raises ValueError on NaN, infinite or negative input, on a ``lam``
+    that is not > 0, and when ``p`` and ``r`` differ in shape.
     """
     p, r, g = _stationarity_terms(p, r, mu, nu, lam)
     return _largest_sum(p * g)
@@ -264,6 +265,7 @@ def _stationarity_terms(p, r, mu, nu, lam):
     """The validated P and R and the g of :func:`stationarity_residual`,
     0 off supp(P)."""
     p, (r, mu, nu) = as_coupling(p), as_triple(r, mu, nu)
+    _check_lam(lam)
     if p.shape != r.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {r.shape}")
     row = marginal_row(p)

@@ -47,11 +47,13 @@ def test_iterations_vs_zeros_small():
 
 
 def test_iterations_vs_zeros_counts_at_size_100():
-    # pinned counts of the three methods on the 100x100 staircases
-    rows = experiment_iterations_vs_zeros([4, 6, 10], size=100)
-    assert [row["iters_plain"] for row in rows] == [195, 482, 1323]
-    assert [row["iters_naive"] for row in rows] == [56, 125, 336]
-    assert [row["iters_preproc"] for row in rows] == [67, 157, 511]
+    # the whole table of the three methods on the 100x100 staircases
+    rows = experiment_iterations_vs_zeros(range(1, 11), size=100)
+    assert [row["n_blocks"] for row in rows] == list(range(1, 11))
+    assert [row["extra_zeros"] for row in rows] == [0, 2500, 3333, 3750, 4000, 4166, 4285, 4374, 4444, 4500]
+    assert [row["iters_plain"] for row in rows] == [17, 28, 58, 195, 250, 482, 554, 861, 952, 1323]
+    assert [row["iters_naive"] for row in rows] == [17, 20, 28, 56, 86, 125, 170, 217, 280, 336]
+    assert [row["iters_preproc"] for row in rows] == [20, 27, 42, 67, 107, 157, 226, 303, 402, 511]
 
 
 @pytest.mark.slow

@@ -215,6 +215,9 @@ ENTRY_POINTS = {
     "epsilon_fill": lambda r, mu, nu: epsilon_fill(r, 0.1),
     "stationarity_residual": lambda r, mu, nu: stationarity_residual(P_STAR, r, mu, nu, 10.0),
     "penalized_objective": lambda r, mu, nu: penalized_objective(P_STAR, r, mu, nu, 10.0),
+    "project_first_marginal": lambda r, mu, nu: project_first_marginal(r, mu),
+    # R^T has one column per entry of mu
+    "project_second_marginal": lambda r, mu, nu: project_second_marginal(r.T, mu),
 }
 R_ONLY = {"epsilon_fill"}  # takes no mu
 

@@ -407,53 +407,51 @@ def test_kernel_flush_keeps_the_run(instance, cfg, flushes, appendix, monkeypatc
         assert (got[moved] < floor).all() and (want[moved] < floor).all()
 
 
-def test_restrict_before_first_step_matches_masked_kernel():
+def test_drop_before_first_step_matches_masked_kernel():
     r, mu, nu, support, _ = staircase_instance(100, [10] * 10, block_ratio_schedule(10))
     mask = support.copy()
     mask[:5] = False  # rows 0-4 and columns 95-99 lose every entry
     mask[:, 95:] = False
-    restricted = _LogIteration(r, mu, nu)
-    restricted.restrict(mask)
+    dropped = _LogIteration(r, mu, nu)
+    dropped.drop(~mask.take(dropped.entries))
     mu_live = np.where(mask.any(axis=1), mu, 0.0)
     nu_live = np.where(mask.any(axis=0), nu, 0.0)
     fresh = _LogIteration(r * mask, mu_live, nu_live)
-    np.testing.assert_array_equal(restricted.mu, mu_live)
-    np.testing.assert_array_equal(restricted.nu, nu_live)
+    np.testing.assert_array_equal(dropped.mu, mu_live)
+    np.testing.assert_array_equal(dropped.nu, nu_live)
     assert mu[:5].min() > 0 and nu[95:].min() > 0  # the caller's arrays are untouched
     for _ in range(400):
-        restricted.step()
+        dropped.step()
         fresh.step()
-    assert restricted.absorbed and fresh.absorbed
-    for got, want in zip(map(restricted.scatter, restricted.couplings()),
+    assert dropped.absorbed and fresh.absorbed
+    for got, want in zip(map(dropped.scatter, dropped.couplings()),
                          map(fresh.scatter, fresh.couplings())):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
         assert not got[:5].any() and not got[:, 95:].any()
 
 
-def test_drop_rows_is_row_restrict_in_place():
+def test_drop_is_in_place_and_idempotent():
     r, mu, nu, _, _ = staircase_instance(100, [10] * 10, block_ratio_schedule(10))
     r_before = r.copy()
-    drop = np.zeros(100, dtype=bool)
-    drop[:10] = True  # rows 0-9 and columns 0-9 lose every entry
-    dropped, restricted = _LogIteration(r, mu, nu), _LogIteration(r, mu, nu)
-    for kernel in (dropped, restricted):
-        for _ in range(300):
-            kernel.step()
-    assert dropped.absorbed
-    dropped.drop_rows(drop)
-    restricted.restrict(~drop[:, None])
-    assert np.array_equal(r, r_before)  # the caller's R is untouched
-    for name in ("mu", "nu", "support", "log_r", "k", "pad"):
-        np.testing.assert_array_equal(getattr(dropped, name), getattr(restricted, name))
-    assert not dropped.nu[:10].any() and dropped.nu[10:].all()
+    rows = np.arange(100) < 10  # rows 0-9 and columns 0-9 lose every entry
+    kernel = _LogIteration(r, mu, nu)
     for _ in range(300):
-        dropped.step()
-        restricted.step()
-    for got, want in zip(map(dropped.scatter, dropped.couplings()),
-                         map(restricted.scatter, restricted.couplings())):
-        np.testing.assert_array_equal(got, want)
+        kernel.step()
+    assert kernel.absorbed
+    off = rows[kernel.entry_rows]
+    k_before, log_r_before = kernel.k.copy(), kernel.log_r.copy()
+    kernel.drop(off)
+    # dropping dead entries again changes nothing: rows 0-9 hold 10 of the
+    # 11 entries of column 10, which keeps its mass
+    kernel.drop(off)
+    assert np.array_equal(r, r_before)  # the caller's R is untouched
+    assert not kernel.k[:10].any() and np.array_equal(kernel.k[10:], k_before[10:])
+    assert np.array_equal(kernel.log_r, np.where(off, -np.inf, log_r_before))
+    np.testing.assert_array_equal(kernel.mu, np.where(rows, 0.0, mu))
+    np.testing.assert_array_equal(kernel.nu, np.where(rows, 0.0, nu))
+    np.testing.assert_array_equal(kernel.pad, np.concatenate((rows, rows)).astype(float))
     fresh = _LogIteration(r, mu, nu)
-    fresh.drop_rows(drop)  # before any absorption, K is still the caller's R
+    fresh.drop(off)  # before any absorption, K is still the caller's R
     assert np.array_equal(r, r_before) and not fresh.k[:10].any()
 
 
@@ -465,7 +463,7 @@ def _dense_couplings(kernel):
 
 def _assert_couplings_match_dense(kernel):
     off = np.ones(kernel.k.size, dtype=bool)
-    off[kernel.entry_list()] = False
+    off[kernel.entries] = False
     for on_list, dense in zip(kernel.couplings(), _dense_couplings(kernel)):
         got = kernel.scatter(on_list)
         assert got.dtype == dense.dtype and got.tobytes() == dense.tobytes()
@@ -482,25 +480,21 @@ def test_couplings_on_the_entry_list_are_the_dense_formula(appendix):
             kernel.step()
             if n in (1, 2, 3, 50, 1200):
                 _assert_couplings_match_dense(kernel)
-        assert np.array_equal(kernel.entry_list(), np.flatnonzero(r))  # massless rows and columns too
+        assert np.array_equal(kernel.entries, np.flatnonzero(r))  # massless rows and columns too
 
     r, mu, nu, _, _ = staircase_instance(100, [10] * 10, block_ratio_schedule(10))
     kernel = _LogIteration(r, mu, nu)
     for _ in range(600):
         kernel.step()
-    # first taken after the kernel has flushed entries of K to 0
-    assert kernel.absorbed and (kernel.support & (kernel.k == 0)).any()
+    # entries of K flushed to 0 stay on the list
+    assert kernel.absorbed and ((kernel.log_r > -np.inf) & (kernel.k.take(kernel.entries) == 0)).any()
     _assert_couplings_match_dense(kernel)
-    assert np.array_equal(kernel.entry_list(), np.flatnonzero(r))
-    mask = r > 0
-    mask[:, 95:] = False
-    kernel.restrict(mask)
+    assert np.array_equal(kernel.entries, np.flatnonzero(r))
+    kernel.drop(kernel.entry_cols >= 95)
     for _ in range(200):
         kernel.step()
     _assert_couplings_match_dense(kernel)
-    drop = np.zeros(100, dtype=bool)
-    drop[:10] = True
-    kernel.drop_rows(drop)
+    kernel.drop(kernel.entry_rows < 10)
     kernel.step()
     _assert_couplings_match_dense(kernel)
     _assert_couplings_match_dense(kernel)  # twice without a step between

@@ -280,6 +280,14 @@ def test_is_sisp_appendix(appendix):
     assert is_sisp([0, 1], d, d.sum(1), d.sum(0), d)
     with pytest.raises(ValueError):
         is_sisp([], r, mu, nu, R_STAR)
+    # numpy would read -1 as row 2 and answer True; 3 is past the last row
+    for rows in ([-1], [3], [0, 3]):
+        with pytest.raises(ValueError, match=r"in \[0, 3\)"):
+            is_sisp(rows, r, mu, nu, R_STAR)
+    # a 3 x 4 reference gave a silent False, a 2 x 3 one an IndexError
+    for shape in ((3, 4), (2, 3)):
+        with pytest.raises(ValueError, match="shape"):
+            is_sisp([2], r, mu, nu, np.zeros(shape))
 
 
 def test_default_thresholds(appendix):

@@ -7,6 +7,8 @@ from degensink import (
     PenaltyConfig,
     classify_exact,
     epsilon_fill,
+    gap_unbalanced,
+    init_state,
     marginal_col,
     marginal_row,
     penalized_objective,
@@ -220,6 +222,19 @@ def test_penalized_diagnostics_reject_shape_mismatch(appendix):
     for diagnostic in (stationarity_residual, penalized_objective):
         with pytest.raises(ValueError):
             diagnostic(np.ones((3, 2)), r, mu, nu, 10.0)
+
+
+@pytest.mark.parametrize("lam", [np.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize("name", ["gap_unbalanced", "stationarity_residual", "penalized_objective"])
+def test_penalized_values_reject_invalid_lam(name, lam, appendix):
+    # at lam = -1 gap_unbalanced returned -25.3, at lam = 0 penalized_objective
+    # raised ZeroDivisionError
+    r, mu, nu = appendix
+    call = {"gap_unbalanced": lambda: gap_unbalanced(init_state(3, 3), r, mu, nu, lam),
+            "stationarity_residual": lambda: stationarity_residual(R_STAR, r, mu, nu, lam),
+            "penalized_objective": lambda: penalized_objective(R_STAR, r, mu, nu, lam)}[name]
+    with pytest.raises(ValueError, match="lam must be a positive number"):
+        call()
 
 
 def test_epsilon_fill(appendix):
