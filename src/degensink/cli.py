@@ -70,7 +70,10 @@ def _parse_gen(text):
 
 def _instance_from(args):
     if getattr(args, "instance", None):
-        return load_instance(args.instance)
+        try:
+            return load_instance(args.instance)
+        except OSError as exc:
+            raise ValueError(f"cannot read --instance {args.instance}: {exc.strerror}") from exc
     if getattr(args, "gen", None):
         return gen_instance(_parse_gen(args.gen))
     raise ValueError("provide --instance or --gen")

@@ -172,7 +172,9 @@ def gen_instance(spec):
 
 
 def load_instance(source):
-    """Read an instance from a JSON file path, file object or dict."""
+    """Read an instance from a JSON file path, file object or dict.
+    Raises ValueError unless the JSON is an object with keys R, mu and nu
+    that hold a valid triple."""
     if isinstance(source, dict):
         payload = source
     elif hasattr(source, "read"):
@@ -180,6 +182,8 @@ def load_instance(source):
     else:
         with open(source) as handle:
             payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(f"instance JSON must be an object, got {type(payload).__name__}")
     try:
         r = as_coupling(payload["R"])
         mu = as_measure(payload["mu"])

@@ -33,6 +33,17 @@ __all__ = [
 ]
 
 
+def _nonnegative(entries, what):
+    """``entries`` as a float64 array (not copied); raises ValueError on
+    NaN, infinite or negative entries."""
+    a = np.asarray(entries, dtype=float)
+    if a.size and not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    if a.size and a.min() < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    return a
+
+
 def as_measure(weights):
     """Validate and return a measure as a 1-d float64 array.
 
@@ -41,11 +52,7 @@ def as_measure(weights):
     m = np.asarray(weights, dtype=float)
     if m.ndim != 1:
         raise ValueError(f"measure must be 1-d, got shape {m.shape}")
-    if m.size and not np.isfinite(m).all():
-        raise ValueError("measure weights must be finite")
-    if m.size and m.min() < 0:
-        raise ValueError("measure weights must be nonnegative")
-    return m.copy()
+    return _nonnegative(m, "measure weights").copy()
 
 
 def as_coupling(entries):
@@ -53,11 +60,7 @@ def as_coupling(entries):
     r = np.asarray(entries, dtype=float)
     if r.ndim != 2:
         raise ValueError(f"coupling must be 2-d, got shape {r.shape}")
-    if r.size and not np.isfinite(r).all():
-        raise ValueError("coupling entries must be finite")
-    if r.size and r.min() < 0:
-        raise ValueError("coupling entries must be nonnegative")
-    return r.copy()
+    return _nonnegative(r, "coupling entries").copy()
 
 
 def as_triple(r, mu, nu):
@@ -99,10 +102,10 @@ def rel_entropy(p, r):
     """Relative entropy H(p | r) = sum_k { p_k log(p_k/r_k) + r_k - p_k }.
 
     Returns a value in [0, +inf]; ``math.inf`` signals that p is not
-    absolutely continuous w.r.t. r.  Raises ValueError on length mismatch.
+    absolutely continuous w.r.t. r.  Raises ValueError on length mismatch
+    and on NaN, infinite or negative entries.
     """
-    p = np.asarray(p, dtype=float)
-    r = np.asarray(r, dtype=float)
+    p, r = _nonnegative(p, "entries"), _nonnegative(r, "reference entries")
     if p.shape != r.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {r.shape}")
     core = _entropy_terms(p.ravel(), r.ravel())
@@ -114,7 +117,8 @@ def rel_entropy(p, r):
 
 
 def rel_entropy_coupling(p, r):
-    """Relative entropy of two couplings of the same shape (entrywise sum)."""
+    """Relative entropy of two couplings of the same shape (entrywise sum).
+    Raises ValueError as :func:`rel_entropy` does."""
     p = np.asarray(p, dtype=float)
     r = np.asarray(r, dtype=float)
     if p.shape != r.shape:
@@ -159,19 +163,27 @@ def project_second_marginal(r, nu):
 
 
 def geometric_mean(p, q):
-    """Componentwise geometric mean sqrt(p_ij * q_ij) of two couplings."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    """Componentwise geometric mean sqrt(p_ij) sqrt(q_ij) of two couplings
+    (or measures).  The product p_ij q_ij is never formed, so entries up to
+    the float limit are fine.  Raises ValueError on NaN, infinite or
+    negative entries."""
+    p, q = _nonnegative(p, "entries"), _nonnegative(q, "entries")
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    return np.sqrt(p * q)
+    return np.sqrt(p) * np.sqrt(q)
 
 
 def tv_distance(p, q):
     """Entrywise L1 distance sum_ij |p_ij - q_ij|, as a numpy pairwise sum:
-    solvers call it every iteration, so it does not use ``math.fsum``."""
+    solvers call it every iteration, so it does not use ``math.fsum`` and
+    does not check its entries.  It raises ValueError only when the
+    distance is not finite, as on a NaN or infinite entry; negative
+    entries pass."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    return float(np.abs(p - q).sum())
+    dist = float(np.abs(p - q).sum())
+    if not math.isfinite(dist):
+        raise ValueError("tv_distance: the distance is not finite (NaN or infinite entries)")
+    return dist

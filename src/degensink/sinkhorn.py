@@ -510,8 +510,8 @@ def run_sinkhorn(r, mu, nu, cfg=None):
         r_bar_star=r_star / z if z > 0 else np.zeros_like(r_star),
         mu_star=marginal_row(q),
         nu_star=marginal_col(p),
-        mu_g=np.sqrt(marginal_row(q) * mu),
-        nu_g=np.sqrt(marginal_col(p) * nu),
+        mu_g=geometric_mean(marginal_row(q), mu),
+        nu_g=geometric_mean(marginal_col(p), nu),
         z_norm=z,
         iterations=n,
         converged=converged,

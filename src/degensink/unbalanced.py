@@ -34,7 +34,7 @@ from .measures import (
     tv_distance,
 )
 from .scalability import check_assumption1
-from .sinkhorn import StopConfig, _check_lam, _check_max_iter, run_sinkhorn
+from .sinkhorn import StopConfig, _check_lam, run_sinkhorn
 from .support import _exact_limit
 
 __all__ = [
@@ -61,33 +61,28 @@ _SWEEPS = 30
 # a trial step is rejected only when D falls by more than its float
 # roundoff: this share of the total size of D's terms, of either sign
 _ROUNDOFF = 1e-14
+# shares of max(M(mu), M(nu), M(P)), P the iterate, for the dual gradient
+# and the stationarity residual, both sums weighted by P: P need not carry
+# the mass of mu or nu (at lam = 1e-3 it keeps about that of R)
+_GRAD_TOL = 1e-12
+_STATIONARITY_TOL = 1e-8
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
 class PenaltyConfig:
     """Penalization setup: weight ``lam`` and which marginals are relaxed.
-
-    ``max_iter`` caps the Newton steps, each one m x m linear solve.  A
-    solve stops once the dual gradient has l1 norm at most ``epsilon_tol``
-    (``None``: 1e-12 max(M(mu), M(nu), 1)) or at most its own float
-    roundoff, eps_mach (<row P, |u|> + <col P, |v|>), if that is larger, as
-    on degenerate instances from lam of about 1e5 on (|u|, |v| grow like lam).
-    NaN settings, a negative ``epsilon_tol`` and a ``max_iter`` that is not
-    an integer of at least 1 are rejected.
-    """
+    A ``lam`` that is not > 0 (NaN, 0, negative) and an unknown ``sides``
+    are rejected.  The solvers work out their stop rule from the masses
+    (:func:`_newton_dual`, :func:`solve_two_sided`)."""
 
     lam: float
     sides: str = SIDE_BOTH
-    epsilon_tol: float | None = None
-    max_iter: int = 100
 
     def __post_init__(self):
         _check_lam(self.lam)
-        if self.epsilon_tol is not None and not self.epsilon_tol >= 0:
-            raise ValueError("epsilon_tol must be a nonnegative number or None")
         if self.sides not in (SIDE_SECOND, SIDE_BOTH):
             raise ValueError(f"unknown sides {self.sides!r}")
-        _check_max_iter(self.max_iter)
 
 
 def _newton_dual(r, mu, nu, cfg, sides):
@@ -97,11 +92,12 @@ def _newton_dual(r, mu, nu, cfg, sides):
     (:func:`_newton_direction`).  On the fig6 instance of the bench the
     seven solves at lam = 1 to 1e3 take 0, 2, 3, 3 (two-sided) and 3, 5, 5
     (one-sided) Newton steps, 109 in all from x = 0.  Returns P, the
-    number of Newton steps and the final l1 norm of the gradient; raises
-    NotConverged, carrying the last P, the steps and that norm, if the
-    stop rule of :class:`PenaltyConfig` has not fired after
-    ``cfg.max_iter`` steps, no ascent step is left or the Newton system
-    is singular."""
+    number of Newton steps and the final l1 norm of the gradient, once it
+    is at most ``_GRAD_TOL`` max(M(mu), M(nu), M(P)) or its own float
+    roundoff, eps_mach (<row P, |u|> + <col P, |v|>), as from lam of about
+    1e5 on (|u|, |v| grow like lam).  Raises NotConverged, carrying the
+    last P, the steps and that norm, after ``_MAX_STEPS`` steps, when no
+    ascent step is left or when the Newton system is singular."""
     if cfg.sides != sides:
         raise ValueError(f"this solver requires a {sides} config")
     r, mu, nu = as_triple(r, mu, nu)
@@ -112,7 +108,7 @@ def _newton_dual(r, mu, nu, cfg, sides):
     hard = (np.arange(weights.size) < k) & (sides == SIDE_SECOND)  # F(u) = <mu, u>
     with np.errstate(divide="ignore"):
         log_r = np.log(r[block])
-    tol = 1e-12 * max(total_mass(mu), total_mass(nu), 1.0) if cfg.epsilon_tol is None else cfg.epsilon_tol
+    mass = max(total_mass(mu), total_mass(nu))
 
     def dual(x):
         """P, D and the total size of D's terms; inf or NaN on overflow."""
@@ -126,18 +122,18 @@ def _newton_dual(r, mu, nu, cfg, sides):
     p, d, size = dual(x)
     out = np.zeros(r.shape)
     reason = "step cap reached"
-    for step in range(cfg.max_iter + 1):
+    for step in range(_MAX_STEPS + 1):
         marg = np.concatenate([p.sum(axis=1), p.sum(axis=0)])
         # derivatives of the penalty terms: mu exp(-u/lam) (mu if hard), nu exp(-v/lam)
         w = weights * np.exp(-np.where(hard, 0.0, x) / lam)
         grad = w - marg
         grad_norm = float(np.abs(grad).sum())
-        if grad_norm <= max(tol, np.finfo(float).eps * (marg @ np.abs(x))):
+        if grad_norm <= max(_GRAD_TOL * max(mass, marg[:k].sum()), np.finfo(float).eps * (marg @ np.abs(x))):
             if sides == SIDE_SECOND:  # the exact maximization over u: row P = mu
                 p *= (weights[:k] / marg[:k])[:, None]
             out[block] = p
             return out, step, grad_norm
-        if step == cfg.max_iter:
+        if step == _MAX_STEPS:
             break
         try:
             direction = _newton_direction(p, marg + np.where(hard, 0.0, w / lam), grad)
@@ -208,16 +204,16 @@ def solve_two_sided(r, mu, nu, cfg):
         min  H(P | R) + lam ( H(mu^P | mu) + H(nu^P | nu) )
 
     by Newton's method on its dual (module docstring).  The solution must
-    also have first-order stationarity residual at most 1e-8 (scaled by
-    the target mass), or at most the residual's own float roundoff when
-    that is larger (:func:`_stationarity_roundoff`), as at lam below about
-    1e-7, where g carries log(P/R)/lam.  A solve that stops short of it,
-    under a loose ``epsilon_tol``, raises NotConverged with the solution
-    attached.
+    also have first-order stationarity residual at most
+    ``_STATIONARITY_TOL`` max(M(mu), M(nu), M(P)), or at most the
+    residual's own float roundoff when that is larger
+    (:func:`_stationarity_roundoff`), as at lam below about 1e-7, where g
+    carries log(P/R)/lam.  A solve that stops short of it raises
+    NotConverged with the solution attached.
     """
     p, steps, grad_norm = _newton_dual(r, mu, nu, cfg, SIDE_BOTH)
     residual = stationarity_residual(p, r, mu, nu, cfg.lam)
-    res_tol = 1e-8 * max(total_mass(mu), total_mass(nu), 1.0)
+    res_tol = _STATIONARITY_TOL * max(total_mass(mu), total_mass(nu), float(p.sum()))
     if not residual <= res_tol:  # the roundoff bound is needed only now
         res_tol = max(res_tol, _stationarity_roundoff(p, r, mu, nu, cfg.lam))
     if not residual <= res_tol:

@@ -182,3 +182,22 @@ def test_solve_nan_tolerance_is_a_usage_error(monkeypatch, capsys):
         main(["solve", "--gen", "kind=upper,n=3", "--tol", "nan"])
     assert exc.value.code == 2
     assert "epsilon_tol" in capsys.readouterr().err
+
+
+def test_instance_json_not_an_object_is_a_usage_error(tmp_path, capsys):
+    # a top-level list ended in a TypeError traceback, exit code 1
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--instance", str(path)])
+    assert exc.value.code == 2
+    assert "must be an object" in capsys.readouterr().err
+
+
+def test_missing_instance_file_is_a_usage_error(tmp_path, capsys):
+    # ended in a FileNotFoundError traceback, exit code 1
+    path = tmp_path / "absent.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--instance", str(path)])
+    assert exc.value.code == 2
+    assert "cannot read --instance" in capsys.readouterr().err

@@ -112,6 +112,12 @@ def test_tv_distance():
     assert tv_distance(P_STAR, P_STAR) == 0.0
     assert tv_distance(P_STAR, Q_STAR) == pytest.approx(2.0)
     assert tv_distance([[1.0]], [[0.0]]) == 1.0
+    # solvers call it every iteration, so it checks only its result:
+    # negative entries pass, NaN and infinite ones do not
+    assert tv_distance([[-1.0, 2.0]], [[0.0, 0.0]]) == 3.0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            tv_distance([[bad, 1.0]], [[0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +222,10 @@ ENTRY_POINTS = {
     "stationarity_residual": lambda r, mu, nu: stationarity_residual(P_STAR, r, mu, nu, 10.0),
     "penalized_objective": lambda r, mu, nu: penalized_objective(P_STAR, r, mu, nu, 10.0),
     "project_first_marginal": lambda r, mu, nu: project_first_marginal(r, mu),
+    # mu on one side, R on the other
+    "rel_entropy": lambda r, mu, nu: rel_entropy(mu, r[0]),
+    "rel_entropy_coupling": lambda r, mu, nu: rel_entropy_coupling(np.outer(mu, nu), r),
+    "geometric_mean": lambda r, mu, nu: geometric_mean(r, np.outer(mu, nu)),
     # R^T has one column per entry of mu
     "project_second_marginal": lambda r, mu, nu: project_second_marginal(r.T, mu),
 }

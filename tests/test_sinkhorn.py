@@ -654,10 +654,15 @@ def _invariance_cases():
 INVARIANCE_CASES = _invariance_cases()
 
 
-def _limits(r, mu, nu, tol=None):
+def _limit_report(r, mu, nu, tol=None):
     tol = 1e-13 * max(mu.sum(), 1.0) if tol is None else tol
     rep = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=tol, max_iter=20_000, mode="iterate-delta"))
     assert rep.converged
+    return rep
+
+
+def _limits(r, mu, nu, tol=None):
+    rep = _limit_report(r, mu, nu, tol)
     return rep.p_star, rep.q_star
 
 
@@ -700,13 +705,34 @@ def test_limits_ignore_reference_scale(case, k, mantissa):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=st.integers(0, len(INVARIANCE_CASES) - 1), k=st.integers(-100, 100))
+@given(case=st.integers(0, len(INVARIANCE_CASES) - 1), k=st.integers(-287, 287))
 def test_limits_scale_with_mass(case, k):
     # the stop threshold scales with the mass: unscaled, a mass of 1e-100
-    # moves by less than 1e-13 from the second iteration on
+    # moves by less than 1e-13 from the second iteration on.  At 10^288 the
+    # worked example and the staircase overflow (OverflowDetected); below
+    # 10^-289 the staircase's masses are subnormal
     r, mu, nu = INVARIANCE_CASES[case]
     scale = 10.0 ** k
-    p, q = _limits(r, mu, nu)
-    p_s, q_s = _limits(r, scale * mu, scale * nu, tol=scale * 1e-13 * max(mu.sum(), 1.0))
-    _assert_close(p_s / scale, p, mu)
-    _assert_close(q_s / scale, q, mu)
+    want = _limit_report(r, mu, nu)
+    got = _limit_report(r, scale * mu, scale * nu, tol=scale * 1e-13 * max(mu.sum(), 1.0))
+    for name in ("p_star", "q_star", "r_star", "mu_g", "nu_g"):
+        _assert_close(getattr(got, name) / scale, getattr(want, name), mu)
+    assert got.z_norm / scale == pytest.approx(want.z_norm, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k", [154, 200, 250])
+def test_geometric_means_finite_near_float_limit(k):
+    # p q overflows from 10^154: R*, z_norm, mu_g and nu_g were inf and
+    # r_bar_star NaN, with RuntimeWarnings only
+    r, mu, nu = appendix_a_instance()
+    scale = 10.0 ** k
+    want = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=1e-3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_sinkhorn(r, scale * mu, scale * nu, StopConfig(epsilon_tol=1e-3 * scale))
+    assert got.iterations == want.iterations
+    # to 1e-15 of the largest entry, as small entries carry their own roundoff
+    for name, unit in (("r_star", scale), ("mu_g", scale), ("nu_g", scale), ("r_bar_star", 1.0)):
+        ref = getattr(want, name)
+        np.testing.assert_allclose(getattr(got, name) / unit, ref, rtol=0, atol=1e-15 * ref.max())
+    assert got.z_norm / scale == pytest.approx(want.z_norm, rel=1e-15, abs=0)
