@@ -25,7 +25,6 @@ from .measures import (
     marginal_col,
     marginal_row,
     project_first_marginal,
-    project_second_marginal,
     rel_entropy,
     rel_entropy_coupling,
     total_mass,
@@ -33,14 +32,12 @@ from .measures import (
 )
 from .scalability import (
     ScalabilityClass,
-    backward_image,
     check_assumption1,
     classify_exact,
     connected_components,
     feasibility_flow,
     forward_image,
     reduce_to_full_support,
-    restrict_to_E,
     support_graph,
 )
 from .sinkhorn import (

@@ -169,8 +169,7 @@ def _cmd_experiment(args):
     elif args.which == "iterations-vs-zeros":
         blocks = range(args.min_blocks, args.max_blocks + 1)
         rows = experiments.experiment_iterations_vs_zeros(blocks, size=args.size)
-        table = [(row["n_blocks"], row["extra_zeros"], row["iters_plain"],
-                  row["iters_naive"], row["iters_preproc"]) for row in rows]
+        table = [row.values() for row in rows]  # keyed by the header's columns, in order
         _write(_csv(table, experiments.ITERATIONS_CSV_HEADER), args.out)
     else:  # fig6
         lam_rows, eps_rows, classification = experiments.experiment_fig6(size=args.size)

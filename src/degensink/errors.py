@@ -38,6 +38,7 @@ class NotConverged(DegensinkError):
 
 class OverflowDetected(DegensinkError):
     """A float overflowed: a diverging potential of the literal recursion
-    ``sinkhorn_step`` left float range, or a product of ``run_sinkhorn``'s
-    absorbed kernel overflowed, which only masses near the float limit
-    cause (the potentials themselves are absorbed into a log-kernel)."""
+    ``sinkhorn_step`` left float range, a product of ``run_sinkhorn``'s
+    absorbed kernel overflowed, or a total mass (``total_mass``) exceeds
+    the float range.  Only masses near the float limit cause the last
+    two (the potentials themselves are absorbed into a log-kernel)."""

@@ -110,7 +110,7 @@ def _naive_threshold_solve(r, mu, nu, cfg):
     density a_i b_j falls below the minimal factor m_i (per-entry variant
     of the row-dropping detector): after each step the kernel drops the
     entries with u_i + v_j < log m_i.  Stops on the successive-iterate
-    criterion of ``cfg``.  Returns (P, Q, reference_used, iterations)."""
+    criterion of ``cfg``.  Returns (P, iterations)."""
     r = np.asarray(r, dtype=float)
     kernel = _LogIteration(r, mu, nu)
     rows, cols = kernel.entry_rows, kernel.entry_cols
@@ -125,7 +125,7 @@ def _naive_threshold_solve(r, mu, nu, cfg):
             iterations = n
             break
         p_old, q_old = p, q
-    return kernel.scatter(p), kernel.scatter(q), r * kernel.scatter(kernel.log_r > -np.inf), iterations
+    return kernel.scatter(p), iterations
 
 
 def experiment_iterations_vs_zeros(block_range, size=100):
@@ -140,15 +140,15 @@ def experiment_iterations_vs_zeros(block_range, size=100):
     the counts are comparable, and their final couplings agree on
     well-thresholded instances.
 
-    Returns a list of row dicts matching ``ITERATIONS_CSV_HEADER``, plus
-    the couplings under key "_p_stars" for cross-method comparisons.
+    Returns a list of row dicts keyed by the columns of
+    ``ITERATIONS_CSV_HEADER``.
     """
     cfg = StopConfig(epsilon_tol=1e-11 * size)
     rows = []
     for n_blocks in block_range:
         r, mu, nu = gen_instance(InstanceSpec(KIND_STAIRCASE, size, size, n_blocks=n_blocks))
         plain = run_sinkhorn(r, mu, nu, cfg)
-        p_naive, _, _, iters_naive = _naive_threshold_solve(r, mu, nu, cfg)
+        _, iters_naive = _naive_threshold_solve(r, mu, nu, cfg)
         approx = approx_support_algorithm1(r, mu, nu)
         masked = masked_solve(r, mu, nu, approx.mask, cfg)
         extra_zeros = int((r > 0).sum() - approx.mask.sum())
@@ -158,7 +158,6 @@ def experiment_iterations_vs_zeros(block_range, size=100):
             "iters_plain": plain.iterations,
             "iters_naive": iters_naive,
             "iters_preproc": approx.inner_iterations + masked.iterations,
-            "_p_stars": (plain.p_star, p_naive, masked.p_star),
         })
     return rows
 

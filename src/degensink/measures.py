@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import InfeasibleProjection
+from .errors import InfeasibleProjection, OverflowDetected
 
 __all__ = [
     "as_measure",
@@ -27,7 +27,6 @@ __all__ = [
     "rel_entropy",
     "rel_entropy_coupling",
     "project_first_marginal",
-    "project_second_marginal",
     "geometric_mean",
     "tv_distance",
 ]
@@ -74,8 +73,12 @@ def as_triple(r, mu, nu):
 
 
 def total_mass(m):
-    """Sum of all weights of a measure (or of all entries of a coupling)."""
-    return math.fsum(np.asarray(m, dtype=float).ravel().tolist())
+    """Sum of all weights of a measure (or of all entries of a coupling).
+    Raises OverflowDetected when the sum exceeds the float range."""
+    try:
+        return math.fsum(np.asarray(m, dtype=float).ravel().tolist())
+    except OverflowError as exc:
+        raise OverflowDetected(f"total mass exceeds the float range ({exc})") from exc
 
 
 def marginal_row(r):
@@ -146,20 +149,6 @@ def project_first_marginal(r, mu):
     pos = row > 0
     ratio[pos] = mu[pos] / row[pos]
     return ratio[:, None] * r
-
-
-def project_second_marginal(r, nu):
-    """Column analogue of :func:`project_first_marginal`."""
-    r, nu = as_coupling(r), as_measure(nu)
-    if nu.shape != (r.shape[1],):
-        raise ValueError(f"second marginal has length {nu.shape}, expected {r.shape[1]}")
-    col = marginal_col(r)
-    if np.any((nu > 0) & (col == 0.0)):
-        raise InfeasibleProjection("target second marginal not absolutely continuous w.r.t. nu^R")
-    ratio = np.zeros_like(nu)
-    pos = col > 0
-    ratio[pos] = nu[pos] / col[pos]
-    return ratio[None, :] * r
 
 
 def geometric_mean(p, q):

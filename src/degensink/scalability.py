@@ -26,8 +26,6 @@ from .measures import as_triple, total_mass
 __all__ = [
     "support_graph",
     "forward_image",
-    "backward_image",
-    "restrict_to_E",
     "check_assumption1",
     "reduce_to_full_support",
     "connected_components",
@@ -62,23 +60,6 @@ def forward_image(adj, rows):
     if not idx:
         return set()
     return set(int(j) for j in np.nonzero(adj[idx].any(axis=0))[0])
-
-
-def backward_image(adj, cols):
-    """Rows adjacent to at least one column of ``cols``."""
-    adj = np.asarray(adj, dtype=bool)
-    idx = sorted(set(int(j) for j in cols))
-    if not idx:
-        return set()
-    return set(int(i) for i in np.nonzero(adj[:, idx].any(axis=1))[0])
-
-
-def restrict_to_E(r, mu, nu):
-    """Zero every entry of ``r`` outside supp(mu) x supp(nu).  Raises
-    ValueError on inconsistent shapes and on NaN, infinite or negative
-    input."""
-    r, mu, nu = as_triple(r, mu, nu)
-    return r * (mu > 0)[:, None] * (nu > 0)[None, :]
 
 
 def check_assumption1(r, mu, nu):

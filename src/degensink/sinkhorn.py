@@ -59,7 +59,6 @@ __all__ = [
     "OptimalityDiagnostics",
 ]
 
-MODE_BALANCED_GAP = "balanced-gap"
 MODE_UNBALANCED_GAP = "unbalanced-gap"
 MODE_ITERATE_DELTA = "iterate-delta"
 
@@ -91,16 +90,17 @@ def _check_lam(lam):
 class StopConfig:
     """Stopping rule for :func:`run_sinkhorn`.
 
-    ``epsilon_tol`` is the criterion threshold and ``mode`` one of
+    ``epsilon_tol`` is the criterion threshold and ``mode`` either
     "iterate-delta" (the default: the move max(TV(P^n, P^{n-1}),
-    TV(Q^n, Q^{n-1})), which fires on degenerate triples too),
-    "balanced-gap" or "unbalanced-gap".  Iterate-delta also ends a run
-    that has stalled, its moves at or below 1e-15 M(mu) (see
-    :func:`run_sinkhorn`); with ``epsilon_tol`` at or above that floor the
-    criterion fires first.  ``lam`` is the penalization weight of the
-    unbalanced-gap criterion (the pairing lam = 1/epsilon_tol works well
-    in practice).  NaN settings and a ``max_iter`` that is not an integer
-    of at least 1 are rejected.
+    TV(Q^n, Q^{n-1})), which fires on degenerate triples too) or
+    "unbalanced-gap" (:func:`gap_unbalanced` with weight ``lam``).
+    Iterate-delta also ends a run that has stalled, its moves at or below
+    1e-15 M(mu) (see :func:`run_sinkhorn`); with ``epsilon_tol`` at or
+    above that floor the criterion fires first.  The gap scales with the
+    masses, ``epsilon_tol`` does not: on the worked example (mass 6) at
+    the defaults the gap bottoms out at 1.35e-3 and the run ends at
+    ``max_iter``; divided by 6, it fires.  NaN settings and a
+    ``max_iter`` that is not an integer of at least 1 are rejected.
     """
 
     epsilon_tol: float = 1e-3
@@ -113,7 +113,7 @@ class StopConfig:
             raise ValueError("epsilon_tol must be a nonnegative number")
         _check_lam(self.lam)
         _check_max_iter(self.max_iter)
-        if self.mode not in (MODE_BALANCED_GAP, MODE_UNBALANCED_GAP, MODE_ITERATE_DELTA):
+        if self.mode not in (MODE_UNBALANCED_GAP, MODE_ITERATE_DELTA):
             raise ValueError(f"unknown stopping mode {self.mode!r}")
 
 
@@ -184,10 +184,6 @@ def _log_dot(log_vec, weights):
     return float(np.sum(weights[sup] * log_vec[sup])) if sup.any() else 0.0
 
 
-def _gap_balanced_from_logs(log_a, log_b_prev, p, r, mu, nu):
-    return rel_entropy_coupling(p, r) - _log_dot(log_a, mu) - _log_dot(log_b_prev, nu)
-
-
 def _gap_unbalanced_from_logs(log_a, log_b_prev, p, r, mu, nu, lam):
     sup = nu > 0
     pen = float(np.sum(nu[sup] * (1.0 - np.exp(-log_b_prev[sup] / lam)))) if sup.any() else 0.0
@@ -210,8 +206,8 @@ def gap_balanced(state, r, mu, nu):
     ValueError on NaN, infinite or negative input.
     """
     r, mu, nu = as_triple(r, mu, nu)
-    return _gap_balanced_from_logs(_safe_log(state.a), _safe_log(state.b_prev),
-                                   current_P(state, r), r, mu, nu)
+    return (rel_entropy_coupling(current_P(state, r), r)
+            - _log_dot(_safe_log(state.a), mu) - _log_dot(_safe_log(state.b_prev), nu))
 
 
 def gap_unbalanced(state, r, mu, nu, lam):
@@ -248,7 +244,11 @@ class SolveReport:
     "max_iter" (the iteration cap).  ``rate_slope`` and
     ``rate_r_squared`` are set by :func:`degensink.support.masked_solve`:
     the least-squares slope of log10 of the successive moves in
-    ``gap_trace`` against n, and the R^2 of that fit."""
+    ``gap_trace`` against n, and the R^2 of that fit.  ``state`` holds
+    exp of the log potentials, which leave float range once the kernel
+    has absorbed (10 zeros in ``a``, 10 infs in ``b`` on the 10-block
+    100 x 100 staircase at iteration 1,323); only its ``overflow_flag``
+    and ``iteration`` mean anything then."""
 
     p_star: np.ndarray
     q_star: np.ndarray
@@ -470,11 +470,8 @@ def run_sinkhorn(r, mu, nu, cfg=None):
                     gap = math.inf if prev_p is None else max(tv_distance(p, prev_p), tv_distance(q, prev_q))
                     prev_p, prev_q = p, q
                 else:
-                    log_a, log_b_prev, p_full = kernel.log_a(), kernel.log_b_prev(), kernel.scatter(p)
-                    if cfg.mode == MODE_BALANCED_GAP:
-                        gap = _gap_balanced_from_logs(log_a, log_b_prev, p_full, r, mu, nu)
-                    else:
-                        gap = _gap_unbalanced_from_logs(log_a, log_b_prev, p_full, r, mu, nu, cfg.lam)
+                    gap = _gap_unbalanced_from_logs(kernel.log_a(), kernel.log_b_prev(),
+                                                    kernel.scatter(p), r, mu, nu, cfg.lam)
                 trace.append((n, gap))
 
                 if gap <= cfg.epsilon_tol:

@@ -401,7 +401,8 @@ def masked_solve(r, mu, nu, mask, cfg=None):
     1e-12 M(mu)) the report carries the least-squares slope of log10 of
     the successive moves max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})) against
     n, and the R^2 of that fit; these moves decay at the same geometric
-    rate as TV(P^n, P*).  Under the gap criteria the rate fields stay None.
+    rate as TV(P^n, P*).  Under the unbalanced-gap criterion the rate
+    fields stay None.
     """
     r = np.asarray(r, dtype=float)
     mask = np.asarray(mask, dtype=bool)

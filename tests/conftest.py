@@ -16,11 +16,9 @@ from degensink.scalability import (
 )
 from degensink import sinkhorn
 from degensink.sinkhorn import (
-    MODE_BALANCED_GAP,
     MODE_ITERATE_DELTA,
     _ZERO_STREAK,
     _LogIteration,
-    _gap_balanced_from_logs,
     _gap_unbalanced_from_logs,
 )
 from degensink.instances import (
@@ -421,8 +419,6 @@ def reference_zero_loop(r, mu, nu, cfg):
         below *= isbelow
         if cfg.mode == MODE_ITERATE_DELTA:
             gap = math.inf if prev_p is None else max(tv_distance(p_on, prev_p), tv_distance(q_on, prev_q))
-        elif cfg.mode == MODE_BALANCED_GAP:
-            gap = _gap_balanced_from_logs(kernel.log_a(), kernel.log_b_prev(), p, r, mu, nu)
         else:
             gap = _gap_unbalanced_from_logs(kernel.log_a(), kernel.log_b_prev(), p, r, mu, nu, cfg.lam)
         trace.append((n, gap))

@@ -78,6 +78,14 @@ def test_solve_overflow_exit_code(tmp_path, capsys):
     assert "float overflow" in capsys.readouterr().err
 
 
+def test_solve_total_mass_overflow_exit_code(tmp_path, capsys):
+    # the masses 2e308 exceed the float range: "not converged", exit code 2
+    path = tmp_path / "beyond.json"
+    dump_instance(np.ones((2, 2)), np.array([1e308, 1e308]), np.array([1e308, 1e308]), path)
+    assert main(["solve", "--instance", str(path)]) == 2
+    assert "total mass exceeds the float range" in capsys.readouterr().err
+
+
 def test_classify_stdout(instance_file, capsys):
     assert main(["classify", "--instance", instance_file]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from degensink import StopConfig, approx_support_algorithm1, masked_solve, run_sinkhorn
 from degensink.experiments import (
+    ITERATIONS_CSV_HEADER,
+    _naive_threshold_solve,
     appendix_a_checkpoints,
     classify_with_fallback,
     experiment_fig6,
     experiment_iterations_vs_zeros,
     run_appendix_a,
 )
+from degensink.instances import KIND_STAIRCASE, InstanceSpec, gen_instance
 from conftest import PRINTED_CHECKPOINTS, assert_printed
 
 
@@ -37,18 +41,24 @@ def test_iterations_vs_zeros_small():
     # scalable case: all three methods effectively coincide
     assert abs(one["iters_naive"] - one["iters_plain"]) <= 1
     assert abs(one["iters_preproc"] - one["iters_plain"]) <= 3
-    for row in rows:
-        p_plain, p_naive, p_masked = row.pop("_p_stars")
-        assert np.abs(p_plain - p_naive).max() < 1e-6
-        assert np.abs(p_plain - p_masked).max() < 1e-6
     assert rows[2]["extra_zeros"] > 0
     assert rows[2]["iters_preproc"] < rows[2]["iters_plain"]
     assert rows[2]["iters_naive"] < rows[2]["iters_plain"]
+    # the three methods' final couplings agree
+    cfg = StopConfig(epsilon_tol=1e-11 * 40)
+    for n_blocks in (1, 2, 4):
+        r, mu, nu = gen_instance(InstanceSpec(KIND_STAIRCASE, 40, 40, n_blocks=n_blocks))
+        p_plain = run_sinkhorn(r, mu, nu, cfg).p_star
+        p_naive, _ = _naive_threshold_solve(r, mu, nu, cfg)
+        p_masked = masked_solve(r, mu, nu, approx_support_algorithm1(r, mu, nu).mask, cfg).p_star
+        assert np.abs(p_plain - p_naive).max() < 1e-6
+        assert np.abs(p_plain - p_masked).max() < 1e-6
 
 
 def test_iterations_vs_zeros_counts_at_size_100():
     # the whole table of the three methods on the 100x100 staircases
     rows = experiment_iterations_vs_zeros(range(1, 11), size=100)
+    assert all(list(row) == ITERATIONS_CSV_HEADER.split(",") for row in rows)
     assert [row["n_blocks"] for row in rows] == list(range(1, 11))
     assert [row["extra_zeros"] for row in rows] == [0, 2500, 3333, 3750, 4000, 4166, 4285, 4374, 4444, 4500]
     assert [row["iters_plain"] for row in rows] == [17, 28, 58, 195, 250, 482, 554, 861, 952, 1323]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from degensink import (
     Assumption1Violated,
     ScalabilityClass,
-    backward_image,
     check_assumption1,
     classify_exact,
     connected_components,
@@ -14,7 +13,6 @@ from degensink import (
     feasibility_flow,
     forward_image,
     reduce_to_full_support,
-    restrict_to_E,
     support_graph,
 )
 from degensink import scalability
@@ -52,8 +50,7 @@ def test_images(appendix):
     assert forward_image(adj, {2}) == {2}
     assert forward_image(adj, set()) == set()
     assert forward_image(adj, {1}) == {1, 2}
-    assert backward_image(adj, {0}) == {0}
-    assert backward_image(adj, {2}) == {0, 1, 2}
+    assert forward_image(adj, {0, 1}) == {0, 1, 2}
 
 
 def test_image_duality_and_monotonicity():
@@ -62,17 +59,10 @@ def test_image_duality_and_monotonicity():
         adj = rng.random((4, 5)) < 0.5
         for i in range(4):
             for j in range(5):
-                assert (j in forward_image(adj, {i})) == (i in backward_image(adj, {j}))
+                assert (j in forward_image(adj, {i})) == adj[i, j]
         a = set(int(k) for k in rng.integers(0, 4, 2))
         b = a | {int(rng.integers(0, 4))}
         assert forward_image(adj, a) <= forward_image(adj, b)
-
-
-def test_restrict_to_E(appendix):
-    r, mu, nu = appendix
-    np.testing.assert_array_equal(restrict_to_E(r, mu, nu), r)
-    zeroed = restrict_to_E(r, np.array([0.0, 2, 2]), nu)
-    assert (zeroed[0] == 0).all() and (zeroed[1:] == r[1:]).all()
 
 
 def test_check_assumption1(appendix):

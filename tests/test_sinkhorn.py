@@ -280,7 +280,7 @@ def test_check_optimality_rejects_nan(appendix):
 @pytest.mark.parametrize("settings", [dict(epsilon_tol=math.nan), dict(lam=math.nan),
                                       dict(epsilon_tol=-1.0), dict(lam=0.0), dict(max_iter=0),
                                       dict(max_iter=2.5), dict(max_iter=math.nan),
-                                      dict(mode="bogus")],
+                                      dict(mode="bogus"), dict(mode="balanced-gap")],
                          ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
 def test_stop_config_rejects_invalid_settings(settings):
     # a NaN threshold used to run to max_iter, as no move is <= NaN; a
@@ -560,14 +560,6 @@ def test_literal_step_potentials_are_a_n_and_b_n(appendix):
         np.testing.assert_allclose(got, np.exp(log_want), rtol=1e-11, atol=0)
 
 
-def test_balanced_gap_mode_stops_on_scalable():
-    r = np.array([[1.0, 0.5], [0.25, 1.0]])
-    mu, nu = marginal_row(r), marginal_col(r)
-    rep = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=1e-10, mode="balanced-gap"))
-    assert rep.converged
-    assert rep.gap_trace[-1][1] <= 1e-10
-
-
 @pytest.mark.parametrize("instance, cfg", [
     # detect_limit_support's run: ends on the stall exit, whose test reads
     # the record
@@ -575,7 +567,7 @@ def test_balanced_gap_mode_stops_on_scalable():
     ("staircase10", StopConfig(epsilon_tol=1e-9, max_iter=100_000, mode="iterate-delta")),
     # structural zeros after 29 iterations, fewer than the streak length
     ("massless", StopConfig(epsilon_tol=0.0, max_iter=5000, mode="iterate-delta")),
-    ("massless", StopConfig(epsilon_tol=0.0, max_iter=500, mode="balanced-gap")),
+    ("massless", StopConfig(epsilon_tol=0.0, max_iter=500, mode="unbalanced-gap")),
 ], ids=["appendix-detect", "staircase10", "massless-stall", "massless-500"])
 def test_zero_record_matches_int64_counter(instance, cfg, appendix):
     r, mu, nu = _named_instance(instance, appendix)

@@ -435,7 +435,7 @@ def test_masked_solve_runs_once(appendix, monkeypatch):
 
 def test_masked_solve_gap_mode_leaves_rate_unset(appendix):
     r, mu, nu = appendix
-    rep = masked_solve(r, mu, nu, S_MASK, StopConfig(epsilon_tol=1e-10, mode="balanced-gap"))
+    rep = masked_solve(r, mu, nu, S_MASK, StopConfig(epsilon_tol=1e-10, mode="unbalanced-gap"))
     assert rep.rate_slope is None and rep.rate_r_squared is None
 
 
