@@ -37,7 +37,6 @@ from .scalability import (
     connected_components,
     feasibility_flow,
     forward_image,
-    reduce_to_full_support,
     support_graph,
 )
 from .sinkhorn import (

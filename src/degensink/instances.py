@@ -88,7 +88,10 @@ def staircase_instance(n, block_sizes, ratios_desc):
 
     Returns ``(R, mu, nu, support, bounds)`` with ``support`` the expected
     limit-support mask and ``bounds`` the (start, end) block ranges.
+    Raises ValueError unless every block has at least one row.
     """
+    if min(block_sizes, default=0) < 1:
+        raise ValueError("every block needs at least one row")
     if sum(block_sizes) != n:
         raise ValueError("block sizes must partition the index range")
     k = len(block_sizes)

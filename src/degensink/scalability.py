@@ -27,7 +27,6 @@ __all__ = [
     "support_graph",
     "forward_image",
     "check_assumption1",
-    "reduce_to_full_support",
     "connected_components",
     "ScalabilityClass",
     "classify_exact",
@@ -62,34 +61,29 @@ def forward_image(adj, rows):
     return set(int(j) for j in np.nonzero(adj[idx].any(axis=0))[0])
 
 
+def _r0_support(r, mu, nu):
+    """The support of R0, R with its zero-mass rows and columns zeroed."""
+    return (r > 0) & (mu > 0)[:, None] & (nu > 0)[None, :]
+
+
 def check_assumption1(r, mu, nu):
     """True iff the scaling iteration for (r, mu, nu) is well defined.
 
-    Requires mu << mu^{R0} and nu << nu^{R0}, where R0 is ``r`` restricted
-    to supp(mu) x supp(nu).  Raises ValueError on inconsistent shapes and
-    on NaN, infinite or negative input.
-    """
-    r, mu, nu = as_triple(r, mu, nu)
-    live = (r > 0) & (mu > 0)[:, None] & (nu > 0)[None, :]  # the support of R0
-    return bool(live.any(axis=1)[mu > 0].all() and live.any(axis=0)[nu > 0].all())
-
-
-def reduce_to_full_support(r, mu, nu):
-    """Restrict the triple to supp(mu) x supp(nu).
-
-    Returns ``(r_r, mu_r, nu_r, row_map, col_map)`` where the maps are
-    integer arrays of original indices.  The output triple has full
-    supports (mu_r, nu_r and both marginals of r_r all positive) whenever
-    the input satisfies the well-definedness assumption; otherwise
-    Assumption1Violated is raised.  Raises ValueError on inconsistent
+    Requires mu << mu^{R0} and nu << nu^{R0}, where R0 is ``r`` with its
+    zero-mass rows and columns zeroed.  Raises ValueError on inconsistent
     shapes and on NaN, infinite or negative input.
     """
     r, mu, nu = as_triple(r, mu, nu)
+    live = _r0_support(r, mu, nu)
+    return bool(live.any(axis=1)[mu > 0].all() and live.any(axis=0)[nu > 0].all())
+
+
+def _require_assumption1(r, mu, nu):
+    """The validated triple; Assumption1Violated unless :func:`check_assumption1` holds."""
+    r, mu, nu = as_triple(r, mu, nu)
     if not check_assumption1(r, mu, nu):
-        raise Assumption1Violated("mu or nu puts mass where the restricted reference marginal vanishes")
-    row_map = np.nonzero(mu > 0)[0]
-    col_map = np.nonzero(nu > 0)[0]
-    return r[np.ix_(row_map, col_map)], mu[row_map], nu[col_map], row_map, col_map
+        raise Assumption1Violated("mu or nu puts mass on a row or column without an entry of R0")
+    return r, mu, nu
 
 
 def _closure(rows, cols, down, up):
@@ -153,10 +147,10 @@ def classify_exact(r, mu, nu):
     non-scalable with one maximum flow.
 
     Unbalanced inputs (total masses differ) are normalized to probability
-    vectors first and tagged Unbalanced*.  The triple is then reduced to
-    supp(mu) x supp(nu); if that reduction discards positive entries of r,
-    any solution has strictly smaller support than r, so a feasible
-    instance cannot be better than approximately scalable.
+    vectors first and tagged Unbalanced*.  The flow runs on the support of
+    R0 (:func:`_r0_support`); if that lacks positive entries of r, any
+    solution has strictly smaller support than r, so a feasible instance
+    cannot be better than approximately scalable.
 
     The instance is NonScalable when the flow of :func:`_max_flow` falls
     short of the mass of mu by more than 1e-9 of it (:func:`_carries_mass`).
@@ -168,9 +162,7 @@ def classify_exact(r, mu, nu):
     carry flow); see :func:`_loose_rows` for the ApproximatelyScalable
     witness.  Rows and columns are not limited in number.
     """
-    r, mu, nu = as_triple(r, mu, nu)
-    if not check_assumption1(r, mu, nu):
-        raise Assumption1Violated("classification undefined: assumption check failed")
+    r, mu, nu = _require_assumption1(r, mu, nu)
     m_mu, m_nu = total_mass(mu), total_mass(nu)
     unbalanced = abs(m_mu - m_nu) > 1e-12 * max(m_mu, m_nu)
     if unbalanced:
@@ -182,17 +174,16 @@ def classify_exact(r, mu, nu):
     def finish(tag, rows=None):
         if unbalanced:
             tag = _UNBALANCED_TAG[tag]
-        return ScalabilityClass(tag=tag, witness=None if rows is None else tuple(row_map[rows].tolist()))
+        return ScalabilityClass(tag=tag, witness=None if rows is None else tuple(rows.tolist()))
 
     if m_mu == 0 and m_nu == 0:
         return finish(SCALABLE if not support_graph(r).any() else APPROXIMATELY_SCALABLE)
 
-    rr, mur, nur, row_map, _ = reduce_to_full_support(r, mu, nu)
-    adj = support_graph(rr)
-    flow, reached = _max_flow(adj, mur, nur)
-    if not _carries_mass(float(flow.sum()), total_mass(mur)):
-        return finish(NON_SCALABLE, reached)
-    loose = _loose_rows(adj, flow > _RESIDUAL_TOL * total_mass(mur))
+    adj = _r0_support(r, mu, nu)
+    flow, reached = _max_flow(adj, mu, nu)
+    if not _carries_mass(float(flow.sum()), total_mass(mu)):
+        return finish(NON_SCALABLE, np.flatnonzero(reached))
+    loose = _loose_rows(adj, flow > _RESIDUAL_TOL * total_mass(mu))
     if loose is not None:
         return finish(APPROXIMATELY_SCALABLE, loose)
     if support_graph(r).sum() > adj.sum():

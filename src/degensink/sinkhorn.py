@@ -40,7 +40,7 @@ from .measures import (
     total_mass,
     tv_distance,
 )
-from .scalability import check_assumption1
+from .scalability import _require_assumption1
 
 __all__ = [
     "StopConfig",
@@ -439,9 +439,7 @@ def run_sinkhorn(r, mu, nu, cfg=None):
     on NaN, infinite or negative input, and OverflowDetected as soon as a
     float overflows, as with masses near the float limit.
     """
-    r, mu, nu = as_triple(r, mu, nu)
-    if not check_assumption1(r, mu, nu):
-        raise Assumption1Violated("the scaling iteration is undefined for this triple")
+    r, mu, nu = _require_assumption1(r, mu, nu)
     cfg = cfg or StopConfig()
 
     mass = total_mass(mu)

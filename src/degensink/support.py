@@ -24,8 +24,9 @@ from .scalability import (
     _RESIDUAL_TOL,
     _closure,
     _max_flow,
+    _r0_support,
+    _require_assumption1,
     connected_components,
-    reduce_to_full_support,
     support_graph,
 )
 from .sinkhorn import MODE_ITERATE_DELTA, Z_TOL_FACTOR, StopConfig, _LogIteration, run_sinkhorn
@@ -142,15 +143,17 @@ class ProcedureTrace:
 def exact_support_procedure(r, mu, nu):
     """Compute the limit support exactly, without the scaling iteration.
 
-    Repeatedly finds the union M of the smallest maximal theta-sets of the
-    active triple, zeroes the block (active rows minus M) x F(M), and
-    removes M and F(M) from the active sets; the active row and column
-    sets strictly decrease until empty, and what survives is exactly the
-    support of the limit couplings.
+    Starts from R0, R with its zero-mass rows and columns zeroed, with the
+    rows of mu > 0 and the columns of nu > 0 active.  Repeatedly finds the
+    union M of the smallest maximal theta-sets of the active triple,
+    zeroes the block (active rows minus M) x F(M), and removes M and F(M)
+    from the active sets; they strictly decrease until empty, and what
+    survives is exactly the support of the limit couplings.  Takes any
+    triple that satisfies Assumption 1 and answers in its indices.
     """
-    r, mu, nu = _require_full_support(r, mu, nu)
-    current = r.copy()
-    rows, cols = np.arange(r.shape[0]), np.arange(r.shape[1])
+    r, mu, nu = _require_assumption1(r, mu, nu)
+    current = np.where(_r0_support(r, mu, nu), r, 0.0)
+    rows, cols = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
     steps = []
     mu_star = np.zeros_like(mu)
     nu_star = np.zeros_like(nu)
@@ -236,13 +239,15 @@ class Algorithm1Result:
 def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
     """Approximate the limit support by scaling with row dropping.
 
-    Works on the indicator of R (the limit support only depends on the
-    support of R).  Each reduction step runs the plain scaling iteration
-    on the active block and drops a row as soon as its smallest support
-    entry of the current coupling falls below the row's minimal factor
-    m_i = (1/N) mu_i / mu^R_i of :func:`default_thresholds`, computed once
-    on the full indicator instance; columns disconnected from the
-    surviving rows are dropped along.  When the surviving block is
+    Works on the indicator of R0 (the limit support only depends on its
+    support), like :func:`exact_support_procedure`: any triple that
+    satisfies Assumption 1, in its indices, from the rows of mu > 0 and
+    the columns of nu > 0.  Each reduction step runs the plain scaling
+    iteration on the active block and drops a row as soon as its smallest
+    support entry of the current coupling falls below the row's minimal
+    factor m_i = (1/N) mu_i / mu^R_i of :func:`default_thresholds`,
+    computed once on the first active block; columns disconnected from
+    the surviving rows are dropped along.  When the surviving block is
     marginally consistent (normalized column-marginal TV below the
     threshold), its connected components with maximal mu(U_c)/nu(V_c) are
     removed as a detected isolated scalable block, recording zeros for the
@@ -257,19 +262,17 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
     and min_j (u_i + v_j) over row i's support is u_i + min_j v_j, one
     ``np.minimum.reduceat`` over the support columns listed row by row.
     """
-    r, mu, nu = as_triple(r, mu, nu)
+    r, mu, nu = _require_assumption1(r, mu, nu)
     stop_cfg = stop_cfg or StopConfig()
     eps = stop_cfg.epsilon_tol
     inner_cap = 10 * stop_cfg.max_iter
 
-    reduced, mu_r, nu_r, row_map, col_map = reduce_to_full_support(r, mu, nu)
-    indicator = (reduced > 0).astype(float)
-    n, m = indicator.shape
-    log_m = np.log(default_thresholds(indicator, mu_r))
-
-    active_rows = np.arange(n)
-    active_cols = np.arange(m)
-    mask_r = indicator > 0
+    mask = _r0_support(r, mu, nu)
+    indicator = mask.astype(float)
+    active_rows, active_cols = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
+    log_m = np.zeros(r.shape[0])
+    log_m[active_rows] = np.log(default_thresholds(indicator[np.ix_(active_rows, active_cols)],
+                                                   mu[active_rows]))
     steps = []
     total_inner = 0
     converged = True
@@ -279,8 +282,8 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
         # potential drift of mass-unbalanced subproblems at any run length;
         # rows and columns left without an entry get no mass
         block = indicator[np.ix_(active_rows, active_cols)]
-        kernel = _LogIteration(block, np.where(block.any(axis=1), mu_r[active_rows], 0.0),
-                               np.where(block.any(axis=0), nu_r[active_cols], 0.0))
+        kernel = _LogIteration(block, np.where(block.any(axis=1), mu[active_rows], 0.0),
+                               np.where(block.any(axis=0), nu[active_cols], 0.0))
         # row i's support columns, row by row on the entry list; a drop
         # removes whole rows, so the rows left keep theirs
         starts = np.flatnonzero(np.diff(kernel.entry_rows, prepend=-1))
@@ -339,15 +342,13 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
                 drop_rows[rows] = drop_cols[cols] = True
         sel_rows, sel_cols = active_rows[drop_rows], active_cols[drop_cols]
         active_rows, active_cols = active_rows[~drop_rows], active_cols[~drop_cols]
-        mask_r[np.ix_(active_rows, sel_cols)] = False
-        steps.append({"removed_rows": tuple(row_map[sel_rows].tolist()),
-                      "removed_cols": tuple(col_map[sel_cols].tolist()),
+        mask[np.ix_(active_rows, sel_cols)] = False
+        steps.append({"removed_rows": tuple(sel_rows.tolist()),
+                      "removed_cols": tuple(sel_cols.tolist()),
                       "inner_iterations": it})
         if not converged:
             break
 
-    mask = np.zeros(r.shape, dtype=bool)
-    mask[np.ix_(row_map, col_map)] = mask_r
     return Algorithm1Result(mask=mask, inner_iterations=total_inner, steps=steps,
                             converged=converged)
 
@@ -419,10 +420,8 @@ def masked_solve(r, mu, nu, mask, cfg=None):
 
 def _exact_limit(r, mu, nu):
     """P*, Q* and R* at a linear rate whatever the degeneracy: the report of
-    :func:`masked_solve` on the support of :func:`exact_support_procedure`
-    (of the triple reduced by :func:`reduce_to_full_support`), iterate-delta
-    at 1e-13 M(mu)."""
-    reduced, mu_r, nu_r, row_map, col_map = reduce_to_full_support(r, mu, nu)
-    mask = np.zeros(np.shape(r), dtype=bool)
-    mask[np.ix_(row_map, col_map)] = exact_support_procedure(reduced, mu_r, nu_r).final_mask
+    :func:`masked_solve` on the mask of :func:`exact_support_procedure`,
+    iterate-delta at 1e-13 M(mu).  Takes any triple that satisfies
+    Assumption 1."""
+    mask = exact_support_procedure(r, mu, nu).final_mask
     return masked_solve(r, mu, nu, mask, StopConfig(epsilon_tol=1e-13 * total_mass(mu)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Assumption1Violated, NotConverged
+from .errors import NotConverged
 from .measures import (
     as_coupling,
     as_triple,
@@ -33,7 +33,7 @@ from .measures import (
     total_mass,
     tv_distance,
 )
-from .scalability import check_assumption1
+from .scalability import _require_assumption1
 from .sinkhorn import StopConfig, _check_lam, run_sinkhorn
 from .support import _exact_limit
 
@@ -100,9 +100,7 @@ def _newton_dual(r, mu, nu, cfg, sides):
     ascent step is left or when the Newton system is singular."""
     if cfg.sides != sides:
         raise ValueError(f"this solver requires a {sides} config")
-    r, mu, nu = as_triple(r, mu, nu)
-    if not check_assumption1(r, mu, nu):
-        raise Assumption1Violated("the penalized dual is unbounded for this triple")
+    r, mu, nu = _require_assumption1(r, mu, nu)  # else the dual is unbounded
     lam, block, k = float(cfg.lam), np.ix_(mu > 0, nu > 0), int((mu > 0).sum())
     weights = np.concatenate([mu[mu > 0], nu[nu > 0]])
     hard = (np.arange(weights.size) < k) & (sides == SIDE_SECOND)  # F(u) = <mu, u>

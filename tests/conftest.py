@@ -11,7 +11,6 @@ from degensink.scalability import (
     ScalabilityClass,
     check_assumption1,
     connected_components,
-    reduce_to_full_support,
     support_graph,
 )
 from degensink import sinkhorn
@@ -200,7 +199,8 @@ def oracle_classify(r, mu, nu):
 
     if m_mu == 0 and m_nu == 0:
         return finish("Scalable" if not support_graph(r).any() else "ApproximatelyScalable")
-    rr, mur, nur, row_map, _ = reduce_to_full_support(r, mu, nu)
+    row_map, col_map = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
+    rr, mur, nur = r[np.ix_(row_map, col_map)], mu[row_map], nu[col_map]
     support_shrunk = bool(support_graph(r).sum() > support_graph(rr).sum())
     adj = support_graph(rr)
     adj_rows = {i: frozenset(int(j) for j in np.nonzero(adj[i])[0]) for i in range(adj.shape[0])}
@@ -336,7 +336,8 @@ def oracle_flow_classify(r, mu, nu):
         witness = None if rows is None else tuple(int(row_map[i]) for i in rows)
         return ScalabilityClass(tag=_UNBALANCED_TAG[tag] if unbalanced else tag, witness=witness)
 
-    rr, mur, nur, row_map, _ = reduce_to_full_support(r, mu, nu)
+    row_map, col_map = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
+    rr, mur, nur = r[np.ix_(row_map, col_map)], mu[row_map], nu[col_map]
     value, residual = _nx_residual(rr, mur, nur)
     if value < (1 - 1e-9) * total_mass(mur):
         return finish("NonScalable", _rows_of(nx.descendants(residual, "s")))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from degensink.cli import main
+from degensink.experiments import EPSILONS, LAMBDAS
 from degensink.instances import KIND_UPPER, InstanceSpec, appendix_a_instance, dump_instance, gen_instance
 from degensink.sinkhorn import run_sinkhorn
 
@@ -122,6 +123,17 @@ def test_support_approx(instance_file, capsys):
     }
 
 
+@pytest.mark.parametrize("method", ["exact", "approx"])
+def test_support_on_a_massless_row(tmp_path, capsys, method):
+    # the exact procedure rejected a row without mass (exit 3) that the
+    # approximate one and classify accept
+    path = tmp_path / "massless_row.json"
+    dump_instance(np.triu(np.ones((3, 3))), [2.0, 0.0, 2.0], [1.0, 1.0, 2.0], path)
+    assert main(["support", "--instance", str(path), "--method", method]) == 0
+    assert json.loads(capsys.readouterr().out)["mask"] == [
+        [True, True, False], [False, False, False], [False, False, True]]
+
+
 def test_experiment_tv_vs_lambda_csv(tmp_path, instance_file):
     out = tmp_path / "sweep.csv"
     code = main(["experiment", "tv-vs-lambda", "--instance", instance_file,
@@ -152,6 +164,27 @@ def test_experiment_iterations_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n_blocks,extra_zeros,iters_plain,iters_naive,iters_preproc"
     assert len(lines) == 3
+
+
+def test_experiment_fig6_csvs(tmp_path, capsys):
+    prefix = tmp_path / "fig6"
+    assert main(["experiment", "fig6", "--size", "20", "--out-prefix", str(prefix)]) == 0
+    lam_lines = (tmp_path / "fig6-lambda.csv").read_text().splitlines()
+    eps_lines = (tmp_path / "fig6-epsilon.csv").read_text().splitlines()
+    assert lam_lines[0] == "lambda,tv"
+    assert [float(line.split(",")[0]) for line in lam_lines[1:]] == sorted(LAMBDAS)
+    assert eps_lines[0] == "epsilon,tv,iterations"
+    assert [float(line.split(",")[0]) for line in eps_lines[1:]] == sorted(EPSILONS, reverse=True)
+    assert capsys.readouterr().out == "classification: NonScalable\n"
+
+
+@pytest.mark.parametrize("size", ["0", "1"])
+def test_experiment_fig6_needs_two_blocks(size, capsys):
+    # a block of size 0 ended in a ZeroDivisionError traceback, exit code 1
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "fig6", "--size", size])
+    assert exc.value.code == 2
+    assert "at least one row" in capsys.readouterr().err
 
 
 def test_appendix_a_subcommand(capsys):

@@ -56,6 +56,13 @@ def test_staircase_support_shape():
     assert (mu > 0).all() and (nu > 0).all()
 
 
+@pytest.mark.parametrize("sizes", [[0, 1], [0, 0], []])
+def test_staircase_rejects_empty_blocks(sizes):
+    # a block of size 0 ended in a ZeroDivisionError
+    with pytest.raises(ValueError, match="at least one row"):
+        staircase_instance(sum(sizes), sizes, [1.5, 0.5][:len(sizes)])
+
+
 def test_random_sparse_deterministic_and_balanced():
     spec = InstanceSpec(KIND_RANDOM, 6, 6, density=0.5, seed=7)
     first = gen_instance(spec)

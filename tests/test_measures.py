@@ -27,7 +27,6 @@ from degensink import (
     feasibility_flow,
     is_sisp,
     penalized_objective,
-    reduce_to_full_support,
     run_sinkhorn,
     solve_schu_lambda,
     solve_two_sided,
@@ -214,7 +213,6 @@ ENTRY_POINTS = {
     "exact_support_procedure": exact_support_procedure,
     "classify_exact": classify_exact,
     "check_assumption1": check_assumption1,
-    "reduce_to_full_support": reduce_to_full_support,
     "feasibility_flow": feasibility_flow,
     "default_thresholds": lambda r, mu, nu: default_thresholds(r, mu),
     "is_sisp": lambda r, mu, nu: is_sisp([2], r, mu, nu, R_STAR),

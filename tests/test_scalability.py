@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degensink import (
-    Assumption1Violated,
     ScalabilityClass,
     check_assumption1,
     classify_exact,
@@ -12,7 +11,6 @@ from degensink import (
     detect_limit_support,
     feasibility_flow,
     forward_image,
-    reduce_to_full_support,
     support_graph,
 )
 from degensink import scalability
@@ -70,19 +68,6 @@ def test_check_assumption1(appendix):
     assert check_assumption1(r, mu, nu)
     assert not check_assumption1(np.diag([1.0, 0.0]), [1.0, 1.0], [1.0, 1.0])
     assert check_assumption1(np.diag([1.0, 0.0]), [0.0, 0.0], [0.0, 0.0])
-
-
-def test_reduce_to_full_support(appendix):
-    r, mu, nu = appendix
-    rr, mur, nur, rmap, cmap = reduce_to_full_support(r, mu, nu)
-    np.testing.assert_array_equal(rr, r)
-    np.testing.assert_array_equal(rmap, [0, 1, 2])
-    rr, mur, nur, rmap, cmap = reduce_to_full_support(
-        np.ones((3, 2)), np.array([2.0, 0.0, 2.0]), np.array([1.0, 3.0]))
-    assert rr.shape == (2, 2)
-    np.testing.assert_array_equal(rmap, [0, 2])
-    with pytest.raises(Assumption1Violated):
-        reduce_to_full_support(np.diag([1.0, 0.0]), [1.0, 1.0], [1.0, 1.0])
 
 
 def test_classify_appendix(appendix):

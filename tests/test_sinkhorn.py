@@ -87,8 +87,12 @@ def test_appendix_iteration_five_potentials(appendix):
 
 
 def test_step_raises_on_violated_assumption():
-    with pytest.raises(Assumption1Violated):
+    with pytest.raises(Assumption1Violated, match="first-marginal"):
         sinkhorn_step(init_state(2, 2), np.diag([1.0, 0.0]), np.array([1.0, 1.0]),
+                      np.array([1.0, 1.0]))
+    # column 0 keeps mass, but its only entry lies on the massless row 1
+    with pytest.raises(Assumption1Violated, match="second-marginal"):
+        sinkhorn_step(init_state(2, 2), np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]),
                       np.array([1.0, 1.0]))
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degensink import (
+    Assumption1Violated,
     Assumption2Violated,
     classify_exact,
     approx_support_algorithm1,
@@ -30,7 +31,7 @@ from degensink.instances import (
     staircase_instance,
 )
 from degensink.sinkhorn import StopConfig
-from degensink.support import ThetaSetResult
+from degensink.support import ProcedureStep, ThetaSetResult
 from conftest import R_STAR, S_MASK, oracle_cases, oracle_maximal_theta, random_instance
 
 
@@ -160,6 +161,60 @@ def test_exact_procedure_staircase_block_order():
     assert thetas == sorted(thetas, reverse=True)
     assert thetas == pytest.approx(ratios)
     assert np.array_equal(trace.final_mask, support)
+
+
+def _zero_mass_triples(rng, count):
+    """Random triples, each with a row or a column without mass and
+    satisfying Assumption 1: half with some rows and columns of a
+    full-support draw zeroed, half padded with a massless row and column
+    that carry reference entries, then relabelled."""
+    cases = []
+    while len(cases) < count:
+        r, mu, nu = random_instance(rng, max_n=7, full_support=True)
+        if len(cases) % 2:
+            mu, nu = mu * (rng.random(mu.size) > 0.3), nu * (rng.random(nu.size) > 0.3)
+            nu = nu * (mu.sum() / nu.sum()) if nu.sum() > 0 else nu
+        else:
+            n, m = r.shape
+            padded = np.zeros((n + 1, m + 1))
+            padded[:n, :m] = r
+            padded[n, :] = padded[:, m] = 1.0
+            pr, pc = rng.permutation(n + 1), rng.permutation(m + 1)
+            r, mu, nu = padded[np.ix_(pr, pc)], np.append(mu, 0.0)[pr], np.append(nu, 0.0)[pc]
+        massless = (mu == 0).any() or (nu == 0).any()
+        if massless and mu.sum() > 0 and nu.sum() > 0 and scalability.check_assumption1(r, mu, nu):
+            cases.append((r, mu, nu))
+    return cases
+
+
+def test_exact_procedure_answers_in_the_callers_indices():
+    # zero-mass rows and columns: the same trace as the procedure on
+    # supp(mu) x supp(nu), mapped back; the procedure used to raise
+    # Assumption2Violated on them
+    rng = np.random.default_rng(2021)
+    for r, mu, nu in _zero_mass_triples(rng, 40) + [
+            (np.triu(np.ones((3, 3))), np.array([2.0, 0.0, 2.0]), np.array([1.0, 1.0, 2.0]))]:
+        rows, cols = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
+        want = exact_support_procedure(r[np.ix_(rows, cols)], mu[rows], nu[cols])
+        got = exact_support_procedure(r, mu, nu)
+        mask = np.zeros(r.shape, dtype=bool)
+        mask[np.ix_(rows, cols)] = want.final_mask
+        assert np.array_equal(got.final_mask, mask)
+        assert got.steps == [ProcedureStep(rows=tuple(rows[list(s.rows)].tolist()),
+                                           cols=tuple(cols[list(s.cols)].tolist()),
+                                           sisp_rows=tuple(rows[list(s.sisp_rows)].tolist()),
+                                           sisp_cols=tuple(cols[list(s.sisp_cols)].tolist()),
+                                           theta=s.theta) for s in want.steps]
+        assert np.array_equal(got.mu_star_pred[rows], want.mu_star_pred)
+        assert np.array_equal(got.nu_star_pred[cols], want.nu_star_pred)
+        assert not got.mu_star_pred[mu == 0].any() and not got.nu_star_pred[nu == 0].any()
+
+
+@pytest.mark.parametrize("detector", [exact_support_procedure, approx_support_algorithm1])
+def test_detectors_reject_assumption1_violations(detector):
+    # row 1 has mass but no reference entry
+    with pytest.raises(Assumption1Violated):
+        detector(np.diag([1.0, 0.0]), [1.0, 1.0], [1.0, 1.0])
 
 
 def test_exact_classification_and_support_at_full_size():
@@ -341,6 +396,17 @@ def test_algorithm1_coarse_stop_gives_superset(appendix):
     assert not (S_MASK & ~res.mask).any()
 
 
+def test_algorithm1_stops_at_its_inner_cap():
+    # an unreachable tolerance and max_iter = 1: the first reduction step
+    # runs its 10 inner iterations, removes what it has and reports the run
+    # as not converged
+    r, mu, nu, _, _ = staircase_instance(40, [10] * 4, block_ratio_schedule(4))
+    res = approx_support_algorithm1(r, mu, nu, stop_cfg=StopConfig(epsilon_tol=1e-12, max_iter=1))
+    assert not res.converged
+    assert res.inner_iterations == 10
+    assert [step["inner_iterations"] for step in res.steps] == [10]
+
+
 def test_algorithm1_converges_on_sparse_random_instance():
     # the smallest of the four criterion-6 random instances that used to
     # run to the 10 * max_iter inner cap: after three row drops the live
@@ -451,8 +517,10 @@ def test_masked_solve_default_stop_scales_with_mass(appendix, k):
 def test_masked_solve_rejects_bad_mask(appendix):
     r, mu, nu = appendix
     bad = np.ones((3, 3), dtype=bool)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not contained"):
         masked_solve(r, mu, nu, bad)
+    with pytest.raises(ValueError, match="shape"):
+        masked_solve(r, mu, nu, S_MASK[:2])
 
 
 @pytest.mark.parametrize("blocks", [None, 2, 4, 10])

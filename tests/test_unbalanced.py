@@ -295,6 +295,25 @@ def test_not_converged_carries_partial_result(appendix, monkeypatch):
     assert err.value.result.shape == (3, 3)
 
 
+def test_newton_backtracks_from_a_cold_start(monkeypatch):
+    # without the scaling sweeps, fig6's two-sided solve at lam = 1e-3
+    # starts at x = 0, where full Newton steps lower the dual: Armijo halves
+    # them (9 times in all), and the solve still lands on the swept one
+    r, mu, nu = _fig6_instance()
+    cfg = PenaltyConfig(lam=1e-3)
+    want = solve_two_sided(r, mu, nu, cfg)
+    monkeypatch.setattr(unbalanced, "_SWEEPS", 0)
+    p = solve_two_sided(r, mu, nu, cfg)
+    assert stationarity_residual(p, r, mu, nu, cfg.lam) <= 1e-8 * max(mu.sum(), p.sum())
+    assert tv_distance(p, want) <= 1e-12 * p.sum()
+    # one trial per step: the first full step is rejected, and no ascent
+    # step is left
+    monkeypatch.setattr(unbalanced, "_HALVINGS", 1)
+    with pytest.raises(NotConverged, match="no ascent step") as err:
+        solve_two_sided(r, mu, nu, cfg)
+    assert err.value.steps == 0
+
+
 def test_two_sided_tiny_lambda_solves(appendix):
     # at lam = 1e-9 the float roundoff of log(P/R)/lam, not Newton, sets the
     # stationarity residual; the solution is R up to O(lam)
