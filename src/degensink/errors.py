@@ -18,8 +18,10 @@ class Assumption1Violated(DegensinkError):
 
 
 class Assumption2Violated(DegensinkError):
-    """An operation requiring full supports (mu, nu, and both marginals of
-    R all positive) was called on a triple that does not have them."""
+    """A triple lacks the supports an operation needs: ``default_thresholds``
+    needs positive mu and positive row marginals of R, ``maximal_theta``
+    positive total mass, and ``exact_support_procedure`` raises it when
+    columns are left over once its rows run out."""
 
 
 class NotConverged(DegensinkError):

@@ -73,15 +73,19 @@ def check_assumption1(r, mu, nu):
     zero-mass rows and columns zeroed.  Raises ValueError on inconsistent
     shapes and on NaN, infinite or negative input.
     """
-    r, mu, nu = as_triple(r, mu, nu)
-    live = _r0_support(r, mu, nu)
-    return bool(live.any(axis=1)[mu > 0].all() and live.any(axis=0)[nu > 0].all())
+    try:
+        _require_assumption1(r, mu, nu)
+    except Assumption1Violated:
+        return False
+    return True
 
 
 def _require_assumption1(r, mu, nu):
-    """The validated triple; Assumption1Violated unless :func:`check_assumption1` holds."""
+    """The triple, validated once; Assumption1Violated unless
+    :func:`check_assumption1` holds."""
     r, mu, nu = as_triple(r, mu, nu)
-    if not check_assumption1(r, mu, nu):
+    live = _r0_support(r, mu, nu)
+    if not (live.any(axis=1)[mu > 0].all() and live.any(axis=0)[nu > 0].all()):
         raise Assumption1Violated("mu or nu puts mass on a row or column without an entry of R0")
     return r, mu, nu
 
@@ -165,9 +169,7 @@ def classify_exact(r, mu, nu):
     r, mu, nu = _require_assumption1(r, mu, nu)
     m_mu, m_nu = total_mass(mu), total_mass(nu)
     unbalanced = abs(m_mu - m_nu) > 1e-12 * max(m_mu, m_nu)
-    if unbalanced:
-        if m_mu == 0 or m_nu == 0:
-            raise Assumption1Violated("one marginal is the zero measure but the other is not")
+    if unbalanced:  # both masses are positive: Assumption 1 ties a zero one to the other
         mu = mu / m_mu
         nu = nu / m_nu
 
@@ -224,16 +226,16 @@ def _loose_rows(adj, carry):
 
 def _greedy_fill(adj, mu, nu):
     """A feasible flow on the support ``adj`` with row capacities ``mu``
-    and column capacities ``nu``: each row in index order fills its
-    support columns in index order up to their spare capacity, written as
+    and column capacities ``nu``: each row with mass, in index order, fills
+    its support columns in index order up to their spare capacity, written as
     diff(min(cumsum(spare_col adj_i), mu_i)).  A spare capacity that
     rounding leaves negative is clamped to 0."""
     n, m = adj.shape
     flow = np.zeros((n, m))
     spare_col = np.array(nu, dtype=float)
     filled = np.empty(m)
-    for i, mu_i in enumerate(mu.tolist()):
-        np.minimum(np.add.accumulate(spare_col * adj[i]), mu_i, out=filled)
+    for i in np.flatnonzero(mu).tolist():  # a massless row sends nothing
+        np.minimum(np.add.accumulate(spare_col * adj[i]), mu[i], out=filled)
         row = flow[i]
         row[:1] = filled[:1]
         np.subtract(filled[1:], filled[:-1], out=row[1:])

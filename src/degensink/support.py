@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Assumption2Violated, NotConverged
-from .measures import as_coupling, as_measure, as_triple, marginal_col, marginal_row, total_mass
+from .measures import as_coupling, as_measure, as_triple, marginal_row, total_mass
 from .scalability import (
     _RESIDUAL_TOL,
     _closure,
@@ -49,15 +49,6 @@ _REL_TOL = 1e-12
 _STALL = 1e-12
 
 
-def _require_full_support(r, mu, nu):
-    r, mu, nu = as_triple(r, mu, nu)
-    if mu.size == 0 or nu.size == 0:
-        raise Assumption2Violated("empty ground set")
-    if (mu <= 0).any() or (nu <= 0).any() or (marginal_row(r) <= 0).any() or (marginal_col(r) <= 0).any():
-        raise Assumption2Violated("mu, nu and both marginals of R must have full support")
-    return r, mu, nu
-
-
 @dataclass(frozen=True)
 class ThetaSetResult:
     """Maximal ratio theta_m with its inclusion-minimal maximizing row
@@ -70,7 +61,12 @@ class ThetaSetResult:
 def maximal_theta(r, mu, nu):
     """theta_m = max_A mu(A)/nu(F(A)) and its inclusion-minimal maximizers.
 
-    Requires full supports; rows and columns are not limited in number.
+    Takes any triple that satisfies Assumption 1 and answers on R0, R with
+    its zero-mass rows and columns zeroed, in the caller's indices: F(A)
+    is the image of A in R0, and no maximizer holds a row of mu = 0.
+    Raises Assumption2Violated on zero mu and nu, where no ratio is
+    defined.  Rows and columns are not limited in number.
+
     Dinkelbach iterations: from theta = M(mu)/M(nu), the ratio of all
     rows, a maximum flow with capacities (mu, theta nu) finds the
     inclusion-minimal maximizer A of mu(A) - theta nu(F(A)), the rows
@@ -81,8 +77,10 @@ def maximal_theta(r, mu, nu):
     (Picard-Queyranne).  A residual at or below 1e-12 M(mu) counts as
     saturated.
     """
-    r, mu, nu = _require_full_support(r, mu, nu)
-    adj = r > 0
+    r, mu, nu = _require_assumption1(r, mu, nu)
+    if total_mass(mu) == 0:
+        raise Assumption2Violated("theta_m needs mu and nu with positive mass")
+    adj = _r0_support(r, mu, nu)
     n, m = adj.shape
     theta = total_mass(mu) / total_mass(nu)
     flow = None
@@ -96,9 +94,10 @@ def maximal_theta(r, mu, nu):
         theta = float(ratio)
     tol = _RESIDUAL_TOL * total_mass(mu)
     carry = flow > tol
-    no_rows, no_cols = np.zeros(n, dtype=bool), np.zeros(m, dtype=bool)
-    # every node that can reach the sink, through a column with spare capacity
-    done, _ = _closure(no_rows, theta * nu - flow.sum(axis=0) > tol, carry, adj)
+    no_cols = np.zeros(m, dtype=bool)
+    # the massless rows, and every node that can reach the sink through a
+    # column with spare capacity
+    done, _ = _closure(mu == 0, theta * nu - flow.sum(axis=0) > tol, carry, adj)
     smallest = []
     for i in range(n):
         if done[i]:
@@ -145,44 +144,35 @@ def exact_support_procedure(r, mu, nu):
 
     Starts from R0, R with its zero-mass rows and columns zeroed, with the
     rows of mu > 0 and the columns of nu > 0 active.  Repeatedly finds the
-    union M of the smallest maximal theta-sets of the active triple,
-    zeroes the block (active rows minus M) x F(M), and removes M and F(M)
-    from the active sets; they strictly decrease until empty, and what
-    survives is exactly the support of the limit couplings.  Takes any
-    triple that satisfies Assumption 1 and answers in its indices.
+    union M of the smallest maximal theta-sets of the active triple (R0
+    with mu and nu zeroed off the active rows and columns, for
+    :func:`maximal_theta`), zeroes the block (active rows minus M) x F(M),
+    and removes M and F(M) from the active sets; they strictly decrease
+    until empty, and what survives is exactly the support of the limit
+    couplings.  Takes any triple that satisfies Assumption 1 and answers
+    in its indices.
     """
     r, mu, nu = _require_assumption1(r, mu, nu)
     current = np.where(_r0_support(r, mu, nu), r, 0.0)
-    rows, cols = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
-    steps = []
-    mu_star = np.zeros_like(mu)
-    nu_star = np.zeros_like(nu)
-    while rows.size:
-        # maximal_theta raises Assumption2Violated should the active triple
-        # have lost full support
-        sub = current[np.ix_(rows, cols)]
-        theta = maximal_theta(sub, mu[rows], nu[cols])
-        local = np.zeros(rows.size, dtype=bool)
-        local[[i for subset in theta.smallest for i in subset]] = True
-        image = sub[local].any(axis=0)
-        removed_rows, removed_cols = rows[local], cols[image]
-        steps.append(ProcedureStep(
-            rows=tuple(rows.tolist()), cols=tuple(cols.tolist()),
-            sisp_rows=tuple(removed_rows.tolist()), sisp_cols=tuple(removed_cols.tolist()),
-            theta=theta.theta_m,
-        ))
+    rows, cols = mu > 0, nu > 0
+    steps, mu_star, nu_star = [], np.zeros_like(mu), np.zeros_like(nu)
+    while rows.any():
+        theta = maximal_theta(current, np.where(rows, mu, 0.0), np.where(cols, nu, 0.0))
+        removed_rows = np.zeros_like(rows)
+        removed_rows[[i for subset in theta.smallest for i in subset]] = True
+        # the active rows have no entry left on the inactive columns
+        removed_cols = current[removed_rows].any(axis=0)
+        steps.append(ProcedureStep(*(tuple(np.flatnonzero(mask).tolist())
+                                     for mask in (rows, cols, removed_rows, removed_cols)),
+                                   theta=theta.theta_m))
         mu_star[removed_rows] = mu[removed_rows] / theta.theta_m
         nu_star[removed_cols] = theta.theta_m * nu[removed_cols]
-        rows, cols = rows[~local], cols[~image]
+        rows, cols = rows & ~removed_rows, cols & ~removed_cols
         current[np.ix_(rows, removed_cols)] = 0.0
-    if cols.size:
+    if cols.any():
         raise Assumption2Violated("columns left over after the rows were exhausted")
-    return ProcedureTrace(
-        steps=steps,
-        final_mask=current > 0,
-        mu_star_pred=mu_star,
-        nu_star_pred=nu_star,
-    )
+    return ProcedureTrace(steps=steps, final_mask=current > 0,
+                          mu_star_pred=mu_star, nu_star_pred=nu_star)
 
 
 def is_sisp(subset, r, mu, nu, r_star_reference):
@@ -261,6 +251,9 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
     is b_prev (K^T a), the b-update reuses K^T a unless a row was dropped,
     and min_j (u_i + v_j) over row i's support is u_i + min_j v_j, one
     ``np.minimum.reduceat`` over the support columns listed row by row.
+    Of ``stop_cfg`` it reads only ``epsilon_tol``, the column-error
+    threshold, and ``max_iter``, ten times which caps each inner loop;
+    ``mode`` and ``lam`` play no part.
     """
     r, mu, nu = _require_assumption1(r, mu, nu)
     stop_cfg = stop_cfg or StopConfig()
@@ -403,9 +396,10 @@ def masked_solve(r, mu, nu, mask, cfg=None):
     the successive moves max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})) against
     n, and the R^2 of that fit; these moves decay at the same geometric
     rate as TV(P^n, P*).  Under the unbalanced-gap criterion the rate
-    fields stay None.
+    fields stay None.  Raises ValueError on NaN, infinite or negative
+    input before it reads the masses.
     """
-    r = np.asarray(r, dtype=float)
+    r, mu, nu = as_triple(r, mu, nu)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != r.shape:
         raise ValueError("mask shape mismatch")

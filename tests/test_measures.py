@@ -26,6 +26,7 @@ from degensink import (
     exact_support_procedure,
     feasibility_flow,
     is_sisp,
+    masked_solve,
     penalized_objective,
     run_sinkhorn,
     solve_schu_lambda,
@@ -33,7 +34,7 @@ from degensink import (
     stationarity_residual,
 )
 from degensink.unbalanced import SIDE_SECOND, PenaltyConfig
-from conftest import P_STAR, Q_STAR, R_STAR
+from conftest import P_STAR, Q_STAR, R_STAR, S_MASK
 
 
 def test_total_mass():
@@ -216,6 +217,7 @@ ENTRY_POINTS = {
     "feasibility_flow": feasibility_flow,
     "default_thresholds": lambda r, mu, nu: default_thresholds(r, mu),
     "is_sisp": lambda r, mu, nu: is_sisp([2], r, mu, nu, R_STAR),
+    "masked_solve": lambda r, mu, nu: masked_solve(r, mu, nu, S_MASK),
     "epsilon_fill": lambda r, mu, nu: epsilon_fill(r, 0.1),
     "stationarity_residual": lambda r, mu, nu: stationarity_residual(P_STAR, r, mu, nu, 10.0),
     "penalized_objective": lambda r, mu, nu: penalized_objective(P_STAR, r, mu, nu, 10.0),

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -58,8 +59,12 @@ def test_maximal_theta_scalable_attains_only_full_set():
 
 
 def test_maximal_theta_guards():
-    with pytest.raises(Assumption2Violated):
+    # row 1 has mass but no reference entry
+    with pytest.raises(Assumption1Violated):
         maximal_theta(np.diag([1.0, 0.0]), [1.0, 1.0], [1.0, 1.0])
+    # no nonempty row set has a ratio; it used to be 0/0, a ZeroDivisionError
+    with pytest.raises(Assumption2Violated, match="positive mass"):
+        maximal_theta(np.ones((2, 3)), np.zeros(2), np.zeros(3))
     # 25 rows: 2^25 subsets, beyond the reach of enumeration
     out = maximal_theta(np.ones((25, 2)), np.ones(25), np.ones(2))
     assert out == ThetaSetResult(theta_m=12.5, smallest=[tuple(range(25))])
@@ -118,8 +123,11 @@ def test_exact_procedure_agrees_with_enumeration_oracle(monkeypatch):
     fast = [exact_support_procedure(r, mu, nu) for r, mu, nu in cases]
 
     def oracle_theta(r, mu, nu):
-        theta_m, _, smallest = oracle_maximal_theta(r, mu, nu)
-        return ThetaSetResult(theta_m, smallest)
+        # the enumeration takes full supports: the answer on
+        # supp(mu) x supp(nu), mapped back
+        rows, cols = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
+        theta_m, _, smallest = oracle_maximal_theta(r[np.ix_(rows, cols)], mu[rows], nu[cols])
+        return ThetaSetResult(theta_m, [tuple(rows[list(s)].tolist()) for s in smallest])
 
     monkeypatch.setattr(support, "maximal_theta", oracle_theta)
     for (r, mu, nu), got in zip(cases, fast):
@@ -210,11 +218,28 @@ def test_exact_procedure_answers_in_the_callers_indices():
         assert not got.mu_star_pred[mu == 0].any() and not got.nu_star_pred[nu == 0].any()
 
 
-@pytest.mark.parametrize("detector", [exact_support_procedure, approx_support_algorithm1])
+def test_maximal_theta_answers_in_the_callers_indices():
+    # zero-mass rows and columns: the answer on supp(mu) x supp(nu), mapped
+    # back; maximal_theta used to raise Assumption2Violated on them
+    rng = np.random.default_rng(2022)
+    for r, mu, nu in _zero_mass_triples(rng, 40):
+        rows, cols = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
+        want = maximal_theta(r[np.ix_(rows, cols)], mu[rows], nu[cols])
+        assert maximal_theta(r, mu, nu) == ThetaSetResult(
+            want.theta_m, [tuple(rows[list(s)].tolist()) for s in want.smallest])
+
+
+@pytest.mark.parametrize("detector", [exact_support_procedure, approx_support_algorithm1,
+                                      classify_exact, maximal_theta])
 def test_detectors_reject_assumption1_violations(detector):
-    # row 1 has mass but no reference entry
-    with pytest.raises(Assumption1Violated):
-        detector(np.diag([1.0, 0.0]), [1.0, 1.0], [1.0, 1.0])
+    # row 1 has mass but no reference entry; then all the mass of one side
+    # sits on rows (columns) that the massless other side leaves without
+    # an entry of R0
+    for r, mu, nu in [(np.diag([1.0, 0.0]), [1.0, 1.0], [1.0, 1.0]),
+                      (np.ones((2, 2)), [0.0, 0.0], [1.0, 1.0]),
+                      (np.ones((2, 2)), [1.0, 1.0], [0.0, 0.0])]:
+        with pytest.raises(Assumption1Violated):
+            detector(r, mu, nu)
 
 
 def test_exact_classification_and_support_at_full_size():
@@ -521,6 +546,16 @@ def test_masked_solve_rejects_bad_mask(appendix):
         masked_solve(r, mu, nu, bad)
     with pytest.raises(ValueError, match="shape"):
         masked_solve(r, mu, nu, S_MASK[:2])
+
+
+def test_masked_solve_names_invalid_input(appendix):
+    # a NaN mass used to reach the default stop first and raise
+    # "epsilon_tol must be a nonnegative number"
+    r, mu, nu = appendix
+    with pytest.raises(ValueError, match="measure weights must be finite"):
+        masked_solve(r, np.array([2.0, math.nan, 1.0]), nu, S_MASK)
+    with pytest.raises(ValueError, match="coupling entries must be finite"):
+        masked_solve(np.where(S_MASK, r, math.nan), mu, nu, S_MASK)
 
 
 @pytest.mark.parametrize("blocks", [None, 2, 4, 10])
