@@ -4,7 +4,7 @@ coupling with the prescribed marginals exists: the iteration then
 alternates toward two limit points, whose componentwise geometric mean
 solves the marginally penalized relaxation in the infinite-penalty limit.
 
-The package provides the scaling solver with its stopping criteria, exact
+The package provides the scaling solver with its stopping criterion, exact
 and flow-based feasibility classification, exact and approximate limit-
 support detection, the penalized (unbalanced) solvers, instance
 generators, and the experiment harnesses behind the numerical studies.

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    degensink solve     --instance f.json [--tol T --lambda L --max-iter N --stop delta|gap --emit report|trace]
+    degensink solve     --instance f.json [--tol T --max-iter N --emit report|trace]
     degensink classify  --instance f.json
     degensink support   --instance f.json [--method exact|approx --tol T --emit-trace]
     degensink experiment tv-vs-lambda|tv-vs-epsilon|iterations-vs-zeros|fig6 ...
@@ -8,11 +8,14 @@
 
 Instances come from ``--instance file.json`` or ``--gen kind=...,n=...``
 (kinds: upper, staircase, random).  Output goes to stdout or ``--out``.
-The ``solve`` report carries the classification of ``classify``, exact
-at any size: one maximum flow tells NonScalable, ApproximatelyScalable
-and Scalable apart.
-Exit codes: 0 success, 2 not converged (or a float overflow, from masses
-near the float limit), 3 infeasible instance or assumption violation.
+``solve`` stops on the iterate-delta rule at ``--tol``; the penalization
+weight lambda belongs to ``experiment tv-vs-lambda`` alone.  The
+``solve`` report carries the classification of ``classify``, exact at
+any size: one maximum flow tells NonScalable, ApproximatelyScalable and
+Scalable apart.
+Exit codes: 0 success, 2 not converged (or a float that left its range,
+from masses near the float limits), 3 infeasible instance or assumption
+violation.
 """
 
 import argparse
@@ -118,9 +121,7 @@ def _classification(r, mu, nu):
 
 def _cmd_solve(args):
     r, mu, nu = _instance_from(args)
-    mode = "iterate-delta" if args.stop == "delta" else "unbalanced-gap"
-    cfg = StopConfig(epsilon_tol=args.tol, lam=args.lam, max_iter=args.max_iter, mode=mode)
-    report = run_sinkhorn(r, mu, nu, cfg)
+    report = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=args.tol, max_iter=args.max_iter))
     if args.emit == "trace":
         _write(_csv(report.gap_trace, "iteration,gap"), args.out)
     else:
@@ -193,9 +194,7 @@ def build_parser():
     solve = sub.add_parser("solve", help="run the scaling iteration, emit the solve report")
     _add_instance_args(solve)
     solve.add_argument("--tol", type=float, default=1e-3)
-    solve.add_argument("--lambda", dest="lam", type=float, default=1e3)
     solve.add_argument("--max-iter", type=int, default=100_000)
-    solve.add_argument("--stop", choices=("gap", "delta"), default="delta")
     solve.add_argument("--emit", choices=("report", "trace"), default="report")
     solve.set_defaults(func=_cmd_solve)
 

@@ -39,8 +39,9 @@ class NotConverged(DegensinkError):
 
 
 class OverflowDetected(DegensinkError):
-    """A float overflowed: a diverging potential of the literal recursion
-    ``sinkhorn_step`` left float range, a product of ``run_sinkhorn``'s
-    absorbed kernel overflowed, or a total mass (``total_mass``) exceeds
-    the float range.  Only masses near the float limit cause the last
-    two (the potentials themselves are absorbed into a log-kernel)."""
+    """A float left its range: a diverging potential of the literal
+    recursion ``sinkhorn_step`` overflowed, a product of ``run_sinkhorn``'s
+    absorbed kernel overflowed or a denominator of its updates underflowed
+    to 0, or a total mass (``total_mass``) exceeds the float range.  Only
+    masses near the float limits cause the last three (the potentials
+    themselves are absorbed into a log-kernel)."""

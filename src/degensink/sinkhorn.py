@@ -1,5 +1,5 @@
-"""The scaling (IPFP) iteration in potential form, its stopping criteria,
-and extraction of the two limit couplings.
+"""The scaling (IPFP) iteration in potential form, its stopping criterion,
+the duality gaps of a state, and extraction of the two limit couplings.
 
 With reference R and targets (mu, nu), the iteration is
 
@@ -59,7 +59,6 @@ __all__ = [
     "OptimalityDiagnostics",
 ]
 
-MODE_UNBALANCED_GAP = "unbalanced-gap"
 MODE_ITERATE_DELTA = "iterate-delta"
 
 _ABSORB = 1e50
@@ -88,32 +87,27 @@ def _check_lam(lam):
 
 @dataclass(frozen=True)
 class StopConfig:
-    """Stopping rule for :func:`run_sinkhorn`.
+    """Stopping rule for :func:`run_sinkhorn`: the iterate-delta criterion
+    at threshold ``epsilon_tol`` within ``max_iter`` iterations.
 
-    ``epsilon_tol`` is the criterion threshold and ``mode`` either
-    "iterate-delta" (the default: the move max(TV(P^n, P^{n-1}),
-    TV(Q^n, Q^{n-1})), which fires on degenerate triples too) or
-    "unbalanced-gap" (:func:`gap_unbalanced` with weight ``lam``).
-    Iterate-delta also ends a run that has stalled, its moves at or below
-    1e-15 M(mu) (see :func:`run_sinkhorn`); with ``epsilon_tol`` at or
-    above that floor the criterion fires first.  The gap scales with the
-    masses, ``epsilon_tol`` does not: on the worked example (mass 6) at
-    the defaults the gap bottoms out at 1.35e-3 and the run ends at
-    ``max_iter``; divided by 6, it fires.  NaN settings and a
-    ``max_iter`` that is not an integer of at least 1 are rejected.
+    The criterion is the move max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})),
+    which fires on degenerate triples too.  A run whose moves stay at or
+    below 1e-15 M(mu) also ends on its stall exit (see
+    :func:`run_sinkhorn`); with ``epsilon_tol`` at or above that floor the
+    criterion fires first.  ``mode`` names the criterion and takes only
+    "iterate-delta".  NaN settings and a ``max_iter`` that is not an
+    integer of at least 1 are rejected.
     """
 
     epsilon_tol: float = 1e-3
-    lam: float = 1e3
     max_iter: int = 100_000
     mode: str = MODE_ITERATE_DELTA
 
     def __post_init__(self):
         if not self.epsilon_tol >= 0:  # NaN fails every comparison
             raise ValueError("epsilon_tol must be a nonnegative number")
-        _check_lam(self.lam)
         _check_max_iter(self.max_iter)
-        if self.mode not in (MODE_UNBALANCED_GAP, MODE_ITERATE_DELTA):
+        if self.mode != MODE_ITERATE_DELTA:
             raise ValueError(f"unknown stopping mode {self.mode!r}")
 
 
@@ -215,11 +209,13 @@ def gap_unbalanced(state, r, mu, nu, lam):
 
     SCu^n = H(P^n|R) + lam (H(nu^{P^n}|nu) - <1 - (1/b^{n-1})^{1/lam}, nu>) - <log a^n, mu>.
 
-    The "unbalanced-gap" stopping criterion, with lam = 1/epsilon.  Note a
-    caveat inherited from the formula: in the non-scalable case the trace
-    dips for a number of iterations of order lam and later diverges, so it
-    is a window criterion, not a limit.  Raises ValueError on NaN,
-    infinite or negative input and on a ``lam`` that is not > 0.
+    A value of a state, not a stopping rule: zero at the fixed point
+    when R already has the marginals mu and nu, and the balanced gap in
+    the limit lam -> inf at a state whose P^n has second marginal nu.  In
+    the non-scalable case it dips along the iteration for a number of
+    iterations of order lam and then diverges with the potentials.
+    Raises ValueError on NaN, infinite or negative input and on a ``lam``
+    that is not > 0.
     """
     r, mu, nu = as_triple(r, mu, nu)
     _check_lam(lam)
@@ -240,11 +236,12 @@ class SolveReport:
     in the limit (an entry is a structural zero after staying below
     z_tol = 1e-12 M(mu) for 50 consecutive iterations).  ``stop_reason``
     says why the run ended: "criterion" (the stopping criterion fired),
-    "stall" (the iterate-delta stall exit of :func:`run_sinkhorn`) or
-    "max_iter" (the iteration cap).  ``rate_slope`` and
-    ``rate_r_squared`` are set by :func:`degensink.support.masked_solve`:
-    the least-squares slope of log10 of the successive moves in
-    ``gap_trace`` against n, and the R^2 of that fit.  ``state`` holds
+    "stall" (the stall exit of :func:`run_sinkhorn`) or "max_iter" (the
+    iteration cap).  ``rate_slope`` and ``rate_r_squared`` are None from
+    :func:`run_sinkhorn`; :func:`degensink.support.masked_solve` fits
+    them on every run: the least-squares slope of log10 of the moves in
+    ``gap_trace`` against n, and the R^2 of that fit (None when fewer
+    than three moves are usable).  ``state`` holds
     exp of the log potentials, which leave float range once the kernel
     has absorbed (10 zeros in ``a``, 10 infs in ``b`` on the 10-block
     100 x 100 staircase at iteration 1,323); only its ``overflow_flag``
@@ -412,19 +409,19 @@ class _LogIteration:
 
 
 def run_sinkhorn(r, mu, nu, cfg=None):
-    """Run the scaling iteration until the configured criterion fires.
+    """Run the scaling iteration until the iterate-delta criterion fires.
 
     Parameters
     ----------
     r, mu, nu : array-like
         Reference coupling and target marginals.
     cfg : StopConfig, optional
-        Stopping rule; defaults to ``StopConfig()``, the iterate-delta
-        criterion at 1e-3 within 100,000 iterations.
+        Threshold and iteration cap; defaults to ``StopConfig()``, 1e-3
+        within 100,000 iterations.
 
     Returns a :class:`SolveReport`; ``converged`` is False when the run
     ended without meeting the criterion, and ``stop_reason`` tells why.
-    Under the iterate-delta mode ``gap_trace`` holds the successive moves
+    ``gap_trace`` holds the successive moves
     max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})), and the run also stops
     ("stall") once the iterates are numerically stationary: moves at or
     below 1e-15 M(mu) for 50 consecutive iterations, with every
@@ -437,7 +434,8 @@ def run_sinkhorn(r, mu, nu, cfg=None):
     (6.25 bytes per support entry); ``structural_support`` and the stall
     test are ANDs over it.  Raises ValueError on inconsistent shapes and
     on NaN, infinite or negative input, and OverflowDetected as soon as a
-    float overflows, as with masses near the float limit.
+    float leaves its range: a product overflows, or a denominator
+    underflows to 0, as with masses near either end of the float range.
     """
     r, mu, nu = _require_assumption1(r, mu, nu)
     cfg = cfg or StopConfig()
@@ -455,36 +453,32 @@ def run_sinkhorn(r, mu, nu, cfg=None):
     converged = False
     stop_reason = "max_iter"
     stall_run = 0
-    delta = cfg.mode == MODE_ITERATE_DELTA
 
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", divide="raise"):
             for n in range(1, cfg.max_iter + 1):
                 kernel.step()
                 p, q = kernel.couplings()
                 zeros = zero_ring[n % _ZERO_STREAK] = np.packbits(p < z_tol)
 
-                if delta:
-                    gap = math.inf if prev_p is None else max(tv_distance(p, prev_p), tv_distance(q, prev_q))
-                    prev_p, prev_q = p, q
-                else:
-                    gap = _gap_unbalanced_from_logs(kernel.log_a(), kernel.log_b_prev(),
-                                                    kernel.scatter(p), r, mu, nu, cfg.lam)
+                gap = math.inf if prev_p is None else max(tv_distance(p, prev_p), tv_distance(q, prev_q))
+                prev_p, prev_q = p, q
                 trace.append((n, gap))
 
                 if gap <= cfg.epsilon_tol:
                     converged, stop_reason = True, "criterion"
                     break
 
-                if delta:
-                    stall_run = stall_run + 1 if gap <= stall_tol else 0
-                    # every entry below z_tol now has been for _ZERO_STREAK iterations
-                    if stall_run >= _ZERO_STREAK and n >= 2 * _ZERO_STREAK and \
-                            np.array_equal(np.bitwise_and.reduce(zero_ring), zeros):
-                        stop_reason = "stall"
-                        break
+                stall_run = stall_run + 1 if gap <= stall_tol else 0
+                # every entry below z_tol now has been for _ZERO_STREAK iterations
+                if stall_run >= _ZERO_STREAK and n >= 2 * _ZERO_STREAK and \
+                        np.array_equal(np.bitwise_and.reduce(zero_ring), zeros):
+                    stop_reason = "stall"
+                    break
     except FloatingPointError as exc:
-        raise OverflowDetected(f"float overflow at iteration {n} ({exc}); "
+        # an overflow, or a division by a denominator that underflowed to 0
+        what = "float overflow" if "overflow" in str(exc) else "a float left its range"
+        raise OverflowDetected(f"{what} at iteration {n} ({exc}); "
                                "masses near the float limit cause it") from exc
 
     with np.errstate(over="ignore"):

@@ -29,7 +29,7 @@ from .scalability import (
     connected_components,
     support_graph,
 )
-from .sinkhorn import MODE_ITERATE_DELTA, Z_TOL_FACTOR, StopConfig, _LogIteration, run_sinkhorn
+from .sinkhorn import Z_TOL_FACTOR, StopConfig, _LogIteration, run_sinkhorn
 
 __all__ = [
     "ThetaSetResult",
@@ -251,9 +251,8 @@ def approx_support_algorithm1(r, mu, nu, stop_cfg=None):
     is b_prev (K^T a), the b-update reuses K^T a unless a row was dropped,
     and min_j (u_i + v_j) over row i's support is u_i + min_j v_j, one
     ``np.minimum.reduceat`` over the support columns listed row by row.
-    Of ``stop_cfg`` it reads only ``epsilon_tol``, the column-error
-    threshold, and ``max_iter``, ten times which caps each inner loop;
-    ``mode`` and ``lam`` play no part.
+    ``stop_cfg`` gives ``epsilon_tol``, the column-error threshold, and
+    ``max_iter``, ten times which caps each inner loop.
     """
     r, mu, nu = _require_assumption1(r, mu, nu)
     stop_cfg = stop_cfg or StopConfig()
@@ -391,13 +390,12 @@ def masked_solve(r, mu, nu, mask, cfg=None):
     the support of R), with a convergence-rate estimate.
 
     Masking R to the limit support does not change the limits but restores
-    a linear rate.  Under the iterate-delta criterion (the default, at
-    1e-12 M(mu)) the report carries the least-squares slope of log10 of
-    the successive moves max(TV(P^n, P^{n-1}), TV(Q^n, Q^{n-1})) against
-    n, and the R^2 of that fit; these moves decay at the same geometric
-    rate as TV(P^n, P*).  Under the unbalanced-gap criterion the rate
-    fields stay None.  Raises ValueError on NaN, infinite or negative
-    input before it reads the masses.
+    a linear rate.  The run stops on the iterate-delta criterion, at
+    1e-12 M(mu) by default, and the report carries the least-squares
+    slope of log10 of the successive moves max(TV(P^n, P^{n-1}),
+    TV(Q^n, Q^{n-1})) against n, and the R^2 of that fit; these moves
+    decay at the same geometric rate as TV(P^n, P*).  Raises ValueError
+    on NaN, infinite or negative input before it reads the masses.
     """
     r, mu, nu = as_triple(r, mu, nu)
     mask = np.asarray(mask, dtype=bool)
@@ -407,8 +405,7 @@ def masked_solve(r, mu, nu, mask, cfg=None):
         raise ValueError("mask is not contained in the support of R")
     cfg = cfg or StopConfig(epsilon_tol=1e-12 * total_mass(mu))
     report = run_sinkhorn(r * mask, mu, nu, cfg)
-    if cfg.mode == MODE_ITERATE_DELTA:
-        report.rate_slope, report.rate_r_squared = _fit_rate([gap for _, gap in report.gap_trace])
+    report.rate_slope, report.rate_r_squared = _fit_rate([gap for _, gap in report.gap_trace])
     return report
 
 

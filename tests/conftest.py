@@ -14,12 +14,7 @@ from degensink.scalability import (
     support_graph,
 )
 from degensink import sinkhorn
-from degensink.sinkhorn import (
-    MODE_ITERATE_DELTA,
-    _ZERO_STREAK,
-    _LogIteration,
-    _gap_unbalanced_from_logs,
-)
+from degensink.sinkhorn import _ZERO_STREAK, _LogIteration
 from degensink.instances import (
     InstanceSpec,
     KIND_RANDOM,
@@ -418,17 +413,13 @@ def reference_zero_loop(r, mu, nu, cfg):
         isbelow = p < z_tol
         below += isbelow
         below *= isbelow
-        if cfg.mode == MODE_ITERATE_DELTA:
-            gap = math.inf if prev_p is None else max(tv_distance(p_on, prev_p), tv_distance(q_on, prev_q))
-        else:
-            gap = _gap_unbalanced_from_logs(kernel.log_a(), kernel.log_b_prev(), p, r, mu, nu, cfg.lam)
+        gap = math.inf if prev_p is None else max(tv_distance(p_on, prev_p), tv_distance(q_on, prev_q))
         trace.append((n, gap))
         if gap <= cfg.epsilon_tol:
             break
-        if cfg.mode == MODE_ITERATE_DELTA:
-            stall_run = stall_run + 1 if gap <= stall_tol else 0
-            if stall_run >= _ZERO_STREAK and n >= 2 * _ZERO_STREAK and \
-                    bool((below[isbelow] >= _ZERO_STREAK).all()):
-                break
+        stall_run = stall_run + 1 if gap <= stall_tol else 0
+        if stall_run >= _ZERO_STREAK and n >= 2 * _ZERO_STREAK and \
+                bool((below[isbelow] >= _ZERO_STREAK).all()):
+            break
         prev_p, prev_q = p_on, q_on
     return n, trace, (r > 0) & ~(isbelow & (below >= min(_ZERO_STREAK, n)))

@@ -19,7 +19,7 @@ def instance_file(tmp_path):
 
 def test_solve_report_json(instance_file, tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = main(["solve", "--instance", instance_file, "--stop", "delta",
+    code = main(["solve", "--instance", instance_file,
                  "--tol", "1e-12", "--max-iter", "5000", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
@@ -30,10 +30,10 @@ def test_solve_report_json(instance_file, tmp_path, capsys):
 
 
 def test_solve_classifies_above_cap_with_one_max_flow(tmp_path, max_flow_calls):
-    # 25 rows, 2^25 subsets: one max-flow tells Scalable from
-    # ApproximatelyScalable, and no other flow runs
+    # 25 rows: one max-flow tells Scalable from ApproximatelyScalable at
+    # any size, and no other flow runs
     out = tmp_path / "report.json"
-    code = main(["solve", "--gen", "kind=staircase,n=25,blocks=1", "--stop", "delta",
+    code = main(["solve", "--gen", "kind=staircase,n=25,blocks=1",
                  "--tol", "1e-9", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["classification"] == {"tag": "Scalable", "witness": None}
@@ -42,7 +42,7 @@ def test_solve_classifies_above_cap_with_one_max_flow(tmp_path, max_flow_calls):
 
 def test_solve_gen_and_trace(tmp_path):
     out = tmp_path / "trace.csv"
-    code = main(["solve", "--gen", "kind=upper,n=3", "--stop", "delta",
+    code = main(["solve", "--gen", "kind=upper,n=3",
                  "--tol", "1e-10", "--emit", "trace", "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
@@ -64,17 +64,26 @@ def test_solve_default_stop_fires_on_degenerate_triple(capsys):
 
 
 def test_solve_not_converged_exit_code(instance_file, tmp_path):
-    code = main(["solve", "--instance", instance_file, "--stop", "gap",
+    code = main(["solve", "--instance", instance_file, "--tol", "0",
                  "--max-iter", "5", "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert json.loads((tmp_path / "r.json").read_text())["stop_reason"] == "max_iter"
+
+
+@pytest.mark.parametrize("flag", [["--stop", "gap"], ["--lambda", "10"]])
+def test_solve_has_one_stop_rule(flag):
+    # solve stops on the iterate-delta rule alone; lambda belongs to the
+    # penalized relaxations (experiment tv-vs-lambda)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--gen", "kind=upper,n=3", *flag])
+    assert exc.value.code == 2
 
 
 def test_solve_overflow_exit_code(tmp_path, capsys):
     r, mu, nu = appendix_a_instance()
     path = tmp_path / "huge.json"
     dump_instance(r, 1e300 * mu, 1e300 * nu, path)
-    code = main(["solve", "--instance", str(path), "--stop", "delta", "--tol", "1e-13"])
+    code = main(["solve", "--instance", str(path), "--tol", "1e-13"])
     assert code == 2
     assert "float overflow" in capsys.readouterr().err
 
@@ -196,7 +205,7 @@ def test_appendix_a_subcommand(capsys):
 def test_assumption_violation_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     dump_instance(np.diag([1.0, 0.0]), [1.0, 1.0], [1.0, 1.0], path)
-    assert main(["solve", "--instance", str(path), "--stop", "delta"]) == 3
+    assert main(["solve", "--instance", str(path)]) == 3
 
 
 def test_gen_parse_errors():

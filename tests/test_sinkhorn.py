@@ -29,7 +29,14 @@ from degensink import (
 )
 from degensink import appendix_a_instance, sinkhorn
 from degensink.instances import block_ratio_schedule, staircase_instance
-from degensink.sinkhorn import Z_TOL_FACTOR, OptimalityDiagnostics, SinkhornState, StopConfig, _LogIteration
+from degensink.sinkhorn import (
+    Z_TOL_FACTOR,
+    OptimalityDiagnostics,
+    SinkhornState,
+    StopConfig,
+    _LogIteration,
+    _gap_unbalanced_from_logs,
+)
 from conftest import (
     MU_G,
     MU_STAR,
@@ -159,23 +166,32 @@ def test_gap_unbalanced_fixed_point_and_lambda_limit():
         assert gu == pytest.approx(gb, abs=1e-6)
 
 
-def test_gap_unbalanced_appendix_trace(appendix):
-    # normalized instance: the penalized criterion with lam = 1/eps dips
-    # below eps after finitely many iterations, then diverges
-    r, mu, nu = appendix
-    rep = run_sinkhorn(r / 6, mu / 6, nu / 6,
-                       StopConfig(epsilon_tol=1e-3, lam=1e3, max_iter=4000, mode="unbalanced-gap"))
-    assert rep.converged
-    assert 500 < rep.iterations < 2000
-    gaps = np.array([g for _, g in rep.gap_trace])
-    assert (np.diff(gaps) <= 1e-9).all()  # decreasing all the way to the stop
+def _unbalanced_gaps(r, mu, nu, lam, iterations):
+    """The penalized gap of each iterate P^1, ..., P^iterations of the
+    scaling kernel."""
+    kernel = _LogIteration(r, mu, nu)
+    gaps = []
+    for _ in range(iterations):
+        kernel.step()
+        p, _ = kernel.couplings()
+        gaps.append(_gap_unbalanced_from_logs(kernel.log_a(), kernel.log_b_prev(),
+                                              kernel.scatter(p), r, mu, nu, lam))
+    return np.array(gaps)
 
-    # raw masses: the same trace scaled by 6 dips to ~1.35e-3, misses the
-    # 1e-3 threshold, and diverges afterwards
-    rep_raw = run_sinkhorn(r, mu, nu,
-                           StopConfig(epsilon_tol=1e-3, lam=1e3, max_iter=4000, mode="unbalanced-gap"))
-    raw = np.array([g for _, g in rep_raw.gap_trace])
-    assert not rep_raw.converged
+
+def test_gap_unbalanced_appendix_trace(appendix):
+    # normalized instance: the penalized gap with lam = 1/eps dips below
+    # eps after finitely many iterations, then diverges
+    r, mu, nu = appendix
+    gaps = _unbalanced_gaps(r / 6, mu / 6, nu / 6, 1e3, 2000)
+    first = int(np.argmax(gaps <= 1e-3))
+    assert gaps[first] <= 1e-3 and 500 < first + 1 < 2000
+    assert (np.diff(gaps[:first + 1]) <= 1e-9).all()  # decreasing all the way down
+    assert gaps[-1] > 1.0
+
+    # raw masses: the same trace scaled by 6 bottoms out near 1.35e-3,
+    # never reaches 1e-3, and diverges afterwards
+    raw = _unbalanced_gaps(r, mu, nu, 1e3, 2000)
     assert 1e-3 < raw.min() < 2e-3
     assert raw[-1] > 1.0
 
@@ -281,15 +297,16 @@ def test_check_optimality_rejects_nan(appendix):
         assert len(diag.violations()) == 1, name
 
 
-@pytest.mark.parametrize("settings", [dict(epsilon_tol=math.nan), dict(lam=math.nan),
-                                      dict(epsilon_tol=-1.0), dict(lam=0.0), dict(max_iter=0),
-                                      dict(max_iter=2.5), dict(max_iter=math.nan),
-                                      dict(mode="bogus"), dict(mode="balanced-gap")],
+@pytest.mark.parametrize("settings", [dict(epsilon_tol=math.nan), dict(epsilon_tol=-1.0),
+                                      dict(max_iter=0), dict(max_iter=2.5), dict(max_iter=math.nan),
+                                      dict(mode="bogus"), dict(mode="balanced-gap"),
+                                      dict(mode="unbalanced-gap"), dict(lam=1e3)],
                          ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
 def test_stop_config_rejects_invalid_settings(settings):
     # a NaN threshold used to run to max_iter, as no move is <= NaN; a
-    # fractional or NaN max_iter used to fail in range() mid-solve
-    with pytest.raises(ValueError):
+    # fractional or NaN max_iter used to fail in range() mid-solve; the
+    # penalization weight belongs to PenaltyConfig alone
+    with pytest.raises(TypeError if "lam" in settings else ValueError):
         StopConfig(**settings)
 
 
@@ -312,18 +329,30 @@ def test_step_and_gaps_reject_invalid_input(appendix):
                 call(mu_bad)
 
 
+def _couplings_after(r, mu, nu, run):
+    """(P^n, Q^n, n, absorbed) of ``run_sinkhorn`` under the StopConfig
+    ``run``, or of the bare kernel driven for ``run`` steps when it is an
+    int (iterate-delta at threshold 0 stalls at iteration 129 on the
+    worked example, before the kernel first absorbs)."""
+    if isinstance(run, StopConfig):
+        rep = run_sinkhorn(r, mu, nu, run)
+        return rep.p_star, rep.q_star, rep.iterations, rep.state.overflow_flag
+    kernel = _LogIteration(r, mu, nu)
+    for _ in range(run):
+        kernel.step()
+    p, q = kernel.couplings()
+    return kernel.scatter(p), kernel.scatter(q), run, kernel.absorbed
+
+
 def test_log_domain_switch_keeps_iterating(appendix):
     # on the degenerate instance the potentials leave float range around
-    # iteration ~1100; the run must survive well beyond that point (the
-    # unbalanced gap stays positive there, so a 0 threshold never fires)
+    # iteration ~1100; the kernel must keep iterating well beyond that point
     r, mu, nu = appendix
-    rep = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=0.0, max_iter=3000, mode="unbalanced-gap"))
-    assert rep.iterations > 500
-    assert rep.iterations == 3000 or rep.gap_trace[-1][1] == 0.0
-    assert rep.state.overflow_flag  # the kernel absorbed its potentials
-    assert np.isfinite(rep.p_star).all()
-    np.testing.assert_allclose(rep.p_star, P_STAR, atol=1e-9)
-    assert np.array_equal(rep.structural_support, S_MASK)
+    p, _, _, absorbed = _couplings_after(r, mu, nu, 3000)
+    assert absorbed
+    assert np.isfinite(p).all()
+    np.testing.assert_allclose(p, P_STAR, atol=1e-9)
+    assert np.array_equal(p >= Z_TOL_FACTOR * total_mass(mu), S_MASK)
 
 
 def _log_domain_potentials(r, mu, nu, n):
@@ -354,35 +383,33 @@ def _named_instance(name, appendix):
     return r, np.array([0.0, 2.0, 1.0]), np.array([1.0, 0.0, 2.0])
 
 
-@pytest.mark.parametrize("instance, cfg, absorbs", [
-    # the unbalanced gap stays positive on the worked example, so a 0
-    # threshold runs the full max_iter
-    ("appendix", StopConfig(epsilon_tol=0.0, max_iter=3000, mode="unbalanced-gap"), True),
-    ("appendix", StopConfig(epsilon_tol=0.0, max_iter=50, mode="unbalanced-gap"), False),
+@pytest.mark.parametrize("instance, run, absorbs", [
+    ("appendix", 3000, True),
+    ("appendix", 50, False),
     ("staircase10", StopConfig(epsilon_tol=1e-9, max_iter=100_000, mode="iterate-delta"), True),
     ("massless", StopConfig(epsilon_tol=1e-12, max_iter=1000, mode="iterate-delta"), False),
 ], ids=["appendix-3000", "appendix-50", "staircase10", "massless"])
-def test_absorbing_kernel_matches_log_domain(instance, cfg, absorbs, appendix, monkeypatch):
+def test_absorbing_kernel_matches_log_domain(instance, run, absorbs, appendix, monkeypatch):
     r, mu, nu = _named_instance(instance, appendix)
     absorptions = []
     absorb = _LogIteration._absorb
     monkeypatch.setattr(_LogIteration, "_absorb",
                         lambda kernel: (absorptions.append(kernel), absorb(kernel)))
-    rep = run_sinkhorn(r, mu, nu, cfg)
+    p, q, iterations, absorbed = _couplings_after(r, mu, nu, run)
     assert len(absorptions) >= 2 if absorbs else not absorptions
-    assert rep.state.overflow_flag == bool(absorptions)
-    p_ref, q_ref = _log_domain_couplings(r, mu, nu, rep.iterations)
+    assert absorbed == bool(absorptions)
+    p_ref, q_ref = _log_domain_couplings(r, mu, nu, iterations)
     # atol: near underflow the reference exp(u + v + log r) is itself only
     # accurate to about 1e-12 relative
-    np.testing.assert_allclose(rep.p_star, p_ref, rtol=1e-12, atol=1e-12 * p_ref.max())
-    np.testing.assert_allclose(rep.q_star, q_ref, rtol=1e-12, atol=1e-12 * q_ref.max())
+    np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=1e-12 * p_ref.max())
+    np.testing.assert_allclose(q, q_ref, rtol=1e-12, atol=1e-12 * q_ref.max())
 
 
-@pytest.mark.parametrize("instance, cfg, flushes", [
-    ("appendix", StopConfig(epsilon_tol=0.0, max_iter=3000, mode="unbalanced-gap"), False),
+@pytest.mark.parametrize("instance, run, flushes", [
+    ("appendix", 3000, False),
     ("staircase10", StopConfig(epsilon_tol=1e-11 * 100, max_iter=100_000, mode="iterate-delta"), True),
 ], ids=["appendix-3000", "staircase10"])
-def test_kernel_flush_keeps_the_run(instance, cfg, flushes, appendix, monkeypatch):
+def test_kernel_flush_keeps_the_run(instance, run, flushes, appendix, monkeypatch):
     # a rebuilt kernel entry below z_tol / _ABSORB^3 is set to 0: the run is
     # the same as without the flush, but for entries far below z_tol, and
     # no absorption leaves a subnormal kernel entry
@@ -394,18 +421,24 @@ def test_kernel_flush_keeps_the_run(instance, cfg, flushes, appendix, monkeypatc
         absorb(kernel)
         subnormal.append(int(((kernel.k > 0) & (kernel.k < np.finfo(float).tiny)).sum()))
 
+    def outcome():
+        """P, Q and the record of the run: its iterations, moves and support."""
+        if not isinstance(run, StopConfig):
+            p, q, _, _ = _couplings_after(r, mu, nu, run)
+            return p, q, None
+        rep = run_sinkhorn(r, mu, nu, run)
+        return rep.p_star, rep.q_star, (rep.iterations, rep.gap_trace, rep.structural_support.tolist())
+
     monkeypatch.setattr(_LogIteration, "_absorb", checked)
-    rep = run_sinkhorn(r, mu, nu, cfg)
+    p, q, record = outcome()
     assert subnormal and not any(subnormal)
     monkeypatch.setattr(sinkhorn, "_FLUSH", 0.0)
     subnormal.clear()
-    ref = run_sinkhorn(r, mu, nu, cfg)
+    p_ref, q_ref, record_ref = outcome()
     assert any(subnormal) == flushes  # without the flush, subnormal entries appear
-    assert rep.iterations == ref.iterations
-    assert rep.gap_trace == ref.gap_trace
-    assert np.array_equal(rep.structural_support, ref.structural_support)
+    assert record == record_ref
     floor = Z_TOL_FACTOR * mu.sum() / sinkhorn._ABSORB
-    for got, want in ((rep.p_star, ref.p_star), (rep.q_star, ref.q_star)):
+    for got, want in ((p, p_ref), (q, q_ref)):
         moved = got != want
         assert moved.any() == flushes
         assert (got[moved] < floor).all() and (want[moved] < floor).all()
@@ -571,15 +604,14 @@ def test_literal_step_potentials_are_a_n_and_b_n(appendix):
     ("staircase10", StopConfig(epsilon_tol=1e-9, max_iter=100_000, mode="iterate-delta")),
     # structural zeros after 29 iterations, fewer than the streak length
     ("massless", StopConfig(epsilon_tol=0.0, max_iter=5000, mode="iterate-delta")),
-    ("massless", StopConfig(epsilon_tol=0.0, max_iter=500, mode="unbalanced-gap")),
-], ids=["appendix-detect", "staircase10", "massless-stall", "massless-500"])
+], ids=["appendix-detect", "staircase10", "massless-stall"])
 def test_zero_record_matches_int64_counter(instance, cfg, appendix):
     r, mu, nu = _named_instance(instance, appendix)
     rep = run_sinkhorn(r, mu, nu, cfg)
     iterations, trace, structural = reference_zero_loop(r, mu, nu, cfg)
     assert rep.iterations == iterations
-    # at threshold 0 too, the iterate-delta runs end before the cap
-    assert iterations < cfg.max_iter or cfg.mode != "iterate-delta"
+    # at threshold 0 too, the runs end before the cap
+    assert iterations < cfg.max_iter
     assert rep.gap_trace == trace
     assert np.array_equal(rep.structural_support, structural)
     assert not structural.all()
@@ -714,6 +746,18 @@ def test_limits_scale_with_mass(case, k):
     for name in ("p_star", "q_star", "r_star", "mu_g", "nu_g"):
         _assert_close(getattr(got, name) / scale, getattr(want, name), mu)
     assert got.z_norm / scale == pytest.approx(want.z_norm, rel=1e-12, abs=0)
+
+
+def test_subnormal_masses_raise_overflow_detected():
+    # at (mu, nu)·1e-300 a denominator of the staircase's updates underflows
+    # to 0 at iteration 76: the run went on after a divide-by-zero
+    # RuntimeWarning, and now raises
+    r, mu, nu = INVARIANCE_CASES[1]
+    scale = 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowDetected, match="a float left its range at iteration 76"):
+            run_sinkhorn(r, scale * mu, scale * nu, StopConfig(epsilon_tol=1e-12 * scale * mu.sum()))
 
 
 @pytest.mark.parametrize("k", [154, 200, 250])

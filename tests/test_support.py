@@ -524,12 +524,6 @@ def test_masked_solve_runs_once(appendix, monkeypatch):
     assert rep.rate_r_squared > 0.99 and rep.rate_slope < 0
 
 
-def test_masked_solve_gap_mode_leaves_rate_unset(appendix):
-    r, mu, nu = appendix
-    rep = masked_solve(r, mu, nu, S_MASK, StopConfig(epsilon_tol=1e-10, mode="unbalanced-gap"))
-    assert rep.rate_slope is None and rep.rate_r_squared is None
-
-
 @pytest.mark.parametrize("k", [-100, -8, 8])
 def test_masked_solve_default_stop_scales_with_mass(appendix, k):
     r, mu, nu = appendix
