@@ -16,16 +16,7 @@ from .instances import (
     staircase_instance,
 )
 from .measures import total_mass, tv_distance
-from .sinkhorn import (
-    Z_TOL_FACTOR,
-    StopConfig,
-    _LogIteration,
-    current_P,
-    current_Q,
-    init_state,
-    run_sinkhorn,
-    sinkhorn_step,
-)
+from .sinkhorn import Z_TOL_FACTOR, StopConfig, _LogIteration, run_sinkhorn
 from .support import _exact_limit, approx_support_algorithm1, default_thresholds, masked_solve
 from .unbalanced import sweep_epsilon, sweep_lambda
 from .scalability import (
@@ -54,23 +45,26 @@ EPSILONS = (1e-1, 1e-2, 1e-3)
 
 def appendix_a_checkpoints():
     """Potentials and couplings of the worked example at the half-step
-    counts ``APPENDIX_CHECKPOINTS``.
+    counts ``APPENDIX_CHECKPOINTS``, on the kernel that every solve runs.
 
     Half-step 2m-1 is the m-th a-update (exposing a^m, b^{m-1}, P^m) and
     half-step 2m the m-th b-update (a^m, b^m, Q^m); this matches the
-    worked example's usual iteration numbering.  Returns a dict keyed by
-    half-step with entries ``a``, ``b`` and ``P`` or ``Q``.
+    worked example's usual iteration numbering.  The potentials are
+    exp(U) a and exp(V) b, which hold the absorbed part.  Returns a dict
+    keyed by half-step with entries ``a``, ``b`` and ``P`` or ``Q``.
     """
     r, mu, nu = appendix_a_instance()
     wanted = set(APPENDIX_CHECKPOINTS)
     out = {}
-    state = init_state(3, 3)
+    kernel = _LogIteration(r, mu, nu)
     for m in range(1, (max(wanted) + 1) // 2 + 1):
-        state = sinkhorn_step(state, r, mu, nu)
+        kernel.step()
+        p, q = kernel.couplings()
+        a, v_scale = np.exp(kernel.u_abs) * kernel.a, np.exp(kernel.v_abs)
         if 2 * m - 1 in wanted:
-            out[2 * m - 1] = {"a": state.a, "b": state.b_prev, "P": current_P(state, r)}
+            out[2 * m - 1] = {"a": a, "b": v_scale * kernel.b_prev, "P": kernel.scatter(p)}
         if 2 * m in wanted:
-            out[2 * m] = {"a": state.a, "b": state.b, "Q": current_Q(state, r)}
+            out[2 * m] = {"a": a, "b": v_scale * kernel.b, "Q": kernel.scatter(q)}
     return out
 
 

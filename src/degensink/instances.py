@@ -5,6 +5,7 @@ arrays), "mu" and "nu" (arrays); shapes must be consistent.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,11 @@ class InstanceSpec:
     def __post_init__(self):
         if self.kind not in (KIND_UPPER, KIND_STAIRCASE, KIND_RANDOM):
             raise ValueError(f"unknown instance kind {self.kind!r}")
+        for name in ("n_rows", "n_cols", "n_blocks", "seed"):
+            value = getattr(self, name)
+            # generation would fail on the value later, inside numpy
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("dimensions must be at least 1")
         if self.kind in (KIND_UPPER, KIND_STAIRCASE) and self.n_rows != self.n_cols:

@@ -596,8 +596,8 @@ def check_optimality(report, r, mu, nu):
 
     ratio_mu = np.where(mu_star > 0, mu / np.where(mu_star > 0, mu_star, 1.0), 0.0)
     ratio_nu = np.where(nu_star > 0, nu / np.where(nu_star > 0, nu_star, 1.0), 0.0)
-    res1 = float(np.abs(p - ratio_mu[:, None] * q).max())
-    res2 = float(np.abs(q - ratio_nu[None, :] * p).max())
+    res1 = float(np.abs(p - ratio_mu[:, None] * q).max(initial=0.0))
+    res2 = float(np.abs(q - ratio_nu[None, :] * p).max(initial=0.0))
 
     phi, psi = potentials_phi_psi(report, mu, nu)
     e_mask = (r > 0) & (mu > 0)[:, None] & (nu > 0)[None, :]

@@ -129,50 +129,45 @@ class ProcedureStep:
 @dataclass
 class ProcedureTrace:
     """Full run of the exact reduction.  ``final_mask`` is the limit
-    support; ``mu_star_pred``/``nu_star_pred`` are the modified marginals
-    reconstructed from the per-block theta values (mu/theta on removed
-    rows, theta nu on removed columns)."""
+    support; each step's theta gives the modified marginals on the block
+    it removes, mu* = mu/theta on its rows and nu* = theta nu on its
+    columns."""
 
     steps: list
     final_mask: np.ndarray
-    mu_star_pred: np.ndarray
-    nu_star_pred: np.ndarray
 
 
 def exact_support_procedure(r, mu, nu):
     """Compute the limit support exactly, without the scaling iteration.
 
-    Starts from R0, R with its zero-mass rows and columns zeroed, with the
-    rows of mu > 0 and the columns of nu > 0 active.  Repeatedly finds the
-    union M of the smallest maximal theta-sets of the active triple (R0
-    with mu and nu zeroed off the active rows and columns, for
-    :func:`maximal_theta`), zeroes the block (active rows minus M) x F(M),
-    and removes M and F(M) from the active sets; they strictly decrease
-    until empty, and what survives is exactly the support of the limit
-    couplings.  Takes any triple that satisfies Assumption 1 and answers
-    in its indices.
+    Starts from the support of R0, R with its zero-mass rows and columns
+    zeroed, with the rows of mu > 0 and the columns of nu > 0 active.
+    Repeatedly finds the union M of the smallest maximal theta-sets of the
+    active triple (that support with mu and nu zeroed off the active rows
+    and columns, for :func:`maximal_theta`), clears the block (active rows
+    minus M) x F(M), and removes M and F(M) from the active sets; they
+    strictly decrease until empty, and what survives is exactly the
+    support of the limit couplings.  Takes any triple that satisfies
+    Assumption 1 and answers in its indices.
     """
     r, mu, nu = _require_assumption1(r, mu, nu)
-    current = np.where(_r0_support(r, mu, nu), r, 0.0)
+    live = _r0_support(r, mu, nu)
     rows, cols = mu > 0, nu > 0
-    steps, mu_star, nu_star = [], np.zeros_like(mu), np.zeros_like(nu)
+    steps = []
     while rows.any():
-        theta = maximal_theta(current, np.where(rows, mu, 0.0), np.where(cols, nu, 0.0))
+        theta = maximal_theta(live, np.where(rows, mu, 0.0), np.where(cols, nu, 0.0))
         removed_rows = np.zeros_like(rows)
         removed_rows[[i for subset in theta.smallest for i in subset]] = True
         # the active rows have no entry left on the inactive columns
-        removed_cols = current[removed_rows].any(axis=0)
+        removed_cols = live[removed_rows].any(axis=0)
         steps.append(ProcedureStep(*(tuple(np.flatnonzero(mask).tolist())
                                      for mask in (rows, cols, removed_rows, removed_cols)),
                                    theta=theta.theta_m))
-        mu_star[removed_rows] = mu[removed_rows] / theta.theta_m
-        nu_star[removed_cols] = theta.theta_m * nu[removed_cols]
         rows, cols = rows & ~removed_rows, cols & ~removed_cols
-        current[np.ix_(rows, removed_cols)] = 0.0
+        live[np.ix_(rows, removed_cols)] = False
     if cols.any():
         raise Assumption2Violated("columns left over after the rows were exhausted")
-    return ProcedureTrace(steps=steps, final_mask=current > 0,
-                          mu_star_pred=mu_star, nu_star_pred=nu_star)
+    return ProcedureTrace(steps=steps, final_mask=live)
 
 
 def is_sisp(subset, r, mu, nu, r_star_reference):

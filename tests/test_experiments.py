@@ -11,7 +11,8 @@ from degensink.experiments import (
     experiment_iterations_vs_zeros,
     run_appendix_a,
 )
-from degensink.instances import KIND_STAIRCASE, InstanceSpec, gen_instance
+from degensink.instances import KIND_STAIRCASE, InstanceSpec, appendix_a_instance, gen_instance
+from degensink.sinkhorn import current_P, current_Q, init_state, sinkhorn_step
 from conftest import PRINTED_CHECKPOINTS, assert_printed
 
 
@@ -24,6 +25,24 @@ def test_checkpoints_match_printed_values():
         assert_printed(got["b"], want["b"])
         key = "P" if "P" in want else "Q"
         assert_printed(got[key], want[key], tiny=1e-14)
+
+
+def test_checkpoints_are_the_literal_recursion():
+    # the kernel does not absorb within the 41 steps, so its potentials and
+    # couplings are the literal recursion's, bit for bit
+    r, mu, nu = appendix_a_instance()
+    snaps = appendix_a_checkpoints()
+    state, checked = init_state(3, 3), set()
+    for m in range(1, (max(snaps) + 1) // 2 + 1):
+        state = sinkhorn_step(state, r, mu, nu)
+        want = {2 * m - 1: {"a": state.a, "b": state.b_prev, "P": current_P(state, r)},
+                2 * m: {"a": state.a, "b": state.b, "Q": current_Q(state, r)}}
+        for step in set(want) & set(snaps):
+            assert snaps[step].keys() == want[step].keys()
+            for key, value in want[step].items():
+                assert np.array_equal(snaps[step][key], value), (step, key)
+            checked.add(step)
+    assert checked == set(snaps)
 
 
 def test_run_appendix_a_formats_report():

@@ -83,6 +83,15 @@ def test_spec_validation():
         InstanceSpec(KIND_RANDOM, 3, 3, density=0.0)
     with pytest.raises(ValueError):
         InstanceSpec(KIND_STAIRCASE, 4, 4, n_blocks=9)
+    # non-integral sizes and seeds, and bools, used to pass here and fail
+    # inside the generator
+    for fields in ({"n_rows": 3.5, "n_cols": 3.5}, {"n_rows": 3.0, "n_cols": 3.0},
+                   {"n_blocks": 2.5}, {"seed": 1.5}, {"n_blocks": True}, {"seed": False}):
+        spec = {"kind": KIND_STAIRCASE, "n_rows": 4, "n_cols": 4, **fields}
+        with pytest.raises(ValueError, match="must be an integer"):
+            InstanceSpec(**spec)
+    # numpy integers are integers
+    assert InstanceSpec(KIND_RANDOM, np.int64(3), 3, seed=np.uint32(7)).seed == 7
 
 
 def test_instance_json_roundtrip(appendix):

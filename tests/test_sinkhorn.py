@@ -297,6 +297,15 @@ def test_check_optimality_rejects_nan(appendix):
         assert len(diag.violations()) == 1, name
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 2)])
+def test_check_optimality_on_an_empty_triple(shape):
+    # run_sinkhorn reports on these; the ratio residuals used to raise
+    # numpy's zero-size reduction error
+    r, mu, nu = np.zeros(shape), np.zeros(shape[0]), np.zeros(shape[1])
+    diag = check_optimality(run_sinkhorn(r, mu, nu), r, mu, nu)
+    assert diag.passed() and diag.eq_ratio_residual == 0.0
+
+
 @pytest.mark.parametrize("settings", [dict(epsilon_tol=math.nan), dict(epsilon_tol=-1.0),
                                       dict(max_iter=0), dict(max_iter=2.5), dict(max_iter=math.nan),
                                       dict(mode="bogus"), dict(mode="balanced-gap"),

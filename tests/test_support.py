@@ -146,8 +146,9 @@ def test_exact_procedure_appendix(appendix):
     assert second.sisp_rows == (0, 1) and second.sisp_cols == (0, 1)
     assert second.theta == pytest.approx(4 / 5)
     assert np.array_equal(trace.final_mask, S_MASK)
-    np.testing.assert_allclose(trace.mu_star_pred, [2.5, 2.5, 1.0])
-    np.testing.assert_allclose(trace.nu_star_pred, [1.6, 2.4, 2.0])
+    limit = support._exact_limit(r, mu, nu)
+    np.testing.assert_allclose(limit.mu_star, [2.5, 2.5, 1.0])
+    np.testing.assert_allclose(limit.nu_star, [1.6, 2.4, 2.0])
 
 
 def test_exact_procedure_scalable_single_step():
@@ -213,9 +214,6 @@ def test_exact_procedure_answers_in_the_callers_indices():
                                            sisp_rows=tuple(rows[list(s.sisp_rows)].tolist()),
                                            sisp_cols=tuple(cols[list(s.sisp_cols)].tolist()),
                                            theta=s.theta) for s in want.steps]
-        assert np.array_equal(got.mu_star_pred[rows], want.mu_star_pred)
-        assert np.array_equal(got.nu_star_pred[cols], want.nu_star_pred)
-        assert not got.mu_star_pred[mu == 0].any() and not got.nu_star_pred[nu == 0].any()
 
 
 def test_maximal_theta_answers_in_the_callers_indices():
@@ -261,9 +259,35 @@ def test_procedure_matches_detected_support_randomized():
         trace = exact_support_procedure(r, mu, nu)
         detected, rep = detect_limit_support(r, mu, nu, max_iter=30_000)
         assert np.array_equal(trace.final_mask, detected)
-        # theta-consistency of the reconstructed modified marginals
-        np.testing.assert_allclose(trace.nu_star_pred, rep.nu_star, atol=1e-8)
-        np.testing.assert_allclose(trace.mu_star_pred, rep.mu_star, atol=1e-8)
+        # theta-consistency: mu/theta and theta nu on each removed block
+        mu_star, nu_star = _marginals_from_steps(trace, mu, nu)
+        np.testing.assert_allclose(nu_star, rep.nu_star, atol=1e-8)
+        np.testing.assert_allclose(mu_star, rep.mu_star, atol=1e-8)
+
+
+def _marginals_from_steps(trace, mu, nu):
+    """The modified marginals that the reduction's steps give: mu/theta
+    on the rows and theta nu on the columns of each removed block."""
+    mu_star, nu_star = np.zeros_like(mu), np.zeros_like(nu)
+    for step in trace.steps:
+        rows, cols = list(step.sisp_rows), list(step.sisp_cols)
+        mu_star[rows] = mu[rows] / step.theta
+        nu_star[cols] = step.theta * nu[cols]
+    return mu_star, nu_star
+
+
+@pytest.mark.parametrize("n_blocks", [2, 3, 4, 5, 10])
+def test_exact_procedure_closed_form_on_staircases(n_blocks):
+    # the steps peel the blocks at the ratios of the schedule, and the
+    # limit's modified marginals are mu/theta and theta nu on each block
+    r, mu, nu = gen_instance(InstanceSpec(KIND_STAIRCASE, 40, 40, n_blocks=n_blocks))
+    trace = exact_support_procedure(r, mu, nu)
+    np.testing.assert_allclose([s.theta for s in trace.steps], block_ratio_schedule(n_blocks),
+                               rtol=1e-12, atol=0)
+    limit = support._exact_limit(r, mu, nu)
+    mu_star, nu_star = _marginals_from_steps(trace, mu, nu)
+    np.testing.assert_allclose(limit.mu_star, mu_star, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(limit.nu_star, nu_star, rtol=1e-12, atol=0)
 
 
 def test_each_removed_block_is_sisp_for_its_restriction():
