@@ -57,6 +57,8 @@ class InstanceSpec:
             # generation would fail on the value later, inside numpy
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("dimensions must be at least 1")
         if self.kind in (KIND_UPPER, KIND_STAIRCASE) and self.n_rows != self.n_cols:

@@ -10,7 +10,11 @@ of isolated scalable problems: the limit coupling vanishes on
 of A, with nu* = theta_m nu on F(A) and mu* = mu / theta_m on A.  Removing
 the block and recursing reconstructs the whole limit support without ever
 running the scaling iteration.  theta_m and its minimal maximizers come
-from a few maximum flows, so the exact construction has no size limit.
+from a few maximum flows (:func:`maximal_theta`); the whole sequence of
+removed blocks is the decomposition by decreasing ratio mu(A)/nu(F(A))
+(Fujishige's lexicographically optimal base), which
+:func:`exact_support_procedure` builds by divide and conquer on theta with
+one maximum flow per depth.  Neither has a size limit.
 """
 
 import math
@@ -93,12 +97,22 @@ def maximal_theta(r, mu, nu):
             break
         theta = float(ratio)
     tol = _RESIDUAL_TOL * total_mass(mu)
-    carry = flow > tol
+    spare = theta * nu - flow.sum(axis=0) > tol
+    return ThetaSetResult(theta_m=theta, smallest=sorted(_sink_rows(adj, flow > tol, spare, mu == 0)))
+
+
+def _sink_rows(adj, carry, spare, skip):
+    """Row sets (sorted tuples) of the sink strongly connected components
+    of the residual graph of a flow on ``adj`` whose entries ``carry``
+    flow, among the nodes that cannot reach the sink through a column of
+    ``spare`` capacity, leaving out the rows of ``skip`` and every node
+    that reaches them: at a flow that saturates the rows of the maximal
+    ratio, the inclusion-minimal maximizers (Picard-Queyranne).  One
+    forward and one backward closure per candidate row."""
+    n, m = adj.shape
     no_cols = np.zeros(m, dtype=bool)
-    # the massless rows, and every node that can reach the sink through a
-    # column with spare capacity
-    done, _ = _closure(mu == 0, theta * nu - flow.sum(axis=0) > tol, carry, adj)
-    smallest = []
+    done, _ = _closure(skip, spare, carry, adj)
+    found = []
     for i in range(n):
         if done[i]:
             continue
@@ -106,11 +120,11 @@ def maximal_theta(r, mu, nu):
         ahead, _ = _closure(start, no_cols, adj, carry)
         behind, _ = _closure(start, no_cols, carry, adj)
         if (behind | ~ahead).all():  # row i lies in a sink component
-            smallest.append(tuple(np.flatnonzero(ahead).tolist()))
+            found.append(tuple(np.flatnonzero(ahead).tolist()))
             done |= ahead
         else:  # neither row i nor any row that reaches it does
             done |= behind
-    return ThetaSetResult(theta_m=theta, smallest=sorted(smallest))
+    return found
 
 
 @dataclass(frozen=True)
@@ -141,33 +155,88 @@ def exact_support_procedure(r, mu, nu):
     """Compute the limit support exactly, without the scaling iteration.
 
     Starts from the support of R0, R with its zero-mass rows and columns
-    zeroed, with the rows of mu > 0 and the columns of nu > 0 active.
-    Repeatedly finds the union M of the smallest maximal theta-sets of the
-    active triple (that support with mu and nu zeroed off the active rows
-    and columns, for :func:`maximal_theta`), clears the block (active rows
-    minus M) x F(M), and removes M and F(M) from the active sets; they
-    strictly decrease until empty, and what survives is exactly the
-    support of the limit couplings.  Takes any triple that satisfies
+    zeroed, with the rows of mu > 0 and the columns of nu > 0 active, and
+    gives the steps of the one-step reduction: remove the union M of the
+    smallest maximal theta-sets of the active triple (:func:`maximal_theta`)
+    and F(M), after clearing (active rows minus M) x F(M).  What survives
+    is the support of the limit couplings.  Takes any triple that satisfies
     Assumption 1 and answers in its indices.
+
+    The levels come by divide and conquer on theta, one maximum flow per
+    depth for all pending sub-problems (X, Y): they are disjoint with their
+    cross entries cleared, and each gets capacities mu on X and theta nu on
+    Y, theta = mu(X)/nu(Y).  The rows A of X that the source reaches hold
+    the levels above theta: (X - A) x F(A) is cleared, and (A, F(A)) and
+    (X - A, Y - F(A)) go on.  With none reached X is one level.  It goes
+    whole when one forward and one backward closure from a root row span it
+    and no column has spare capacity, else as the sink components of
+    :func:`_sink_rows`; rows left over (a tie) go on at the same theta,
+    their entries into F(M) cleared.  Steps follow the tree, upper before
+    lower and a level before its tie continuation.  A step's theta is the
+    one-step reduction's, bit for bit: M(mu)/M(nu) (math.fsum) of the
+    active rows and columns when its level is all that is active, else
+    mu(X).sum() / nu(Y).sum() over its level.
     """
     r, mu, nu = _require_assumption1(r, mu, nu)
     live = _r0_support(r, mu, nu)
     rows, cols = mu > 0, nu > 0
-    steps = []
-    while rows.any():
-        theta = maximal_theta(live, np.where(rows, mu, 0.0), np.where(cols, nu, 0.0))
-        removed_rows = np.zeros_like(rows)
-        removed_rows[[i for subset in theta.smallest for i in subset]] = True
-        # the active rows have no entry left on the inactive columns
-        removed_cols = live[removed_rows].any(axis=0)
-        steps.append(ProcedureStep(*(tuple(np.flatnonzero(mask).tolist())
-                                     for mask in (rows, cols, removed_rows, removed_cols)),
-                                   theta=theta.theta_m))
-        rows, cols = rows & ~removed_rows, cols & ~removed_cols
-        live[np.ix_(rows, removed_cols)] = False
+    # sub-problems (place in the tree, rows, columns), and the levels found
+    # as (place, rows, columns, removed rows, removed columns)
+    pending = [((), rows, cols)] if rows.any() else []
+    levels = []
+    no_cols = np.zeros_like(cols)
+    while pending:
+        theta_nu = np.zeros_like(nu)
+        for _, x, y in pending:
+            theta_nu[y] = mu[x].sum() / nu[y].sum() * nu[y]
+        mu_active = np.where(rows, mu, 0.0)
+        adj = live & rows[:, None]
+        flow, reached = _max_flow(adj, mu_active, theta_nu)
+        tasks, pending, leaves = pending, [], []
+        for key, x, y in tasks:
+            above = reached & x
+            if above.any() and (x & ~above).any():  # the levels above theta, and the rest
+                image = live[above].any(axis=0)
+                live[np.ix_(x & ~above, image)] = False
+                pending += [(key + (0,), above, image), (key + (1,), x & ~above, y & ~image)]
+            else:
+                leaves.append((key, x, y))
+        tol = _RESIDUAL_TOL * total_mass(mu_active)
+        carry = flow > tol
+        spare = theta_nu - flow.sum(axis=0) > tol
+        # a level that its root row spans both ways in the residual graph,
+        # without a spare column, is one strongly connected piece: its own
+        # smallest maximizer
+        roots = np.zeros_like(rows)
+        roots[[np.argmax(x) for _, x, _ in leaves]] = True
+        ahead, _ = _closure(roots, no_cols, adj, carry)
+        behind, _ = _closure(roots, no_cols, carry, adj)
+        for key, x, y in leaves:
+            removed = x
+            if (x & ~(ahead & behind)).any() or spare[y].any():
+                removed = np.zeros_like(rows)
+                removed[[i for subset in _sink_rows(adj, carry, spare, ~x) for i in subset]] = True
+            image = live[removed].any(axis=0)
+            levels.append((key + (0,), x, y, removed, image))
+            rows, cols = rows & ~removed, cols & ~image
+            if (x & ~removed).any():  # the rest of the level shares its theta
+                live[np.ix_(x & ~removed, image)] = False
+                pending.append((key + (1,), x & ~removed, y & ~image))
     if cols.any():
         raise Assumption2Violated("columns left over after the rows were exhausted")
-    return ProcedureTrace(steps=steps, final_mask=live)
+    levels.sort(key=lambda level: level[0])
+    steps = []
+    rows, cols = np.zeros_like(rows), np.zeros_like(cols)
+    for _, x, y, removed, image in reversed(levels):
+        rows, cols = rows | removed, cols | image
+        if np.array_equal(rows, x):
+            theta = total_mass(mu[rows]) / total_mass(nu[cols])
+        else:
+            theta = mu[x].sum() / nu[y].sum()
+        steps.append(ProcedureStep(*(tuple(np.flatnonzero(mask).tolist())
+                                     for mask in (rows, cols, removed, image)),
+                                   theta=float(theta)))
+    return ProcedureTrace(steps=steps[::-1], final_mask=live)
 
 
 def is_sisp(subset, r, mu, nu, r_star_reference):

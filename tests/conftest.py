@@ -14,6 +14,7 @@ from degensink.scalability import (
     support_graph,
 )
 from degensink import sinkhorn
+from degensink.support import ProcedureStep, ProcedureTrace, ThetaSetResult
 from degensink.sinkhorn import _ZERO_STREAK, _LogIteration
 from degensink.instances import (
     InstanceSpec,
@@ -269,6 +270,40 @@ def oracle_maximal_theta(r, mu, nu):
 
     return (best_num / best_den, sorted(members(msk) for msk in maximizers),
             sorted(members(msk) for msk in minimal))
+
+
+def oracle_peel(r, mu, nu):
+    """``oracle_maximal_theta`` as a ``ThetaSetResult``: the enumeration
+    takes full supports, so it runs on supp(mu) x supp(nu) and its
+    maximizers are mapped back."""
+    rows, cols = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
+    theta_m, _, smallest = oracle_maximal_theta(r[np.ix_(rows, cols)], mu[rows], nu[cols])
+    return ThetaSetResult(theta_m, [tuple(rows[list(s)].tolist()) for s in smallest])
+
+
+def one_step_reduction(r, mu, nu, peel):
+    """The exact reduction one step at a time, the reference of
+    ``exact_support_procedure``: from the support of R0 with the rows of
+    mu > 0 and the columns of nu > 0 active, ``peel`` (``maximal_theta`` or
+    :func:`oracle_peel`) on the active triple gives theta and the smallest
+    maximizers, whose union M the step removes with F(M), after clearing
+    (active rows minus M) x F(M).  A ``ProcedureTrace``."""
+    r, mu, nu = (np.asarray(x, dtype=float) for x in (r, mu, nu))
+    live = (r > 0) & (mu > 0)[:, None] & (nu > 0)[None, :]
+    rows, cols = mu > 0, nu > 0
+    steps = []
+    while rows.any():
+        theta = peel(live, np.where(rows, mu, 0.0), np.where(cols, nu, 0.0))
+        removed_rows = np.zeros_like(rows)
+        removed_rows[[i for subset in theta.smallest for i in subset]] = True
+        removed_cols = live[removed_rows].any(axis=0)
+        steps.append(ProcedureStep(*(tuple(np.flatnonzero(mask).tolist())
+                                     for mask in (rows, cols, removed_rows, removed_cols)),
+                                   theta=theta.theta_m))
+        rows, cols = rows & ~removed_rows, cols & ~removed_cols
+        live[np.ix_(rows, removed_cols)] = False
+    assert not cols.any()
+    return ProcedureTrace(steps=steps, final_mask=live)
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,14 @@ def test_gen_without_size_is_a_usage_error(capsys):
     assert "n=" in capsys.readouterr().err
 
 
+def test_gen_with_a_negative_seed_names_the_field(capsys):
+    # numpy's own message, "expected non-negative integer", did not
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--gen", "kind=random,n=3,seed=-1"])
+    assert exc.value.code == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 def test_solve_nan_tolerance_is_a_usage_error(monkeypatch, capsys):
     # rejected before the first iteration, not reported as not converged
     # after --max-iter of them

@@ -92,6 +92,11 @@ def test_spec_validation():
             InstanceSpec(**spec)
     # numpy integers are integers
     assert InstanceSpec(KIND_RANDOM, np.int64(3), 3, seed=np.uint32(7)).seed == 7
+    # a negative seed used to pass here and fail inside numpy without
+    # naming the field
+    for seed in (-1, np.int64(-5)):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            InstanceSpec(KIND_RANDOM, 3, 3, seed=seed)
 
 
 def test_instance_json_roundtrip(appendix):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -33,7 +34,16 @@ from degensink.instances import (
 )
 from degensink.sinkhorn import StopConfig
 from degensink.support import ProcedureStep, ThetaSetResult
-from conftest import R_STAR, S_MASK, oracle_cases, oracle_maximal_theta, random_instance
+from conftest import (
+    R_STAR,
+    S_MASK,
+    one_step_reduction,
+    oracle_cases,
+    oracle_maximal_theta,
+    oracle_peel,
+    random_instance,
+    relabelled,
+)
 
 
 def test_maximal_theta_appendix(appendix):
@@ -118,22 +128,47 @@ def test_maximal_theta_many_columns():
     _assert_theta_matches_oracle(r, mu, 1.7 * nu)
 
 
-def test_exact_procedure_agrees_with_enumeration_oracle(monkeypatch):
-    cases = oracle_cases(406)
-    fast = [exact_support_procedure(r, mu, nu) for r, mu, nu in cases]
-
-    def oracle_theta(r, mu, nu):
-        # the enumeration takes full supports: the answer on
-        # supp(mu) x supp(nu), mapped back
-        rows, cols = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
-        theta_m, _, smallest = oracle_maximal_theta(r[np.ix_(rows, cols)], mu[rows], nu[cols])
-        return ThetaSetResult(theta_m, [tuple(rows[list(s)].tolist()) for s in smallest])
-
-    monkeypatch.setattr(support, "maximal_theta", oracle_theta)
-    for (r, mu, nu), got in zip(cases, fast):
-        want = exact_support_procedure(r, mu, nu)
+def test_exact_procedure_agrees_with_enumeration_oracle():
+    # the one-step reduction peeling by enumeration: the same steps, theta
+    # up to rounding
+    for r, mu, nu in oracle_cases(406):
+        got = exact_support_procedure(r, mu, nu)
+        want = one_step_reduction(r, mu, nu, oracle_peel)
         assert np.array_equal(got.final_mask, want.final_mask)
-        assert [s.sisp_rows for s in got.steps] == [s.sisp_rows for s in want.steps]
+        assert [s.theta for s in got.steps] == pytest.approx([s.theta for s in want.steps],
+                                                             rel=1e-12, abs=0)
+        assert [dataclasses.replace(s, theta=0.0) for s in got.steps] == [
+            dataclasses.replace(s, theta=0.0) for s in want.steps]
+
+
+def _staircase(n, n_blocks):
+    sizes = [n // n_blocks + (i < n % n_blocks) for i in range(n_blocks)]
+    return staircase_instance(n, sizes, block_ratio_schedule(n_blocks))[:3]
+
+
+@pytest.mark.parametrize("cases", [
+    lambda: oracle_cases(404),
+    lambda: oracle_cases(505),
+    lambda: [relabelled(np.random.default_rng(b), *_staircase(16, b)) for b in (3, 4, 5)],
+], ids=["oracle404", "oracle505", "staircase16"])
+def test_exact_procedure_is_the_one_step_reduction(cases):
+    # bit for bit the reduction that runs maximal_theta once per step,
+    # theta included: on the oracle triples (29 of them tied, with two
+    # steps at one theta) and on relabelled 16-row staircases
+    for r, mu, nu in cases():
+        got = exact_support_procedure(r, mu, nu)
+        want = one_step_reduction(r, mu, nu, maximal_theta)
+        assert got.steps == want.steps
+        assert np.array_equal(got.final_mask, want.final_mask)
+
+
+@pytest.mark.parametrize("n_blocks, flows", [(4, 3), (6, 4), (10, 5)])
+def test_exact_procedure_takes_one_flow_per_depth(max_flow_calls, n_blocks, flows):
+    # the one-step reduction took 8, 15 and 33 flows here
+    r, mu, nu = relabelled(np.random.default_rng(1), *_staircase(100, n_blocks))
+    trace = exact_support_procedure(r, mu, nu)
+    assert len(max_flow_calls) == flows
+    assert len(trace.steps) == n_blocks
 
 
 def test_exact_procedure_appendix(appendix):
@@ -309,12 +344,7 @@ def test_each_removed_block_is_sisp_for_its_restriction():
 # of 3, 4 and 5 blocks and the oracle instances.  The minimal maximizers,
 # the removed blocks and the limit support follow a relabelling, and
 # theta is a ratio of masses.
-def _staircase16(n_blocks):
-    sizes = [16 // n_blocks + (i < 16 % n_blocks) for i in range(n_blocks)]
-    return staircase_instance(16, sizes, block_ratio_schedule(n_blocks))[:3]
-
-
-EXACT_CASES = [appendix_a_instance()] + [_staircase16(b) for b in (3, 4, 5)] + oracle_cases(507)
+EXACT_CASES = [appendix_a_instance()] + [_staircase(16, b) for b in (3, 4, 5)] + oracle_cases(507)
 
 
 def _relabelled_with_maps(seed, r, mu, nu):
