@@ -36,7 +36,6 @@ from .scalability import (
     classify_exact,
     connected_components,
     feasibility_flow,
-    forward_image,
     support_graph,
 )
 from .sinkhorn import (
@@ -47,9 +46,6 @@ from .sinkhorn import (
     check_optimality,
     current_P,
     current_Q,
-    detect_limit_support,
-    gap_balanced,
-    gap_unbalanced,
     init_state,
     potentials_phi_psi,
     run_sinkhorn,
@@ -62,7 +58,6 @@ from .support import (
     approx_support_algorithm1,
     default_thresholds,
     exact_support_procedure,
-    is_sisp,
     masked_solve,
     maximal_theta,
 )
@@ -79,7 +74,6 @@ from .unbalanced import (
 from .instances import (
     InstanceSpec,
     appendix_a_instance,
-    dump_instance,
     gen_instance,
     load_instance,
     staircase_instance,

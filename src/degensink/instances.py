@@ -18,7 +18,6 @@ __all__ = [
     "appendix_a_instance",
     "staircase_instance",
     "load_instance",
-    "dump_instance",
     "KIND_UPPER",
     "KIND_STAIRCASE",
     "KIND_RANDOM",
@@ -96,7 +95,8 @@ def staircase_instance(n, block_sizes, ratios_desc):
 
     Returns ``(R, mu, nu, support, bounds)`` with ``support`` the expected
     limit-support mask and ``bounds`` the (start, end) block ranges.
-    Raises ValueError unless every block has at least one row.
+    Raises ValueError unless every block has at least one row and every
+    ratio is finite and positive.
     """
     if min(block_sizes, default=0) < 1:
         raise ValueError("every block needs at least one row")
@@ -105,6 +105,9 @@ def staircase_instance(n, block_sizes, ratios_desc):
     k = len(block_sizes)
     if len(ratios_desc) != k:
         raise ValueError("one ratio per block")
+    # inf gave NaN masses, a negative ratio negative ones, 0 an empty block
+    if not all(0 < x < np.inf for x in ratios_desc):
+        raise ValueError(f"ratios must be finite and positive, got {ratios_desc}")
     if any(nxt >= cur for cur, nxt in zip(ratios_desc, ratios_desc[1:])):
         raise ValueError("ratios must be strictly decreasing in removal order")
     ratios_asc = sorted(ratios_desc)
@@ -204,18 +207,3 @@ def load_instance(source):
     if r.shape != (mu.size, nu.size):
         raise ValueError(f"inconsistent shapes: R is {r.shape}, mu has {mu.size}, nu has {nu.size}")
     return r, mu, nu
-
-
-def dump_instance(r, mu, nu, target=None):
-    """Serialize an instance to the JSON format; returns the dict, and
-    writes it to ``target`` (path or file object) when given."""
-    payload = {"R": np.asarray(r, dtype=float).tolist(),
-               "mu": np.asarray(mu, dtype=float).tolist(),
-               "nu": np.asarray(nu, dtype=float).tolist()}
-    if target is not None:
-        if hasattr(target, "write"):
-            json.dump(payload, target)
-        else:
-            with open(target, "w") as handle:
-                json.dump(payload, handle)
-    return payload

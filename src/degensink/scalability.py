@@ -25,7 +25,6 @@ from .measures import as_triple, total_mass
 
 __all__ = [
     "support_graph",
-    "forward_image",
     "check_assumption1",
     "connected_components",
     "ScalabilityClass",
@@ -50,15 +49,6 @@ _UNBALANCED_TAG = {
 def support_graph(r):
     """Boolean adjacency of the bipartite support graph: ``r > 0``."""
     return np.asarray(r, dtype=float) > 0
-
-
-def forward_image(adj, rows):
-    """Columns adjacent to at least one row of ``rows``."""
-    adj = np.asarray(adj, dtype=bool)
-    idx = sorted(set(int(i) for i in rows))
-    if not idx:
-        return set()
-    return set(int(j) for j in np.nonzero(adj[idx].any(axis=0))[0])
 
 
 def _r0_support(r, mu, nu):

@@ -1,5 +1,5 @@
 """The scaling (IPFP) iteration in potential form, its stopping criterion,
-the duality gaps of a state, and extraction of the two limit couplings.
+and extraction of the two limit couplings.
 
 With reference R and targets (mu, nu), the iteration is
 
@@ -31,12 +31,13 @@ import numpy as np
 
 from .errors import Assumption1Violated, OverflowDetected
 from .measures import (
+    as_measure,
     as_triple,
     geometric_mean,
     marginal_col,
     marginal_row,
     rel_entropy,
-    rel_entropy_coupling,
+    rel_entropy_coupling,  # noqa: F401  (bench/spans.py traces it under this module)
     total_mass,
     tv_distance,
 )
@@ -50,10 +51,7 @@ __all__ = [
     "sinkhorn_step",
     "current_P",
     "current_Q",
-    "gap_balanced",
-    "gap_unbalanced",
     "run_sinkhorn",
-    "detect_limit_support",
     "potentials_phi_psi",
     "check_optimality",
     "OptimalityDiagnostics",
@@ -73,16 +71,10 @@ _OPTIMALITY_TOL = 1e-6  # of OptimalityDiagnostics.violations
 
 def _check_max_iter(max_iter):
     """Reject an iteration cap that is not an integer (a Python or numpy
-    one) of at least 1: ``range`` would fail on it mid-solve."""
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+    one, not a bool) of at least 1: ``range`` would fail on it mid-solve,
+    and True would run one iteration."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
-
-
-def _check_lam(lam):
-    """Reject a penalization weight that is not > 0; NaN fails every
-    comparison."""
-    if not lam > 0:
-        raise ValueError(f"lam must be a positive number, got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -172,55 +164,9 @@ def sinkhorn_step(state, r, mu, nu):
     return replace(state, a=a, b=b, b_prev=state.b, iteration=state.iteration + 1)
 
 
-def _log_dot(log_vec, weights):
-    """<log v, w> over the support of w; 0-mass entries contribute nothing."""
-    sup = weights > 0
-    return float(np.sum(weights[sup] * log_vec[sup])) if sup.any() else 0.0
-
-
-def _gap_unbalanced_from_logs(log_a, log_b_prev, p, r, mu, nu, lam):
-    sup = nu > 0
-    pen = float(np.sum(nu[sup] * (1.0 - np.exp(-log_b_prev[sup] / lam)))) if sup.any() else 0.0
-    return (rel_entropy_coupling(p, r)
-            + lam * (rel_entropy(marginal_col(p), nu) - pen)
-            - _log_dot(log_a, mu))
-
-
 def _safe_log(v):
     with np.errstate(divide="ignore"):
         return np.log(v)
-
-
-def gap_balanced(state, r, mu, nu):
-    """Duality-gap stopping value SC^n = H(P^n|R) - <log a^n, mu> - <log b^{n-1}, nu>.
-
-    Nonnegative along the iteration; converges to 0 on scalable problems
-    with mass-matched reference (it tends to M(R) - M(mu) in general, and
-    stays bounded away from 0 in the non-scalable case).  Raises
-    ValueError on NaN, infinite or negative input.
-    """
-    r, mu, nu = as_triple(r, mu, nu)
-    return (rel_entropy_coupling(current_P(state, r), r)
-            - _log_dot(_safe_log(state.a), mu) - _log_dot(_safe_log(state.b_prev), nu))
-
-
-def gap_unbalanced(state, r, mu, nu, lam):
-    """Penalized stopping value
-
-    SCu^n = H(P^n|R) + lam (H(nu^{P^n}|nu) - <1 - (1/b^{n-1})^{1/lam}, nu>) - <log a^n, mu>.
-
-    A value of a state, not a stopping rule: zero at the fixed point
-    when R already has the marginals mu and nu, and the balanced gap in
-    the limit lam -> inf at a state whose P^n has second marginal nu.  In
-    the non-scalable case it dips along the iteration for a number of
-    iterations of order lam and then diverges with the potentials.
-    Raises ValueError on NaN, infinite or negative input and on a ``lam``
-    that is not > 0.
-    """
-    r, mu, nu = as_triple(r, mu, nu)
-    _check_lam(lam)
-    return _gap_unbalanced_from_logs(_safe_log(state.a), _safe_log(state.b_prev),
-                                     current_P(state, r), r, mu, nu, float(lam))
 
 
 @dataclass
@@ -342,13 +288,12 @@ class _LogIteration:
         entry gives P_ij = a_i b_j K_ij <= _ABSORB^2 K_ij < z_tol / _ABSORB,
         below z_tol with the flush and without it.  So the structural-zero
         record cannot change; P and Q change only on entries below
-        z_tol / _ABSORB, far under the float resolution of the moves and
-        the gaps, and the iteration counts stay the same.  What goes are
-        the subnormal entries of K and the products K_ij b_j that would
-        underflow: every entry left is at least 1e-162 M(mu) and every
-        such product at least 1e-212 M(mu), so no matrix-vector product
-        takes the slow subnormal path.  The floor scales with the mass, as
-        z_tol does."""
+        z_tol / _ABSORB, far under the float resolution of the moves, and
+        the iteration counts stay the same.  What goes are the subnormal
+        entries of K and the products K_ij b_j that would underflow: every
+        entry left is at least 1e-162 M(mu) and every such product at
+        least 1e-212 M(mu), so no matrix-vector product takes the slow
+        subnormal path.  The floor scales with the mass, as z_tol does."""
         self.u_abs[self.rows] += np.log(self.a[self.rows])
         self.v_abs[self.cols] += np.log(self.b[self.cols])
         self.b = 1.0 - self.pad_col
@@ -426,10 +371,10 @@ def run_sinkhorn(r, mu, nu, cfg=None):
     ("stall") once the iterates are numerically stationary: moves at or
     below 1e-15 M(mu) for 50 consecutive iterations, with every
     structural-zero streak complete.  The criterion is tested first, so
-    only a threshold below that floor, such as the 0 of
-    :func:`detect_limit_support`, can reach the stall.  P^n, Q^n, the
-    moves and the structural-zero record are formed on supp(R) only, and
-    P*, Q* and ``structural_support`` scattered back to n x m at the end.
+    only a threshold below that floor, such as 0, can reach the stall.
+    P^n, Q^n, the moves and the structural-zero record are formed on
+    supp(R) only, and P*, Q* and ``structural_support`` scattered back to
+    n x m at the end.
     The record is the last 50 masks P^n < z_tol, bit-packed in a ring
     (6.25 bytes per support entry); ``structural_support`` and the stall
     test are ANDs over it.  Raises ValueError on inconsistent shapes and
@@ -511,25 +456,17 @@ def run_sinkhorn(r, mu, nu, cfg=None):
     )
 
 
-def detect_limit_support(r, mu, nu, max_iter=50_000):
-    """Structural support of the limit couplings from a long scaling run.
-
-    Runs the iterate-delta criterion at threshold 0, which never fires, so
-    the run ends on the stall exit of :func:`run_sinkhorn` or at
-    ``max_iter``; returns the boolean support mask together with the
-    report.
-    """
-    report = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=0.0, max_iter=max_iter))
-    return report.structural_support, report
-
-
 def potentials_phi_psi(report, mu, nu):
     """Log-ratios phi_i = log(mu*_i / mu_i), psi_j = log(nu*_j / nu_j).
 
     Entries outside the supports of mu, nu carry NaN (the ratios are 0/0
-    there and never enter any optimality condition)."""
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    there and never enter any optimality condition).  Raises ValueError on
+    NaN, infinite or negative input and on a ``mu`` or ``nu`` whose length
+    is not that of the report's modified marginals."""
+    mu, nu = as_measure(mu), as_measure(nu)
+    if (mu.size, nu.size) != (report.mu_star.size, report.nu_star.size):
+        raise ValueError(f"mu and nu have {mu.size} and {nu.size} entries, the report's "
+                         f"marginals {report.mu_star.size} and {report.nu_star.size}")
     phi = np.full(mu.shape, np.nan)
     psi = np.full(nu.shape, np.nan)
     smu = mu > 0

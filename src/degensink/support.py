@@ -31,9 +31,8 @@ from .scalability import (
     _r0_support,
     _require_assumption1,
     connected_components,
-    support_graph,
 )
-from .sinkhorn import Z_TOL_FACTOR, StopConfig, _LogIteration, run_sinkhorn
+from .sinkhorn import StopConfig, _LogIteration, run_sinkhorn
 
 __all__ = [
     "ThetaSetResult",
@@ -41,7 +40,6 @@ __all__ = [
     "ProcedureTrace",
     "maximal_theta",
     "exact_support_procedure",
-    "is_sisp",
     "default_thresholds",
     "Algorithm1Result",
     "approx_support_algorithm1",
@@ -237,32 +235,6 @@ def exact_support_procedure(r, mu, nu):
                                      for mask in (rows, cols, removed, image)),
                                    theta=float(theta)))
     return ProcedureTrace(steps=steps[::-1], final_mask=live)
-
-
-def is_sisp(subset, r, mu, nu, r_star_reference):
-    """Whether ``subset`` of rows is the source of an isolated scalable
-    problem, judged against a reference limit coupling.
-
-    Requires (i) the reference limit to vanish on (complement x image of
-    the subset) and (ii) the limit's row supports to coincide with those
-    of R on the subset, both at the structural-zero threshold
-    ``Z_TOL_FACTOR * M(mu)`` of :func:`run_sinkhorn`.  Raises ValueError
-    on NaN, infinite or negative input, on an empty subset or a row index
-    outside [0, n), and on a reference limit whose shape is not R's."""
-    r, mu, nu = as_triple(r, mu, nu)
-    ref = as_coupling(r_star_reference)
-    if ref.shape != r.shape:
-        raise ValueError(f"reference limit has shape {ref.shape}, R has {r.shape}")
-    subset = [int(i) for i in subset]
-    if not subset or min(subset) < 0 or max(subset) >= r.shape[0]:
-        raise ValueError(f"subset must be a nonempty list of rows in [0, {r.shape[0]})")
-    rows = np.zeros(r.shape[0], dtype=bool)
-    rows[subset] = True
-    above = ref >= Z_TOL_FACTOR * total_mass(mu)
-    adj = support_graph(r)
-    if above[np.ix_(~rows, adj[rows].any(axis=0))].any():
-        return False
-    return np.array_equal(above[rows], adj[rows])
 
 
 def default_thresholds(r, mu):

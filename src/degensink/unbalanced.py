@@ -34,7 +34,7 @@ from .measures import (
     tv_distance,
 )
 from .scalability import _require_assumption1
-from .sinkhorn import StopConfig, _check_lam, run_sinkhorn
+from .sinkhorn import StopConfig, run_sinkhorn
 from .support import _exact_limit
 
 __all__ = [
@@ -69,12 +69,19 @@ _STATIONARITY_TOL = 1e-8
 _MAX_STEPS = 100
 
 
+def _check_lam(lam):
+    """Reject a penalization weight that is not finite and > 0; NaN fails
+    every comparison.  At lam = inf the solvers found no ascent step."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be a positive number, got {lam!r}")
+
+
 @dataclass(frozen=True)
 class PenaltyConfig:
     """Penalization setup: weight ``lam`` and which marginals are relaxed.
-    A ``lam`` that is not > 0 (NaN, 0, negative) and an unknown ``sides``
-    are rejected.  The solvers work out their stop rule from the masses
-    (:func:`_newton_dual`, :func:`solve_two_sided`)."""
+    A ``lam`` that is not finite and > 0 (NaN, inf, 0, negative) and an
+    unknown ``sides`` are rejected.  The solvers work out their stop rule
+    from the masses (:func:`_newton_dual`, :func:`solve_two_sided`)."""
 
     lam: float
     sides: str = SIDE_BOTH
@@ -223,7 +230,7 @@ def solve_two_sided(r, mu, nu, cfg):
 def penalized_objective(p, r, mu, nu, lam):
     """(1/lam) H(P|R) + H(mu^P|mu) + H(nu^P|nu): the rescaled two-sided
     objective.  Raises ValueError on NaN, infinite or negative input and
-    on a ``lam`` that is not > 0."""
+    on a ``lam`` that is not finite and > 0."""
     p, (r, mu, nu) = as_coupling(p), as_triple(r, mu, nu)
     _check_lam(lam)
     return (rel_entropy_coupling(p, r) / lam
@@ -239,7 +246,7 @@ def stationarity_residual(p, r, mu, nu, lam):
     sum_j P_ij g_ij with g = (1/lam) log(P/R) + log(mu^P/mu) (+) log(nu^P/nu);
     the maximizer of the penalized dual zeroes it identically.
     Raises ValueError on NaN, infinite or negative input, on a ``lam``
-    that is not > 0, and when ``p`` and ``r`` differ in shape.
+    that is not finite and > 0, and when ``p`` and ``r`` differ in shape.
     """
     p, r, g = _stationarity_terms(p, r, mu, nu, lam)
     return _largest_sum(p * g)

@@ -1,11 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from degensink import appendix_a_instance
-from degensink.measures import total_mass, tv_distance
+from degensink.measures import as_coupling, as_triple, total_mass, tv_distance
 from degensink.scalability import (
     _UNBALANCED_TAG,
     ScalabilityClass,
@@ -15,7 +17,7 @@ from degensink.scalability import (
 )
 from degensink import sinkhorn
 from degensink.support import ProcedureStep, ProcedureTrace, ThetaSetResult
-from degensink.sinkhorn import _ZERO_STREAK, _LogIteration
+from degensink.sinkhorn import _ZERO_STREAK, StopConfig, _LogIteration, run_sinkhorn
 from degensink.instances import (
     InstanceSpec,
     KIND_RANDOM,
@@ -101,6 +103,44 @@ def _lse_rows(mat):
     if fin.any():
         out[fin] = mx[fin] + np.log(np.exp(mat[fin] - mx[fin][:, None]).sum(axis=1))
     return out
+
+
+def write_instance(r, mu, nu, path):
+    """Write a triple to ``path`` in the JSON format of ``load_instance``."""
+    payload = {"R": np.asarray(r, dtype=float).tolist(), "mu": list(map(float, mu)), "nu": list(map(float, nu))}
+    Path(path).write_text(json.dumps(payload))
+
+
+def detect_limit_support(r, mu, nu, max_iter=50_000):
+    """``(structural_support, report)`` of a long scaling run: the
+    iterate-delta criterion at threshold 0 never fires, so the run ends on
+    the stall exit of ``run_sinkhorn`` or at ``max_iter``."""
+    report = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=0.0, max_iter=max_iter))
+    return report.structural_support, report
+
+
+def is_sisp(subset, r, mu, nu, r_star_reference):
+    """Whether ``subset`` of rows is the source of an isolated scalable
+    problem, judged against a reference limit coupling: the reference
+    vanishes on (complement x image of the subset), and its row supports
+    on the subset are those of R, both at the structural-zero threshold
+    ``Z_TOL_FACTOR * M(mu)`` of ``run_sinkhorn``.  Raises ValueError on
+    NaN, infinite or negative input, on an empty subset or a row index
+    outside [0, n), and on a reference whose shape is not R's."""
+    r, mu, nu = as_triple(r, mu, nu)
+    ref = as_coupling(r_star_reference)
+    if ref.shape != r.shape:
+        raise ValueError(f"reference limit has shape {ref.shape}, R has {r.shape}")
+    subset = [int(i) for i in subset]
+    if not subset or min(subset) < 0 or max(subset) >= r.shape[0]:
+        raise ValueError(f"subset must be a nonempty list of rows in [0, {r.shape[0]})")
+    rows = np.zeros(r.shape[0], dtype=bool)
+    rows[subset] = True
+    above = ref >= sinkhorn.Z_TOL_FACTOR * total_mass(mu)
+    adj = support_graph(r)
+    if above[np.ix_(~rows, adj[rows].any(axis=0))].any():
+        return False
+    return np.array_equal(above[rows], adj[rows])
 
 
 def printed_close(value, printed):

@@ -21,6 +21,7 @@ from conftest import (
     S_MASK,
     Z_NORM,
     assert_printed,
+    detect_limit_support,
     random_instance,
 )
 
@@ -82,7 +83,7 @@ def test_criterion_03_optimality_suite():
         rng = np.random.default_rng(1003)
         for k in range(200):
             r, mu, nu = random_instance(rng, max_n=8, balanced=bool(k % 2))
-            _, rep = dg.detect_limit_support(r, mu, nu, max_iter=50_000)
+            _, rep = detect_limit_support(r, mu, nu, max_iter=50_000)
             assert rep.gap_trace[-1][1] <= 1e-12 * mu.sum()  # stationary, i.e. converged
             diag = dg.check_optimality(rep, r, mu, nu)
             assert diag.eq_ratio_residual <= 1e-6
@@ -112,7 +113,7 @@ def test_criterion_05_support_oracle(appendix):
         for k in range(100):
             r, mu, nu = random_instance(rng, max_n=8, balanced=bool(k % 2), full_support=True)
             exact = dg.exact_support_procedure(r, mu, nu).final_mask
-            detected, _ = dg.detect_limit_support(r, mu, nu, max_iter=50_000)
+            detected, _ = detect_limit_support(r, mu, nu, max_iter=50_000)
             assert np.array_equal(exact, detected)
         ra, mua, nua = appendix
         assert np.array_equal(dg.exact_support_procedure(ra, mua, nua).final_mask, S_MASK)
@@ -135,7 +136,7 @@ def test_criterion_06_algorithm1_agreement():
             assert np.array_equal(dg.exact_support_procedure(r, mu, nu).final_mask, support)
         # and the long-run detection at an intermediate size
         r, mu, nu, support, _ = _staircase(40, 4)
-        detected, _ = dg.detect_limit_support(r, mu, nu)
+        detected, _ = detect_limit_support(r, mu, nu)
         assert np.array_equal(detected, support)
 
         # well-separated random suite: random block structures with a

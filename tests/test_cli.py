@@ -5,15 +5,16 @@ import pytest
 
 from degensink.cli import main
 from degensink.experiments import EPSILONS, LAMBDAS
-from degensink.instances import KIND_UPPER, InstanceSpec, appendix_a_instance, dump_instance, gen_instance
+from degensink.instances import KIND_UPPER, InstanceSpec, appendix_a_instance, gen_instance
 from degensink.sinkhorn import run_sinkhorn
+from conftest import write_instance
 
 
 @pytest.fixture
 def instance_file(tmp_path):
     r, mu, nu = appendix_a_instance()
     path = tmp_path / "appendix.json"
-    dump_instance(r, mu, nu, path)
+    write_instance(r, mu, nu, path)
     return str(path)
 
 
@@ -82,7 +83,7 @@ def test_solve_has_one_stop_rule(flag):
 def test_solve_overflow_exit_code(tmp_path, capsys):
     r, mu, nu = appendix_a_instance()
     path = tmp_path / "huge.json"
-    dump_instance(r, 1e300 * mu, 1e300 * nu, path)
+    write_instance(r, 1e300 * mu, 1e300 * nu, path)
     code = main(["solve", "--instance", str(path), "--tol", "1e-13"])
     assert code == 2
     assert "float overflow" in capsys.readouterr().err
@@ -91,7 +92,7 @@ def test_solve_overflow_exit_code(tmp_path, capsys):
 def test_solve_total_mass_overflow_exit_code(tmp_path, capsys):
     # the masses 2e308 exceed the float range: "not converged", exit code 2
     path = tmp_path / "beyond.json"
-    dump_instance(np.ones((2, 2)), np.array([1e308, 1e308]), np.array([1e308, 1e308]), path)
+    write_instance(np.ones((2, 2)), np.array([1e308, 1e308]), np.array([1e308, 1e308]), path)
     assert main(["solve", "--instance", str(path)]) == 2
     assert "total mass exceeds the float range" in capsys.readouterr().err
 
@@ -137,7 +138,7 @@ def test_support_on_a_massless_row(tmp_path, capsys, method):
     # the exact procedure rejected a row without mass (exit 3) that the
     # approximate one and classify accept
     path = tmp_path / "massless_row.json"
-    dump_instance(np.triu(np.ones((3, 3))), [2.0, 0.0, 2.0], [1.0, 1.0, 2.0], path)
+    write_instance(np.triu(np.ones((3, 3))), [2.0, 0.0, 2.0], [1.0, 1.0, 2.0], path)
     assert main(["support", "--instance", str(path), "--method", method]) == 0
     assert json.loads(capsys.readouterr().out)["mask"] == [
         [True, True, False], [False, False, False], [False, False, True]]
@@ -204,7 +205,7 @@ def test_appendix_a_subcommand(capsys):
 
 def test_assumption_violation_exit_code(tmp_path):
     path = tmp_path / "bad.json"
-    dump_instance(np.diag([1.0, 0.0]), [1.0, 1.0], [1.0, 1.0], path)
+    write_instance(np.diag([1.0, 0.0]), [1.0, 1.0], [1.0, 1.0], path)
     assert main(["solve", "--instance", str(path)]) == 3
 
 

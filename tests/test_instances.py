@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -11,10 +9,10 @@ from degensink.instances import (
     KIND_UPPER,
     appendix_a_instance,
     block_ratio_schedule,
-    dump_instance,
     load_instance,
     staircase_instance,
 )
+from conftest import write_instance
 
 
 def test_upper_triangular_is_worked_example():
@@ -63,6 +61,14 @@ def test_staircase_rejects_empty_blocks(sizes):
         staircase_instance(sum(sizes), sizes, [1.5, 0.5][:len(sizes)])
 
 
+@pytest.mark.parametrize("ratios", [[np.inf, 0.5], [1.5, -0.5], [1.5, 0.0]],
+                         ids=["inf", "negative", "zero"])
+def test_staircase_rejects_ratios_not_finite_and_positive(ratios):
+    # inf gave NaN masses, -0.5 a negative mu, 0 a block without mass
+    with pytest.raises(ValueError, match="finite and positive"):
+        staircase_instance(4, [2, 2], ratios)
+
+
 def test_random_sparse_deterministic_and_balanced():
     spec = InstanceSpec(KIND_RANDOM, 6, 6, density=0.5, seed=7)
     first = gen_instance(spec)
@@ -99,12 +105,12 @@ def test_spec_validation():
             InstanceSpec(KIND_RANDOM, 3, 3, seed=seed)
 
 
-def test_instance_json_roundtrip(appendix):
+def test_instance_json_roundtrip(appendix, tmp_path):
     r, mu, nu = appendix
-    buf = io.StringIO()
-    dump_instance(r, mu, nu, buf)
-    buf.seek(0)
-    r2, mu2, nu2 = load_instance(buf)
+    path = tmp_path / "appendix.json"
+    write_instance(r, mu, nu, path)
+    with open(path) as handle:  # a file object; the CLI passes the path
+        r2, mu2, nu2 = load_instance(handle)
     np.testing.assert_array_equal(r, r2)
     np.testing.assert_array_equal(mu, mu2)
     np.testing.assert_array_equal(nu, nu2)

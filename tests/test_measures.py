@@ -18,6 +18,7 @@ from degensink import (
     tv_distance,
 )
 from degensink import (
+    appendix_a_instance,
     approx_support_algorithm1,
     check_assumption1,
     classify_exact,
@@ -25,9 +26,9 @@ from degensink import (
     epsilon_fill,
     exact_support_procedure,
     feasibility_flow,
-    is_sisp,
     masked_solve,
     penalized_objective,
+    potentials_phi_psi,
     run_sinkhorn,
     solve_schu_lambda,
     solve_two_sided,
@@ -216,7 +217,6 @@ ENTRY_POINTS = {
     "check_assumption1": check_assumption1,
     "feasibility_flow": feasibility_flow,
     "default_thresholds": lambda r, mu, nu: default_thresholds(r, mu),
-    "is_sisp": lambda r, mu, nu: is_sisp([2], r, mu, nu, R_STAR),
     "masked_solve": lambda r, mu, nu: masked_solve(r, mu, nu, S_MASK),
     "epsilon_fill": lambda r, mu, nu: epsilon_fill(r, 0.1),
     "stationarity_residual": lambda r, mu, nu: stationarity_residual(P_STAR, r, mu, nu, 10.0),
@@ -226,14 +226,16 @@ ENTRY_POINTS = {
     "rel_entropy": lambda r, mu, nu: rel_entropy(mu, r[0]),
     "rel_entropy_coupling": lambda r, mu, nu: rel_entropy_coupling(np.outer(mu, nu), r),
     "geometric_mean": lambda r, mu, nu: geometric_mean(r, np.outer(mu, nu)),
+    # a NaN in mu gave a NaN phi
+    "potentials_phi_psi": lambda r, mu, nu: potentials_phi_psi(run_sinkhorn(*appendix_a_instance()), mu, nu),
 }
-R_ONLY = {"epsilon_fill"}  # takes no mu
+NOT_TAKEN = {"epsilon_fill": "mu", "potentials_phi_psi": "R"}  # the argument it does not take
 
 
 @pytest.mark.parametrize("bad, where, entry", [
     pytest.param(bad, where, entry, id=f"{bad_id}-{where}-{entry}")
     for entry in sorted(ENTRY_POINTS)
-    for where in ("R", "mu") if where == "R" or entry not in R_ONLY
+    for where in ("R", "mu") if NOT_TAKEN.get(entry) != where
     for bad, bad_id in ((math.nan, "nan"), (math.inf, "inf"), (-1.0, "negative"))])
 def test_entry_points_reject_invalid_input(entry, where, bad, appendix):
     r, mu, nu = (np.array(x, dtype=float) for x in appendix)

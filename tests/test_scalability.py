@@ -8,9 +8,7 @@ from degensink import (
     check_assumption1,
     classify_exact,
     connected_components,
-    detect_limit_support,
     feasibility_flow,
-    forward_image,
     support_graph,
 )
 from degensink import scalability
@@ -25,6 +23,7 @@ from degensink.instances import (
 from degensink.measures import total_mass
 from degensink.scalability import feasible_coupling
 from conftest import (
+    detect_limit_support,
     oracle_cases,
     oracle_classify,
     oracle_flow_classify,
@@ -40,27 +39,6 @@ def test_support_graph(appendix):
     assert np.array_equal(support_graph(r), np.triu(np.ones((3, 3), dtype=bool)))
     assert not support_graph(np.zeros((2, 2))).any()
     assert np.array_equal(support_graph(np.diag([5.0, 5.0])), np.eye(2, dtype=bool))
-
-
-def test_images(appendix):
-    r, _, _ = appendix
-    adj = support_graph(r)
-    assert forward_image(adj, {2}) == {2}
-    assert forward_image(adj, set()) == set()
-    assert forward_image(adj, {1}) == {1, 2}
-    assert forward_image(adj, {0, 1}) == {0, 1, 2}
-
-
-def test_image_duality_and_monotonicity():
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        adj = rng.random((4, 5)) < 0.5
-        for i in range(4):
-            for j in range(5):
-                assert (j in forward_image(adj, {i})) == adj[i, j]
-        a = set(int(k) for k in rng.integers(0, 4, 2))
-        b = a | {int(rng.integers(0, 4))}
-        assert forward_image(adj, a) <= forward_image(adj, b)
 
 
 def test_check_assumption1(appendix):
@@ -168,7 +146,7 @@ def test_classify_beyond_cap():
     assert out.tag == "NonScalable"
     assert set(out.witness) <= set(range(*bounds[1]))  # a violating subset of the heavy block
     sums = mu[list(out.witness)].sum()
-    img = sorted(forward_image(support_graph(r), out.witness))
+    img = support_graph(r)[list(out.witness)].any(axis=0)
     assert sums > nu[img].sum()
 
     eye = np.eye(25)
@@ -188,7 +166,7 @@ def test_min_cut_witness_violates_hall_on_relabelled_staircase():
         r, mu, nu = r0[np.ix_(pr, pc)], mu0[pr], nu0[pc]
         out = classify_exact(r, mu, nu)
         assert out.tag == "NonScalable" and out.witness
-        img = sorted(forward_image(support_graph(r), out.witness))
+        img = support_graph(r)[list(out.witness)].any(axis=0)
         assert mu[list(out.witness)].sum() > nu[img].sum()
 
 
@@ -264,7 +242,7 @@ def test_max_flow_agrees_with_networkx():
         # the rows reachable from the source in the residual graph
         hall = tuple(np.flatnonzero(reached).tolist())
         assert hall == witness
-        assert mu[list(hall)].sum() > nu[sorted(forward_image(support_graph(r), hall))].sum()
+        assert mu[list(hall)].sum() > nu[support_graph(r)[list(hall)].any(axis=0)].sum()
         if check_assumption1(r, mu, nu):
             assert classify_exact(r, mu, nu).witness == hall
     assert outcomes == {True, False}

@@ -14,9 +14,6 @@ from degensink import (
     check_optimality,
     current_P,
     current_Q,
-    detect_limit_support,
-    gap_balanced,
-    gap_unbalanced,
     init_state,
     marginal_col,
     marginal_row,
@@ -32,10 +29,8 @@ from degensink.instances import block_ratio_schedule, staircase_instance
 from degensink.sinkhorn import (
     Z_TOL_FACTOR,
     OptimalityDiagnostics,
-    SinkhornState,
     StopConfig,
     _LogIteration,
-    _gap_unbalanced_from_logs,
 )
 from conftest import (
     MU_G,
@@ -49,6 +44,7 @@ from conftest import (
     Z_NORM,
     _lse_rows,
     assert_printed,
+    detect_limit_support,
     log_arrays,
     random_instance,
     reference_zero_loop,
@@ -112,88 +108,6 @@ def test_marginals_exact_after_updates():
             state = sinkhorn_step(state, r, mu, nu)
             np.testing.assert_allclose(marginal_row(current_P(state, r)), mu, atol=1e-12)
             np.testing.assert_allclose(marginal_col(current_Q(state, r)), nu, atol=1e-12)
-
-
-def test_gap_balanced_values(appendix):
-    r = np.array([[0.5, 0.5], [0.25, 0.75]])
-    mu, nu = marginal_row(r), marginal_col(r)
-    state = sinkhorn_step(init_state(2, 2), r, mu, nu)
-    assert gap_balanced(state, r, mu, nu) == pytest.approx(0.0, abs=1e-12)
-
-    d = np.diag([2.0, 3.0])
-    dm = marginal_row(d)
-    state = sinkhorn_step(init_state(2, 2), d, dm, dm)
-    assert gap_balanced(state, d, dm, dm) <= 1e-12
-
-    # non-scalable: large-magnitude, non-vanishing (and negative here: the
-    # dual is unbounded when no coupling exists)
-    ra, mua, nua = appendix
-    state = _steps(ra, mua, nua, 10)
-    assert abs(gap_balanced(state, ra, mua, nua)) > 1.0
-
-
-def test_gap_balanced_nonnegative_on_scalable_run():
-    rng = np.random.default_rng(6)
-    r = rng.uniform(0.2, 1.0, (4, 4))
-    mu = rng.uniform(0.5, 1.5, 4)
-    nu = rng.uniform(0.5, 1.5, 4)
-    nu *= mu.sum() / nu.sum()
-    state = init_state(4, 4)
-    for _ in range(50):
-        state = sinkhorn_step(state, r, mu, nu)
-        assert gap_balanced(state, r, mu, nu) >= -1e-12
-
-
-def test_gap_unbalanced_fixed_point_and_lambda_limit():
-    r = np.array([[0.5, 0.5], [0.25, 0.75]])
-    mu, nu = marginal_row(r), marginal_col(r)
-    state = sinkhorn_step(init_state(2, 2), r, mu, nu)
-    assert gap_unbalanced(state, r, mu, nu, 1e3) == pytest.approx(0.0, abs=1e-9)
-
-    # at any state whose P matches the second marginal, the lam -> inf limit
-    # of the penalized criterion is the balanced criterion
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        rr = rng.uniform(0.1, 2.0, (n, m))
-        mm = rng.uniform(0.5, 1.5, n)
-        nn = rng.uniform(0.5, 1.5, m)
-        a = rng.uniform(0.2, 2.0, n)
-        b_prev = nn / (rr.T @ a)
-        state = SinkhornState(a=a, b=b_prev.copy(), b_prev=b_prev, iteration=1)
-        gb = gap_balanced(state, rr, mm, nn)
-        gu = gap_unbalanced(state, rr, mm, nn, 1e9)
-        assert gu == pytest.approx(gb, abs=1e-6)
-
-
-def _unbalanced_gaps(r, mu, nu, lam, iterations):
-    """The penalized gap of each iterate P^1, ..., P^iterations of the
-    scaling kernel."""
-    kernel = _LogIteration(r, mu, nu)
-    gaps = []
-    for _ in range(iterations):
-        kernel.step()
-        p, _ = kernel.couplings()
-        gaps.append(_gap_unbalanced_from_logs(kernel.log_a(), kernel.log_b_prev(),
-                                              kernel.scatter(p), r, mu, nu, lam))
-    return np.array(gaps)
-
-
-def test_gap_unbalanced_appendix_trace(appendix):
-    # normalized instance: the penalized gap with lam = 1/eps dips below
-    # eps after finitely many iterations, then diverges
-    r, mu, nu = appendix
-    gaps = _unbalanced_gaps(r / 6, mu / 6, nu / 6, 1e3, 2000)
-    first = int(np.argmax(gaps <= 1e-3))
-    assert gaps[first] <= 1e-3 and 500 < first + 1 < 2000
-    assert (np.diff(gaps[:first + 1]) <= 1e-9).all()  # decreasing all the way down
-    assert gaps[-1] > 1.0
-
-    # raw masses: the same trace scaled by 6 bottoms out near 1.35e-3,
-    # never reaches 1e-3, and diverges afterwards
-    raw = _unbalanced_gaps(r, mu, nu, 1e3, 2000)
-    assert 1e-3 < raw.min() < 2e-3
-    assert raw[-1] > 1.0
 
 
 def test_run_sinkhorn_appendix_limits(appendix):
@@ -267,6 +181,11 @@ def test_potentials_phi_psi(appendix):
     np.testing.assert_allclose(phid, 0.0, atol=1e-12)
     np.testing.assert_allclose(psid, 0.0, atol=1e-12)
 
+    # a mu of the wrong length raised a bare IndexError
+    for short_mu, short_nu in ((mu[:2], nu), (mu, np.append(nu, 1.0))):
+        with pytest.raises(ValueError, match="entries"):
+            potentials_phi_psi(rep, short_mu, short_nu)
+
 
 def test_check_optimality(appendix):
     r, mu, nu = appendix
@@ -308,13 +227,15 @@ def test_check_optimality_on_an_empty_triple(shape):
 
 @pytest.mark.parametrize("settings", [dict(epsilon_tol=math.nan), dict(epsilon_tol=-1.0),
                                       dict(max_iter=0), dict(max_iter=2.5), dict(max_iter=math.nan),
+                                      dict(max_iter=True),
                                       dict(mode="bogus"), dict(mode="balanced-gap"),
                                       dict(mode="unbalanced-gap"), dict(lam=1e3)],
                          ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
 def test_stop_config_rejects_invalid_settings(settings):
     # a NaN threshold used to run to max_iter, as no move is <= NaN; a
     # fractional or NaN max_iter used to fail in range() mid-solve; the
-    # penalization weight belongs to PenaltyConfig alone
+    # penalization weight belongs to PenaltyConfig alone; max_iter=True ran
+    # one iteration
     with pytest.raises(TypeError if "lam" in settings else ValueError):
         StopConfig(**settings)
 
@@ -325,11 +246,10 @@ def test_stop_config_accepts_numpy_integer_max_iter(appendix):
 
 
 def test_step_and_gaps_reject_invalid_input(appendix):
+    # the step, and the run whose gap_trace holds the moves
     r, mu, nu = appendix
-    state = sinkhorn_step(init_state(3, 3), r, mu, nu)
     calls = (lambda m: sinkhorn_step(init_state(3, 3), r, m, nu),
-             lambda m: gap_balanced(state, r, m, nu),
-             lambda m: gap_unbalanced(state, r, m, nu, 1e3))
+             lambda m: run_sinkhorn(r, m, nu))
     for bad in (math.nan, math.inf, -1.0):
         mu_bad = mu.copy()
         mu_bad[0] = bad

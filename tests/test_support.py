@@ -13,9 +13,7 @@ from degensink import (
     classify_exact,
     approx_support_algorithm1,
     default_thresholds,
-    detect_limit_support,
     exact_support_procedure,
-    is_sisp,
     masked_solve,
     maximal_theta,
     run_sinkhorn,
@@ -37,6 +35,8 @@ from degensink.support import ProcedureStep, ThetaSetResult
 from conftest import (
     R_STAR,
     S_MASK,
+    detect_limit_support,
+    is_sisp,
     one_step_reduction,
     oracle_cases,
     oracle_maximal_theta,
