@@ -15,9 +15,6 @@ residual graph, at any size.
 
 from dataclasses import dataclass
 
-# Not called here: the benchmark's tracer (bench/spans.py) wraps the
-# max-flow calls of ``degensink.scalability.nx`` when it installs.
-import networkx as nx  # noqa: F401
 import numpy as np
 
 from .errors import Assumption1Violated
@@ -31,6 +28,20 @@ __all__ = [
     "classify_exact",
     "feasibility_flow",
 ]
+
+
+def __getattr__(name):
+    # ``degensink.scalability.nx`` is networkx, imported on first read and
+    # never with the package, which calls none of it: the benchmark's
+    # tracer (bench/spans.py) reads the name to wrap max-flow calls when it
+    # installs. Delete this together with that proxy once the tracer spans
+    # ``_max_flow`` (ROADMAP item 1).
+    if name == "nx":
+        import networkx
+
+        return networkx
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _FLOW_TOL = 1e-9
 _RESIDUAL_TOL = 1e-12
@@ -103,6 +114,8 @@ def connected_components(adj):
     isolated columns) come last, by column.
     """
     adj = np.asarray(adj, dtype=bool)
+    if adj.ndim != 2:
+        raise ValueError(f"adjacency must be 2-d, got shape {adj.shape}")
     n, m = adj.shape
     free_r, free_c = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
     comps = []

@@ -87,8 +87,8 @@ class StopConfig:
     below 1e-15 M(mu) also ends on its stall exit (see
     :func:`run_sinkhorn`); with ``epsilon_tol`` at or above that floor the
     criterion fires first.  ``mode`` names the criterion and takes only
-    "iterate-delta".  NaN settings and a ``max_iter`` that is not an
-    integer of at least 1 are rejected.
+    "iterate-delta".  NaN settings, a threshold that is not finite and a
+    ``max_iter`` that is not an integer of at least 1 are rejected.
     """
 
     epsilon_tol: float = 1e-3
@@ -96,8 +96,8 @@ class StopConfig:
     mode: str = MODE_ITERATE_DELTA
 
     def __post_init__(self):
-        if not self.epsilon_tol >= 0:  # NaN fails every comparison
-            raise ValueError("epsilon_tol must be a nonnegative number")
+        if not 0 <= self.epsilon_tol < math.inf:  # NaN fails every comparison
+            raise ValueError("epsilon_tol must be a finite nonnegative number")
         _check_max_iter(self.max_iter)
         if self.mode != MODE_ITERATE_DELTA:
             raise ValueError(f"unknown stopping mode {self.mode!r}")

@@ -243,6 +243,18 @@ def test_solve_nan_tolerance_is_a_usage_error(monkeypatch, capsys):
     assert "epsilon_tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["solve", "--gen", "kind=upper,n=3"],
+                                  ["support", "--gen", "kind=staircase,n=12,blocks=3",
+                                   "--method", "approx"]], ids=["solve", "support"])
+def test_infinite_tolerance_is_a_usage_error(argv, capsys):
+    # solve stopped after one iteration and printed P^1 as the limit; the
+    # approximate support kept all 78 entries of R, where the limit has 30
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "inf"])
+    assert exc.value.code == 2
+    assert "epsilon_tol must be a finite nonnegative number" in capsys.readouterr().err
+
+
 def test_instance_json_not_an_object_is_a_usage_error(tmp_path, capsys):
     # a top-level list ended in a TypeError traceback, exit code 1
     path = tmp_path / "list.json"

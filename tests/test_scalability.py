@@ -123,6 +123,14 @@ def test_connected_components_isolated_vertices():
     assert ((), (1,)) in comps
 
 
+@pytest.mark.parametrize("adj", [np.ones(3), np.ones((2, 2, 2)), np.True_],
+                         ids=["1-d", "3-d", "0-d"])
+def test_connected_components_rejects_an_adjacency_not_2d(adj):
+    # a 1-d adjacency ended in a bare "not enough values to unpack"
+    with pytest.raises(ValueError, match="adjacency must be 2-d"):
+        connected_components(adj)
+
+
 def test_feasible_support_contained_in_limit_support():
     # any feasible coupling dominated by R has support inside the limit's
     rng = np.random.default_rng(21)

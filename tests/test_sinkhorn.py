@@ -226,6 +226,7 @@ def test_check_optimality_on_an_empty_triple(shape):
 
 
 @pytest.mark.parametrize("settings", [dict(epsilon_tol=math.nan), dict(epsilon_tol=-1.0),
+                                      dict(epsilon_tol=math.inf),
                                       dict(max_iter=0), dict(max_iter=2.5), dict(max_iter=math.nan),
                                       dict(max_iter=True),
                                       dict(mode="bogus"), dict(mode="balanced-gap"),
@@ -235,7 +236,8 @@ def test_stop_config_rejects_invalid_settings(settings):
     # a NaN threshold used to run to max_iter, as no move is <= NaN; a
     # fractional or NaN max_iter used to fail in range() mid-solve; the
     # penalization weight belongs to PenaltyConfig alone; max_iter=True ran
-    # one iteration
+    # one iteration; an infinite threshold stopped after one iteration,
+    # reporting P^1 as the limit
     with pytest.raises(TypeError if "lam" in settings else ValueError):
         StopConfig(**settings)
 
