@@ -14,8 +14,8 @@ weight lambda belongs to ``experiment tv-vs-lambda`` alone.  The
 any size: one maximum flow tells NonScalable, ApproximatelyScalable and
 Scalable apart.
 Exit codes: 0 success, 2 not converged (or a float that left its range,
-from masses near the float limits), 3 infeasible instance or assumption
-violation.
+from masses near the float limits) or a usage error, such as an output
+path that cannot be written, 3 infeasible instance or assumption violation.
 """
 
 import argparse
@@ -82,12 +82,15 @@ def _instance_from(args):
     raise ValueError("provide --instance or --gen")
 
 
-def _write(text, out):
-    if out:
+def _write(text, out, option="--out"):
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {option} {out}: {exc.strerror}") from exc
 
 
 def _csv(rows, header):
@@ -175,8 +178,8 @@ def _cmd_experiment(args):
     else:  # fig6
         lam_rows, eps_rows, classification = experiments.experiment_fig6(size=args.size)
         prefix = args.out_prefix or "fig6"
-        _write(_csv(lam_rows, experiments.LAMBDA_CSV_HEADER), f"{prefix}-lambda.csv")
-        _write(_csv(eps_rows, experiments.EPSILON_CSV_HEADER), f"{prefix}-epsilon.csv")
+        _write(_csv(lam_rows, experiments.LAMBDA_CSV_HEADER), f"{prefix}-lambda.csv", "--out-prefix")
+        _write(_csv(eps_rows, experiments.EPSILON_CSV_HEADER), f"{prefix}-epsilon.csv", "--out-prefix")
         sys.stdout.write(f"classification: {classification.tag}\n")
     return EXIT_OK
 

@@ -31,6 +31,12 @@ _RIPPLE = 0.4
 _MAX_REJECTS = 1000
 
 
+def _require_integer(name, value):
+    # generation would fail on the value later, inside numpy
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Generator parameters.
@@ -52,10 +58,7 @@ class InstanceSpec:
         if self.kind not in (KIND_UPPER, KIND_STAIRCASE, KIND_RANDOM):
             raise ValueError(f"unknown instance kind {self.kind!r}")
         for name in ("n_rows", "n_cols", "n_blocks", "seed"):
-            value = getattr(self, name)
-            # generation would fail on the value later, inside numpy
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _require_integer(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.n_rows < 1 or self.n_cols < 1:
@@ -95,9 +98,13 @@ def staircase_instance(n, block_sizes, ratios_desc):
 
     Returns ``(R, mu, nu, support, bounds)`` with ``support`` the expected
     limit-support mask and ``bounds`` the (start, end) block ranges.
-    Raises ValueError unless every block has at least one row and every
-    ratio is finite and positive.
+    Raises ValueError unless ``n`` and every block size are integers,
+    every block has at least one row and every ratio is finite and
+    positive.
     """
+    _require_integer("n", n)
+    for size in block_sizes:
+        _require_integer("every block size", size)
     if min(block_sizes, default=0) < 1:
         raise ValueError("every block needs at least one row")
     if sum(block_sizes) != n:

@@ -185,10 +185,10 @@ def classify_exact(r, mu, nu):
         return finish(SCALABLE if not support_graph(r).any() else APPROXIMATELY_SCALABLE)
 
     adj = _r0_support(r, mu, nu)
-    flow, reached = _max_flow(adj, mu, nu)
+    flow, reached, carry, _ = _max_flow(adj, mu, nu)
     if not _carries_mass(float(flow.sum()), total_mass(mu)):
         return finish(NON_SCALABLE, np.flatnonzero(reached))
-    loose = _loose_rows(adj, flow > _RESIDUAL_TOL * total_mass(mu))
+    loose = _loose_rows(adj, carry)
     if loose is not None:
         return finish(APPROXIMATELY_SCALABLE, loose)
     if support_graph(r).sum() > adj.sum():
@@ -247,26 +247,28 @@ def _greedy_fill(adj, mu, nu):
     return flow
 
 
-def _max_flow(adj, mu, nu, start=None):
+def _max_flow(adj, mu, nu):
     """Maximum flow from a source through the rows (capacities ``mu``) and
     the support ``adj`` (uncapacitated) into the columns (capacities ``nu``)
-    and on to a sink.  Returns ``(flow, reached)``: the (n, m) flow on the
-    support, and the boolean mask of the rows reachable from the source in
-    its residual graph, the source side of a minimum cut.
+    and on to a sink.  Returns ``(flow, reached, carry, spare)``: the (n, m)
+    flow on the support; the boolean mask of the rows reachable from the
+    source in its residual graph, the source side of a minimum cut; and
+    that residual graph's other edges, the entries that carry flow (columns
+    back to rows) and the columns with spare capacity (columns to the
+    sink).  A residual at or below 1e-12 M(mu) counts as saturated: an edge
+    saturated one ulp short is not an edge.
 
-    It starts from ``start``, a flow feasible for these capacities, or
-    else from :func:`_greedy_fill`.  Then each phase (Dinic) searches
+    It starts from :func:`_greedy_fill`.  Then each phase (Dinic) searches
     breadth first from every row with spare supply, rows to columns
     through the support and columns back to rows through entries that
     carry flow, and stops at the first layer that reaches a column with
     spare capacity; :func:`_blocking_flow` then saturates every shortest
     augmenting path of that layered graph, so the next phase's paths are
-    longer.  A residual at or below 1e-12 M(mu) counts as saturated: an
-    edge saturated one ulp short is not an edge.
+    longer.
     """
     m = adj.shape[1]
     tol = _RESIDUAL_TOL * total_mass(mu)
-    flow = _greedy_fill(adj, mu, nu) if start is None else start.copy()
+    flow = _greedy_fill(adj, mu, nu)
     spare_row = mu - flow.sum(axis=1)
     spare_col = nu - flow.sum(axis=0)
     while True:
@@ -275,17 +277,17 @@ def _max_flow(adj, mu, nu, start=None):
         seen_col = np.zeros(m, dtype=bool)
         while True:
             cols = (adj[layers[-1]].any(axis=0) & ~seen_col).nonzero()[0]
-            if not cols.size:
-                return flow, reached
             seen_col[cols] = True
             layers.append(cols)
-            if (spare_col[cols] > tol).any():
+            if not cols.size or (spare_col[cols] > tol).any():
                 break
             rows = ((flow[:, cols] > tol).any(axis=1) & ~reached).nonzero()[0]
-            if not rows.size:
-                return flow, reached
             reached[rows] = True
             layers.append(rows)
+            if not rows.size:
+                break
+        if not layers[-1].size:  # no augmenting path is left
+            return flow, reached, flow > tol, nu - flow.sum(axis=0) > tol
         _blocking_flow(adj, flow, spare_row, spare_col, layers, tol)
 
 
@@ -353,25 +355,13 @@ def feasibility_flow(r, mu, nu):
     Decided by maximum flow (:func:`_max_flow`) on the source -> rows ->
     columns -> sink network with capacities mu_i and nu_j (support edges
     uncapacitated): feasible iff the max flow carries the whole mass of
-    mu.  Requires masses balanced to 1e-9 of the larger one.
+    mu, and that flow is then such a coupling.  Requires masses balanced
+    to 1e-9 of the larger one.  Raises ValueError on inconsistent shapes
+    and on NaN, infinite or negative input.
     """
     r, mu, nu = as_triple(r, mu, nu)
     m_mu, m_nu = total_mass(mu), total_mass(nu)
     if abs(m_mu - m_nu) > _FLOW_TOL * max(m_mu, m_nu):
         raise ValueError("feasibility_flow requires balanced masses")
-    return feasible_coupling(r, mu, nu) is not None
-
-
-def feasible_coupling(r, mu, nu):
-    """A coupling dominated by ``r`` with marginals (mu, nu), the maximum
-    flow of :func:`_max_flow`, or None when the instance is infeasible.
-    Raises ValueError on inconsistent shapes and on NaN, infinite or
-    negative input."""
-    r, mu, nu = as_triple(r, mu, nu)
-    m_mu = total_mass(mu)
-    if m_mu == 0:
-        return np.zeros_like(r)
-    flow, _ = _max_flow(support_graph(r), mu, nu)
-    if not _carries_mass(float(flow.sum()), m_mu):
-        return None
-    return flow
+    flow, *_ = _max_flow(support_graph(r), mu, nu)
+    return _carries_mass(float(flow.sum()), m_mu)

@@ -24,14 +24,7 @@ import numpy as np
 
 from .errors import Assumption2Violated, NotConverged
 from .measures import as_coupling, as_measure, as_triple, marginal_row, total_mass
-from .scalability import (
-    _RESIDUAL_TOL,
-    _closure,
-    _max_flow,
-    _r0_support,
-    _require_assumption1,
-    connected_components,
-)
+from .scalability import _closure, _max_flow, _r0_support, _require_assumption1, connected_components
 from .sinkhorn import StopConfig, _LogIteration, run_sinkhorn
 
 __all__ = [
@@ -73,30 +66,26 @@ def maximal_theta(r, mu, nu):
     rows, a maximum flow with capacities (mu, theta nu) finds the
     inclusion-minimal maximizer A of mu(A) - theta nu(F(A)), the rows
     reached from the source in its residual graph, and theta moves up to
-    the ratio of A until none is reached.  At theta_m the inclusion-minimal
-    maximizers are the row sets of the sink strongly connected components
-    of that residual graph among the nodes that cannot reach the sink
-    (Picard-Queyranne).  A residual at or below 1e-12 M(mu) counts as
-    saturated.
+    the ratio M(mu[A]) / M(nu[F(A)]) of A until none is reached.  At
+    theta_m the inclusion-minimal maximizers are the row sets of the sink
+    strongly connected components of that residual graph among the nodes
+    that cannot reach the sink (Picard-Queyranne), with the saturation
+    rule of :func:`_max_flow`.
     """
     r, mu, nu = _require_assumption1(r, mu, nu)
     if total_mass(mu) == 0:
         raise Assumption2Violated("theta_m needs mu and nu with positive mass")
     adj = _r0_support(r, mu, nu)
-    n, m = adj.shape
     theta = total_mass(mu) / total_mass(nu)
-    flow = None
     while True:
-        flow, reached = _max_flow(adj, mu, theta * nu, start=flow)
+        _, reached, carry, spare = _max_flow(adj, mu, theta * nu)
         if not reached.any():
             break
-        ratio = mu[reached].sum() / nu[adj[reached].any(axis=0)].sum()
+        ratio = total_mass(mu[reached]) / total_mass(nu[adj[reached].any(axis=0)])
         if not ratio > theta:
             break
-        theta = float(ratio)
-    tol = _RESIDUAL_TOL * total_mass(mu)
-    spare = theta * nu - flow.sum(axis=0) > tol
-    return ThetaSetResult(theta_m=theta, smallest=sorted(_sink_rows(adj, flow > tol, spare, mu == 0)))
+        theta = ratio
+    return ThetaSetResult(theta_m=theta, smallest=sorted(_sink_rows(adj, carry, spare, mu == 0)))
 
 
 def _sink_rows(adj, carry, spare, skip):
@@ -170,10 +159,10 @@ def exact_support_procedure(r, mu, nu):
     and no column has spare capacity, else as the sink components of
     :func:`_sink_rows`; rows left over (a tie) go on at the same theta,
     their entries into F(M) cleared.  Steps follow the tree, upper before
-    lower and a level before its tie continuation.  A step's theta is the
-    one-step reduction's, bit for bit: M(mu)/M(nu) (math.fsum) of the
-    active rows and columns when its level is all that is active, else
-    mu(X).sum() / nu(Y).sum() over its level.
+    lower and a level before its tie continuation.  Every ratio, in the
+    capacities and in a step, is M(mu[X]) / M(nu[Y]) with both masses
+    summed by math.fsum, whose result does not depend on the order of the
+    terms; so a step's theta is the one-step reduction's, bit for bit.
     """
     r, mu, nu = _require_assumption1(r, mu, nu)
     live = _r0_support(r, mu, nu)
@@ -186,10 +175,10 @@ def exact_support_procedure(r, mu, nu):
     while pending:
         theta_nu = np.zeros_like(nu)
         for _, x, y in pending:
-            theta_nu[y] = mu[x].sum() / nu[y].sum() * nu[y]
+            theta_nu[y] = total_mass(mu[x]) / total_mass(nu[y]) * nu[y]
         mu_active = np.where(rows, mu, 0.0)
         adj = live & rows[:, None]
-        flow, reached = _max_flow(adj, mu_active, theta_nu)
+        _, reached, carry, spare = _max_flow(adj, mu_active, theta_nu)
         tasks, pending, leaves = pending, [], []
         for key, x, y in tasks:
             above = reached & x
@@ -199,9 +188,6 @@ def exact_support_procedure(r, mu, nu):
                 pending += [(key + (0,), above, image), (key + (1,), x & ~above, y & ~image)]
             else:
                 leaves.append((key, x, y))
-        tol = _RESIDUAL_TOL * total_mass(mu_active)
-        carry = flow > tol
-        spare = theta_nu - flow.sum(axis=0) > tol
         # a level that its root row spans both ways in the residual graph,
         # without a spare column, is one strongly connected piece: its own
         # smallest maximizer
@@ -227,13 +213,9 @@ def exact_support_procedure(r, mu, nu):
     rows, cols = np.zeros_like(rows), np.zeros_like(cols)
     for _, x, y, removed, image in reversed(levels):
         rows, cols = rows | removed, cols | image
-        if np.array_equal(rows, x):
-            theta = total_mass(mu[rows]) / total_mass(nu[cols])
-        else:
-            theta = mu[x].sum() / nu[y].sum()
         steps.append(ProcedureStep(*(tuple(np.flatnonzero(mask).tolist())
                                      for mask in (rows, cols, removed, image)),
-                                   theta=float(theta)))
+                                   theta=total_mass(mu[x]) / total_mass(nu[y])))
     return ProcedureTrace(steps=steps[::-1], final_mask=live)
 
 

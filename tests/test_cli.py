@@ -272,3 +272,18 @@ def test_missing_instance_file_is_a_usage_error(tmp_path, capsys):
         main(["solve", "--instance", str(path)])
     assert exc.value.code == 2
     assert "cannot read --instance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["appendix-a", "--out", "{absent}/x"],
+    ["solve", "--gen", "kind=upper,n=3", "--out", "{dir}"],
+    ["experiment", "fig6", "--size", "20", "--out-prefix", "{absent}/f"],
+], ids=["appendix-a", "solve-to-a-directory", "fig6"])
+def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
+    # ended in a FileNotFoundError or IsADirectoryError traceback, exit code 1
+    argv = [arg.format(absent=tmp_path / "absent", dir=tmp_path) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot write --out" in err and str(tmp_path) in err

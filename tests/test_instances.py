@@ -61,6 +61,21 @@ def test_staircase_rejects_empty_blocks(sizes):
         staircase_instance(sum(sizes), sizes, [1.5, 0.5][:len(sizes)])
 
 
+@pytest.mark.parametrize("n, sizes, name", [
+    (4, [2.0, 2.0], "every block size"), (4, [2.5, 1.5], "every block size"),
+    (2, [True, True], "every block size"), (4.0, [2, 2], "n"), (np.float64(4), [2, 2], "n"),
+], ids=["float-sizes", "fractional-sizes", "bool-sizes", "float-n", "numpy-float-n"])
+def test_staircase_rejects_sizes_not_integers(n, sizes, name):
+    # ended in a bare TypeError from the slicing
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        staircase_instance(n, sizes, [1.5, 0.5])
+
+
+def test_staircase_takes_numpy_integers():
+    r, *_ = staircase_instance(np.int64(4), np.array([2, 2]), [1.5, 0.5])
+    assert r.shape == (4, 4)
+
+
 @pytest.mark.parametrize("ratios", [[np.inf, 0.5], [1.5, -0.5], [1.5, 0.0]],
                          ids=["inf", "negative", "zero"])
 def test_staircase_rejects_ratios_not_finite_and_positive(ratios):

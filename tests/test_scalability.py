@@ -21,7 +21,6 @@ from degensink.instances import (
     staircase_instance,
 )
 from degensink.measures import total_mass
-from degensink.scalability import feasible_coupling
 from conftest import (
     detect_limit_support,
     oracle_cases,
@@ -137,10 +136,10 @@ def test_feasible_support_contained_in_limit_support():
     found = 0
     while found < 15:
         r, mu, nu = random_instance(rng, max_n=6, full_support=True)
-        p = feasible_coupling(r, mu, nu)
-        if p is None:
+        if not feasibility_flow(r, mu, nu):
             continue
         found += 1
+        p, *_ = scalability._max_flow(support_graph(r), mu, nu)
         mask, _ = detect_limit_support(r, mu, nu, max_iter=20_000)
         assert not ((p > 1e-9) & ~mask).any()
 
@@ -232,21 +231,21 @@ def test_max_flow_agrees_with_networkx():
     # dense augmenting-path flow against networkx's preflow-push
     outcomes = set()
     for r, mu, nu in _flow_oracle_cases():
-        m_mu = total_mass(mu)
+        tol = 1e-12 * total_mass(mu)
         value, witness = oracle_max_flow(r, mu, nu)
-        flow, reached = scalability._max_flow(support_graph(r), mu, nu)
-        assert abs(flow.sum() - value) <= 1e-12 * m_mu
+        flow, reached, carry, spare = scalability._max_flow(support_graph(r), mu, nu)
+        assert abs(flow.sum() - value) <= tol
         assert flow.min() >= 0 and not flow[r == 0].any()
+        # the residual graph at the saturation rule: 1e-12 M(mu)
+        assert np.array_equal(carry, flow > tol)
+        assert np.array_equal(spare, nu - flow.sum(axis=0) > tol)
         feasible = feasibility_flow(r, mu, nu)
-        assert feasible == scalability._carries_mass(value, m_mu)
+        assert feasible == scalability._carries_mass(value, total_mass(mu))
         outcomes.add(feasible)
-        p = feasible_coupling(r, mu, nu)
         if feasible:
-            assert not p[r == 0].any()
-            assert np.abs(p.sum(axis=1) - mu).max() <= 1e-12 * m_mu
-            assert np.abs(p.sum(axis=0) - nu).max() <= 1e-12 * m_mu
+            assert np.abs(flow.sum(axis=1) - mu).max() <= tol
+            assert np.abs(flow.sum(axis=0) - nu).max() <= tol
             continue
-        assert p is None
         # the rows reachable from the source in the residual graph
         hall = tuple(np.flatnonzero(reached).tolist())
         assert hall == witness

@@ -80,29 +80,6 @@ def test_maximal_theta_guards():
     assert out == ThetaSetResult(theta_m=12.5, smallest=[tuple(range(25))])
 
 
-def test_maximal_theta_chains_its_flows(max_flow_calls, monkeypatch):
-    # each Dinkelbach flow after the first starts from the one before,
-    # which stays feasible as theta grows, so the greedy fill runs once
-    fills = []
-    greedy_fill = scalability._greedy_fill
-
-    def counting_fill(*args):
-        fills.append(args)
-        return greedy_fill(*args)
-
-    monkeypatch.setattr(scalability, "_greedy_fill", counting_fill)
-    r, mu, nu, _, _ = staircase_instance(16, [6, 5, 5], block_ratio_schedule(3))
-    out = maximal_theta(r, mu, nu)
-    assert len(max_flow_calls) >= 2
-    assert len(fills) == 1
-    assert max_flow_calls[0][1].get("start") is None
-    for (_, _, (flow, _)), (_, kwargs, _) in zip(max_flow_calls, max_flow_calls[1:]):
-        assert kwargs["start"] is flow
-    theta_m, _, smallest = oracle_maximal_theta(r, mu, nu)
-    assert out.theta_m == pytest.approx(theta_m, rel=1e-12, abs=0)
-    assert out.smallest == smallest
-
-
 def _assert_theta_matches_oracle(r, mu, nu):
     out = maximal_theta(r, mu, nu)
     theta_m, _, smallest = oracle_maximal_theta(r, mu, nu)
@@ -111,7 +88,9 @@ def _assert_theta_matches_oracle(r, mu, nu):
 
 
 def test_maximal_theta_agrees_with_enumeration_oracle():
-    for r, mu, nu in oracle_cases(405):
+    # the staircase takes several Dinkelbach flows, each from the greedy fill
+    cases = oracle_cases(405) + [staircase_instance(16, [6, 5, 5], block_ratio_schedule(3))[:3]]
+    for r, mu, nu in cases:
         _assert_theta_matches_oracle(r, mu, nu)
 
 
@@ -169,6 +148,20 @@ def test_exact_procedure_takes_one_flow_per_depth(max_flow_calls, n_blocks, flow
     trace = exact_support_procedure(r, mu, nu)
     assert len(max_flow_calls) == flows
     assert len(trace.steps) == n_blocks
+
+
+@pytest.mark.parametrize("n, blocks", [(16, (3, 4, 5)), (40, (2, 3, 4, 5, 10)), (100, (2, 4, 6, 10))])
+def test_exact_procedure_theta_is_the_block_ratio(n, blocks):
+    # one rule for every step, wherever it sits in its level: M(mu)/M(nu)
+    # of the removed block, both masses an fsum
+    for n_blocks in blocks:
+        r, mu, nu = _staircase(n, n_blocks)
+        for case in ((r, mu, nu), relabelled(np.random.default_rng(n_blocks), r, mu, nu)):
+            _, mu_c, nu_c = case
+            steps = exact_support_procedure(*case).steps
+            assert len(steps) == n_blocks
+            assert [s.theta for s in steps] == [
+                total_mass(mu_c[list(s.sisp_rows)]) / total_mass(nu_c[list(s.sisp_cols)]) for s in steps]
 
 
 def test_exact_procedure_appendix(appendix):
