@@ -7,7 +7,8 @@
     degensink appendix-a
 
 Instances come from ``--instance file.json`` or ``--gen kind=...,n=...``
-(kinds: upper, staircase, random).  Output goes to stdout or ``--out``.
+(kinds: upper, staircase, random).  Output goes to stdout or ``--out``,
+which is opened before the computation starts.
 ``solve`` stops on the iterate-delta rule at ``--tol``; the penalization
 weight lambda belongs to ``experiment tv-vs-lambda`` alone.  The
 ``solve`` report carries the classification of ``classify``, exact at
@@ -19,8 +20,10 @@ path that cannot be written, 3 infeasible instance or assumption violation.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -82,15 +85,27 @@ def _instance_from(args):
     raise ValueError("provide --instance or --gen")
 
 
-def _write(text, out, option="--out"):
+@contextlib.contextmanager
+def _output(out, option="--out"):
+    """The stream a command writes to: stdout, or the file ``out``, opened
+    before the command computes anything, as a shell redirect is, so that
+    a path that cannot be written is a usage error at once.  A file it
+    creates is removed again when the command raises."""
     if not out:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
+    created = not os.path.exists(out)
     try:
-        with open(out, "w") as handle:
-            handle.write(text)
+        handle = open(out, "w")
     except OSError as exc:
         raise ValueError(f"cannot write {option} {out}: {exc.strerror}") from exc
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        if created:
+            os.remove(out)
+        raise
 
 
 def _csv(rows, header):
@@ -124,68 +139,74 @@ def _classification(r, mu, nu):
 
 def _cmd_solve(args):
     r, mu, nu = _instance_from(args)
-    report = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=args.tol, max_iter=args.max_iter))
-    if args.emit == "trace":
-        _write(_csv(report.gap_trace, "iteration,gap"), args.out)
-    else:
-        payload = _report_payload(report)
-        payload["classification"] = _classification(r, mu, nu)
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
+    with _output(args.out) as out:
+        report = run_sinkhorn(r, mu, nu, StopConfig(epsilon_tol=args.tol, max_iter=args.max_iter))
+        if args.emit == "trace":
+            out.write(_csv(report.gap_trace, "iteration,gap"))
+        else:
+            payload = _report_payload(report)
+            payload["classification"] = _classification(r, mu, nu)
+            out.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
 def _cmd_classify(args):
     r, mu, nu = _instance_from(args)
-    _write(json.dumps(_classification(r, mu, nu), indent=2) + "\n", args.out)
+    with _output(args.out) as out:
+        out.write(json.dumps(_classification(r, mu, nu), indent=2) + "\n")
     return EXIT_OK
 
 
 def _cmd_support(args):
     r, mu, nu = _instance_from(args)
-    if args.method == "exact":
-        trace = exact_support_procedure(r, mu, nu)
-        mask = trace.final_mask
-        payload = {"mask": mask.tolist()}
-        if args.emit_trace:
-            payload["trace"] = [dataclasses.asdict(s) for s in trace.steps]
-            payload["stationary_at"] = len(trace.steps)
-        code = EXIT_OK
-    else:
-        result = approx_support_algorithm1(r, mu, nu, stop_cfg=StopConfig(epsilon_tol=args.tol))
-        payload = {"mask": result.mask.tolist()}
-        if args.emit_trace:
-            payload["steps"] = result.steps
-            payload["inner_iterations"] = result.inner_iterations
-        code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    with _output(args.out) as out:
+        if args.method == "exact":
+            trace = exact_support_procedure(r, mu, nu)
+            mask = trace.final_mask
+            payload = {"mask": mask.tolist()}
+            if args.emit_trace:
+                payload["trace"] = [dataclasses.asdict(s) for s in trace.steps]
+                payload["stationary_at"] = len(trace.steps)
+            code = EXIT_OK
+        else:
+            result = approx_support_algorithm1(r, mu, nu, stop_cfg=StopConfig(epsilon_tol=args.tol))
+            payload = {"mask": result.mask.tolist()}
+            if args.emit_trace:
+                payload["steps"] = result.steps
+                payload["inner_iterations"] = result.inner_iterations
+            code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+        out.write(json.dumps(payload, indent=2) + "\n")
     return code
 
 
 def _cmd_experiment(args):
-    if args.which == "tv-vs-lambda":
-        r, mu, nu = _instance_from(args)
-        rows = sweep_lambda(r, mu, nu, args.lambdas)
-        _write(_csv(rows, experiments.LAMBDA_CSV_HEADER), args.out)
-    elif args.which == "tv-vs-epsilon":
-        r, mu, nu = _instance_from(args)
-        rows = sweep_epsilon(r, mu, nu, args.epsilons)
-        _write(_csv(rows, experiments.EPSILON_CSV_HEADER), args.out)
+    if args.which == "fig6":
+        prefix = args.out_prefix or "fig6"
+        with _output(f"{prefix}-lambda.csv", "--out-prefix") as lam_out, \
+                _output(f"{prefix}-epsilon.csv", "--out-prefix") as eps_out:
+            lam_rows, eps_rows, classification = experiments.experiment_fig6(size=args.size)
+            lam_out.write(_csv(lam_rows, experiments.LAMBDA_CSV_HEADER))
+            eps_out.write(_csv(eps_rows, experiments.EPSILON_CSV_HEADER))
+        sys.stdout.write(f"classification: {classification.tag}\n")
     elif args.which == "iterations-vs-zeros":
         blocks = range(args.min_blocks, args.max_blocks + 1)
-        rows = experiments.experiment_iterations_vs_zeros(blocks, size=args.size)
-        table = [row.values() for row in rows]  # keyed by the header's columns, in order
-        _write(_csv(table, experiments.ITERATIONS_CSV_HEADER), args.out)
-    else:  # fig6
-        lam_rows, eps_rows, classification = experiments.experiment_fig6(size=args.size)
-        prefix = args.out_prefix or "fig6"
-        _write(_csv(lam_rows, experiments.LAMBDA_CSV_HEADER), f"{prefix}-lambda.csv", "--out-prefix")
-        _write(_csv(eps_rows, experiments.EPSILON_CSV_HEADER), f"{prefix}-epsilon.csv", "--out-prefix")
-        sys.stdout.write(f"classification: {classification.tag}\n")
+        with _output(args.out) as out:
+            rows = experiments.experiment_iterations_vs_zeros(blocks, size=args.size)
+            table = [row.values() for row in rows]  # keyed by the header's columns, in order
+            out.write(_csv(table, experiments.ITERATIONS_CSV_HEADER))
+    else:
+        r, mu, nu = _instance_from(args)
+        sweep, values, header = (
+            (sweep_lambda, args.lambdas, experiments.LAMBDA_CSV_HEADER) if args.which == "tv-vs-lambda"
+            else (sweep_epsilon, args.epsilons, experiments.EPSILON_CSV_HEADER))
+        with _output(args.out) as out:
+            out.write(_csv(sweep(r, mu, nu, values), header))
     return EXIT_OK
 
 
 def _cmd_appendix(args):
-    _write(experiments.run_appendix_a(), args.out)
+    with _output(args.out) as out:
+        out.write(experiments.run_appendix_a())
     return EXIT_OK
 
 

@@ -230,20 +230,35 @@ def _loose_rows(adj, carry):
 def _greedy_fill(adj, mu, nu):
     """A feasible flow on the support ``adj`` with row capacities ``mu``
     and column capacities ``nu``: each row with mass, in index order, fills
-    its support columns in index order up to their spare capacity, written as
-    diff(min(cumsum(spare_col adj_i), mu_i)).  A spare capacity that
-    rounding leaves negative is clamped to 0."""
-    n, m = adj.shape
-    flow = np.zeros((n, m))
-    spare_col = np.array(nu, dtype=float)
-    filled = np.empty(m)
+    its support columns in index order up to their spare capacity.
+
+    One scan per row over its support columns that still have spare
+    capacity: a running sum ``total`` of their spares, each column taking
+    ``min(total, mu_i)`` less what the row had sent before it, until
+    ``total`` reaches ``mu_i``.  A column whose spare capacity falls to 0,
+    or below by rounding, drops out.  These are the IEEE operations, in
+    the same order, of the vector form diff(min(cumsum(spare_col adj_i),
+    mu_i)) with spare capacities clamped at 0: a column without spare
+    capacity or off the support adds exactly 0 to the running sum, and
+    past mu_i every difference is 0.  So the flow is that form's bit for
+    bit, except that an entry it writes as -0.0 (a capacity given as
+    -0.0) is +0.0 here."""
+    flow = np.zeros(adj.shape)
+    live = np.asarray(nu) > 0
+    spare, need_of = np.asarray(nu, dtype=float).tolist(), np.asarray(mu, dtype=float).tolist()
     for i in np.flatnonzero(mu).tolist():  # a massless row sends nothing
-        np.minimum(np.add.accumulate(spare_col * adj[i]), mu[i], out=filled)
-        row = flow[i]
-        row[:1] = filled[:1]
-        np.subtract(filled[1:], filled[:-1], out=row[1:])
-        spare_col -= row
-        np.maximum(spare_col, 0.0, out=spare_col)
+        need, row = need_of[i], flow[i]
+        total = filled = 0.0
+        for j in (adj[i] & live).nonzero()[0].tolist():
+            total += spare[j]
+            f = min(total, need)
+            row[j] = sent = f - filled
+            spare[j] -= sent
+            filled = f
+            if spare[j] <= 0.0:
+                live[j] = False
+            if total >= need:
+                break
     return flow
 
 

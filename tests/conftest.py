@@ -345,6 +345,30 @@ def one_step_reduction(r, mu, nu, peel):
 
 
 # ---------------------------------------------------------------------------
+# The greedy start of ``scalability._max_flow`` in its vector form: the
+# reference its per-row scan is checked against, bit for bit.
+
+
+def reference_greedy_fill(adj, mu, nu):
+    """Each row with mass, in index order, fills its support columns in
+    index order up to their spare capacity, written as
+    diff(min(cumsum(spare_col adj_i), mu_i)); a spare capacity that
+    rounding leaves negative is clamped to 0."""
+    n, m = adj.shape
+    flow = np.zeros((n, m))
+    spare_col = np.array(nu, dtype=float)
+    filled = np.empty(m)
+    for i in np.flatnonzero(mu).tolist():
+        np.minimum(np.add.accumulate(spare_col * adj[i]), mu[i], out=filled)
+        row = flow[i]
+        row[:1] = filled[:1]
+        np.subtract(filled[1:], filled[:-1], out=row[1:])
+        spare_col -= row
+        np.maximum(spare_col, 0.0, out=spare_col)
+    return flow
+
+
+# ---------------------------------------------------------------------------
 # networkx maximum flow and strongly connected components: the reference
 # ``scalability._max_flow`` and ``classify_exact`` are checked against at
 # any size.  The package itself builds no graph.

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from degensink import cli, experiments
 from degensink.cli import main
 from degensink.experiments import EPSILONS, LAMBDAS
 from degensink.instances import KIND_UPPER, InstanceSpec, appendix_a_instance, gen_instance
@@ -189,12 +190,15 @@ def test_experiment_fig6_csvs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("size", ["0", "1"])
-def test_experiment_fig6_needs_two_blocks(size, capsys):
-    # a block of size 0 ended in a ZeroDivisionError traceback, exit code 1
+def test_experiment_fig6_needs_two_blocks(size, capsys, tmp_path, monkeypatch):
+    # a block of size 0 ended in a ZeroDivisionError traceback, exit code 1;
+    # the two output files, opened first, do not outlive the error
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "fig6", "--size", size])
     assert exc.value.code == 2
     assert "at least one row" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_appendix_a_subcommand(capsys):
@@ -278,12 +282,23 @@ def test_missing_instance_file_is_a_usage_error(tmp_path, capsys):
     ["appendix-a", "--out", "{absent}/x"],
     ["solve", "--gen", "kind=upper,n=3", "--out", "{dir}"],
     ["experiment", "fig6", "--size", "20", "--out-prefix", "{absent}/f"],
-], ids=["appendix-a", "solve-to-a-directory", "fig6"])
-def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
-    # ended in a FileNotFoundError or IsADirectoryError traceback, exit code 1
+    ["experiment", "fig6", "--size", "20", "--out-prefix", "{dir}/f"],
+], ids=["appendix-a", "solve-to-a-directory", "fig6", "fig6-epsilon-a-directory"])
+def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # ended in a FileNotFoundError or IsADirectoryError traceback, exit code
+    # 1, and only after the whole computation: the output is opened first
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before opening the output")
+
+    for module, name in ((cli, "run_sinkhorn"), (experiments, "experiment_fig6"),
+                         (experiments, "run_appendix_a")):
+        monkeypatch.setattr(module, name, computed)
+    (tmp_path / "f-epsilon.csv").mkdir()
     argv = [arg.format(absent=tmp_path / "absent", dir=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "cannot write --out" in err and str(tmp_path) in err
+    # fig6 opened its first table before the second failed: it is gone
+    assert [path.name for path in tmp_path.iterdir()] == ["f-epsilon.csv"]

@@ -28,6 +28,7 @@ from conftest import (
     oracle_flow_classify,
     oracle_max_flow,
     random_instance,
+    reference_greedy_fill,
     relabelled,
     saturated_staircase,
 )
@@ -271,6 +272,69 @@ def test_classify_agrees_with_networkx_residual():
         assert out == oracle_flow_classify(r, mu, nu)
         tags.add(out.tag)
     assert tags == {"Scalable", "NonScalable", "ApproximatelyScalable", "UnbalancedApproximatelyScalable"}
+
+
+def _fill_draws(count=2000):
+    """``(adj, mu, nu)`` for the greedy fill: supports of up to 24 x 24 at
+    densities from 0 to 1 (so with empty rows and columns), masses
+    continuous with a fifth of them zero or small integers (exact ties),
+    nu balanced to mu or not, both scaled by one of 10^-200 ... 10^200;
+    then the bench's two 200x200 fallback instances (seed 1)."""
+    rng = np.random.default_rng(61)
+    draws = []
+    for k in range(count):
+        n, m = (int(x) for x in rng.integers(1, 25, size=2))
+        adj = rng.random((n, m)) < rng.uniform(0.0, 1.0)
+        if k % 2:
+            mu, nu = (rng.integers(0, 4, size=size).astype(float) for size in (n, m))
+        else:
+            mu, nu = rng.exponential(size=n), rng.exponential(size=m)
+            mu[rng.random(n) < 0.2] = 0.0
+            nu[rng.random(m) < 0.2] = 0.0
+        if k % 3 and nu.any():
+            nu *= mu.sum() / nu.sum()
+        elif k % 3 == 0:
+            nu *= rng.uniform(0.5, 2.0)
+        scale = 10.0 ** float(rng.choice([-200, -5, 0, 4, 200]))
+        draws.append((adj, mu * scale, nu * scale))
+    r, mu, nu, _, _ = staircase_instance(200, [200], block_ratio_schedule(1))
+    big = [relabelled(np.random.default_rng(201), r, mu, nu),
+           gen_instance(InstanceSpec(KIND_RANDOM, 200, 200, density=0.5, seed=810854937))]
+    return draws + [(scalability._r0_support(r, mu, nu), mu, nu) for r, mu, nu in big]
+
+
+FILL_DRAWS = _fill_draws()
+
+
+def test_greedy_fill_is_the_cumsum_form():
+    # the per-row scan against the vector form it replaced, bit for bit;
+    # and a feasible flow on the support at the 1e-12 M(mu) rule
+    for adj, mu, nu in FILL_DRAWS:
+        fill = scalability._greedy_fill(adj, mu, nu)
+        assert fill.tobytes() == reference_greedy_fill(adj, mu, nu).tobytes()
+        tol = 1e-12 * total_mass(mu)
+        assert fill.min(initial=0.0) >= 0 and not fill[~adj].any()
+        assert (fill.sum(axis=1) <= mu + tol).all() and (fill.sum(axis=0) <= nu + tol).all()
+
+
+def test_greedy_fill_writes_no_negative_zero():
+    # the one difference from the vector form: a capacity of -0.0 ahead
+    # of the row's support made that form write -0.0 flows
+    adj = np.array([[False, True], [True, True]])
+    mu, nu = np.array([1.0, 2.0]), np.array([-0.0, 3.0])
+    fill = scalability._greedy_fill(adj, mu, nu)
+    want = reference_greedy_fill(adj, mu, nu)
+    assert np.signbit(want).any() and not np.signbit(fill).any()
+    assert np.array_equal(fill, want)
+
+
+def test_max_flow_is_bit_identical_from_the_cumsum_fill(monkeypatch):
+    # flow, reached rows, carrying entries and spare columns, bytes and all
+    got = [scalability._max_flow(*draw) for draw in FILL_DRAWS]
+    monkeypatch.setattr(scalability, "_greedy_fill", reference_greedy_fill)
+    for draw, outputs in zip(FILL_DRAWS, got):
+        want = scalability._max_flow(*draw)
+        assert [x.tobytes() for x in outputs] == [x.tobytes() for x in want]
 
 
 # Symmetries of the classification: the worked example, the NonScalable
