@@ -10,10 +10,12 @@ where F(A) is the set of columns adjacent to A.  It is scalable (solution
 with the full support of R, linear-rate scaling) iff in addition the
 inequality is strict on every proper subset of each connected component.
 Both are read off one maximum flow (:func:`_max_flow`) and closures in its
-residual graph, at any size.
+residual graph, at any size, on bitsets: one Python int per row and one
+per column (:func:`_bitsets`).
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -45,6 +47,7 @@ def __getattr__(name):
 
 _FLOW_TOL = 1e-9
 _RESIDUAL_TOL = 1e-12
+_BITS_OF_BYTE = [tuple(j for j in range(8) if byte >> j & 1) for byte in range(256)]
 
 SCALABLE = "Scalable"
 APPROXIMATELY_SCALABLE = "ApproximatelyScalable"
@@ -91,15 +94,54 @@ def _require_assumption1(r, mu, nu):
     return r, mu, nu
 
 
+def _bitsets(mask):
+    """The boolean matrix ``mask`` as a graph of Python-int bitsets
+    ``(rows, cols)``: bit j of ``rows[i]`` and bit i of ``cols[j]`` are ``mask[i, j]``."""
+
+    def pack(a):  # each row's bytes as one void item, read as an int
+        packed = np.packbits(a, axis=1, bitorder="little")
+        if not packed.shape[1]:  # a void item needs a byte
+            return [0] * len(packed)
+        return list(map(int.from_bytes, packed.view(f"V{packed.shape[1]}").ravel().tolist(), repeat("little")))
+
+    return pack(mask), pack(np.ascontiguousarray(mask.T))
+
+
+def _bitset(mask):
+    """The boolean vector ``mask`` as an int: bit i is ``mask[i]``."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _unpack(bits, count):
+    """The boolean (len(bits), count) matrix whose row i has the bits of ``bits[i]``."""
+    width = -(-count // 8)
+    data = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), dtype=np.uint8)
+    return np.unpackbits(data.reshape(len(bits), width), axis=1, count=count, bitorder="little").view(bool)
+
+
+def _ones(bits):
+    """The set bits of the int ``bits`` in increasing order, a byte at a time."""
+    data = bits.to_bytes(-(-bits.bit_length() // 8), "little")
+    return [8 * k + j for k, byte in enumerate(data) if byte for j in _BITS_OF_BYTE[byte]]
+
+
+def _image(bits, sets):
+    """The union of ``sets[i]`` over the set bits i of the int ``bits``."""
+    out = 0
+    while bits:
+        i = bits.bit_length() - 1
+        bits ^= 1 << i
+        out |= sets[i]
+    return out
+
+
 def _closure(rows, cols, down, up):
-    """Rows and columns reachable from the boolean masks ``rows`` and
-    ``cols`` along the edges row i -> column j where ``down[i, j]`` and
-    column j -> row i where ``up[i, j]``: one boolean frontier step per
-    layer.  Returns the two masks."""
-    rows, cols = rows.copy(), cols.copy()
+    """Rows and columns reachable from the bitsets ``rows`` and ``cols``
+    along the edges row i -> column j of the graph ``down`` and column
+    j -> row i of the graph ``up`` (:func:`_bitsets`): two bitsets."""
     new_r, new_c = rows, cols
-    while new_r.any() or new_c.any():
-        new_r, new_c = up[:, new_c].any(axis=1) & ~rows, down[new_r].any(axis=0) & ~cols
+    while new_r or new_c:
+        new_r, new_c = _image(new_c, up[1]) & ~rows, _image(new_r, down[0]) & ~cols
         rows |= new_r
         cols |= new_c
     return rows, cols
@@ -116,16 +158,15 @@ def connected_components(adj):
     adj = np.asarray(adj, dtype=bool)
     if adj.ndim != 2:
         raise ValueError(f"adjacency must be 2-d, got shape {adj.shape}")
-    n, m = adj.shape
-    free_r, free_c = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+    graph = _bitsets(adj)
+    free_r, free_c = (1 << adj.shape[0]) - 1, (1 << adj.shape[1]) - 1
     comps = []
-    for i in range(n):
-        if free_r[i]:
-            rows, cols = _closure(np.arange(n) == i, np.zeros(m, dtype=bool), adj, adj)
-            free_r &= ~rows
-            free_c &= ~cols
-            comps.append((tuple(np.flatnonzero(rows).tolist()), tuple(np.flatnonzero(cols).tolist())))
-    return comps + [((), (j,)) for j in np.flatnonzero(free_c).tolist()]
+    while free_r:
+        rows, cols = _closure(free_r & -free_r, 0, graph, graph)
+        free_r &= ~rows
+        free_c &= ~cols
+        comps.append((tuple(_ones(rows)), tuple(_ones(cols))))
+    return comps + [((), (j,)) for j in _ones(free_c)]
 
 
 @dataclass(frozen=True)
@@ -179,16 +220,17 @@ def classify_exact(r, mu, nu):
     def finish(tag, rows=None):
         if unbalanced:
             tag = _UNBALANCED_TAG[tag]
-        return ScalabilityClass(tag=tag, witness=None if rows is None else tuple(rows.tolist()))
+        return ScalabilityClass(tag=tag, witness=None if rows is None else tuple(rows))
 
     if m_mu == 0 and m_nu == 0:
         return finish(SCALABLE if not support_graph(r).any() else APPROXIMATELY_SCALABLE)
 
     adj = _r0_support(r, mu, nu)
-    flow, reached, carry, _ = _max_flow(adj, mu, nu)
+    graph = _bitsets(adj)
+    flow, reached, carry, _ = _max_flow(graph, mu, nu)
     if not _carries_mass(float(flow.sum()), total_mass(mu)):
-        return finish(NON_SCALABLE, np.flatnonzero(reached))
-    loose = _loose_rows(adj, carry)
+        return finish(NON_SCALABLE, _ones(reached))
+    loose = _loose_rows(graph, carry)
     if loose is not None:
         return finish(APPROXIMATELY_SCALABLE, loose)
     if support_graph(r).sum() > adj.sum():
@@ -199,64 +241,58 @@ def classify_exact(r, mu, nu):
 def _loose_rows(adj, carry):
     """None when every connected component of the support ``adj`` is
     strongly connected in the residual graph of a feasible flow whose
-    entries ``carry`` flow; otherwise the witness rows of
-    ApproximatelyScalable, a proper tight subset A of a component
+    entries ``carry`` flow (both graphs of bitsets); otherwise the witness
+    rows of ApproximatelyScalable, a proper tight subset A of a component
     (mu(A) = nu(F(A)) while R puts mass on (rows outside A) x F(A)).
 
-    A forward and a backward closure from the smallest row of every
-    component decide it.  The witness comes from the first component, by
-    smallest row rho, that fails: the smallest tight set containing rho
-    (its forward closure) if that is a proper subset of the component,
-    otherwise the smallest tight set containing the smallest row that
-    cannot reach rho.
+    Components come by smallest row rho.  Equal forward and backward
+    closures from rho are its whole component, strongly connected; else an
+    undirected closure gives the component, which fails unless all its
+    rows lie in both.  The first that fails gives the witness: the
+    smallest tight set containing rho (its forward closure) if that is a
+    proper subset of the component, otherwise the smallest tight set
+    containing the smallest row that cannot reach rho.
     """
-    n, m = adj.shape
-    comps = connected_components(adj)
-    roots = np.zeros(n, dtype=bool)
-    roots[[rows[0] for rows, _ in comps if rows]] = True
-    no_cols = np.zeros(m, dtype=bool)
-    forward, _ = _closure(roots, no_cols, adj, carry)
-    backward, _ = _closure(roots, no_cols, carry, adj)
-    for rows, _ in comps:
-        rows = np.array(rows, dtype=np.int64)
-        if not forward[rows].all():
-            return rows[forward[rows]]
-        if not backward[rows].all():
-            start = np.arange(n) == rows[np.argmin(backward[rows])]
-            return np.flatnonzero(_closure(start, no_cols, adj, carry)[0])
+    free = (1 << len(adj[0])) - 1
+    while free:
+        start = free & -free
+        ahead, behind = _closure(start, 0, adj, carry), _closure(start, 0, carry, adj)
+        rows = ahead[0] if ahead == behind else _closure(start, 0, adj, adj)[0]
+        free &= ~rows
+        lost = rows & ~behind[0]  # the rows that cannot reach rho
+        if rows & ~ahead[0] or lost:
+            return _ones(ahead[0] if rows & ~ahead[0] else _closure(lost & -lost, 0, adj, carry)[0])
     return None
 
 
 def _greedy_fill(adj, mu, nu):
-    """A feasible flow on the support ``adj`` with row capacities ``mu``
-    and column capacities ``nu``: each row with mass, in index order, fills
-    its support columns in index order up to their spare capacity.
-
-    One scan per row over its support columns that still have spare
-    capacity: a running sum ``total`` of their spares, each column taking
-    ``min(total, mu_i)`` less what the row had sent before it, until
-    ``total`` reaches ``mu_i``.  A column whose spare capacity falls to 0,
-    or below by rounding, drops out.  These are the IEEE operations, in
-    the same order, of the vector form diff(min(cumsum(spare_col adj_i),
-    mu_i)) with spare capacities clamped at 0: a column without spare
-    capacity or off the support adds exactly 0 to the running sum, and
-    past mu_i every difference is 0.  So the flow is that form's bit for
-    bit, except that an entry it writes as -0.0 (a capacity given as
-    -0.0) is +0.0 here."""
-    flow = np.zeros(adj.shape)
-    live = np.asarray(nu) > 0
+    """A feasible flow on the support ``adj`` (a graph of bitsets) with
+    row capacities ``mu`` and column capacities ``nu``: each row with
+    mass, in index order, scans its support columns that still have spare
+    capacity in index order, keeping a running sum ``total`` of their
+    spares; each takes ``min(total, mu_i)`` less what the row sent before
+    it, until ``total`` reaches ``mu_i``, and drops out once its spare
+    falls to 0 or below.  These are the IEEE operations, in the same
+    order, of diff(min(cumsum(spare_col adj_i), mu_i)) with spares clamped
+    at 0 (a column skipped adds exactly 0 to the sum, and past mu_i every
+    difference is 0), so the flow is that form's bit for bit, but for its
+    -0.0 entries next to a capacity of -0.0, which are +0.0 here."""
+    flow = np.zeros((len(adj[0]), len(adj[1])))
+    live = _bitset(np.asarray(nu) > 0)
     spare, need_of = np.asarray(nu, dtype=float).tolist(), np.asarray(mu, dtype=float).tolist()
     for i in np.flatnonzero(mu).tolist():  # a massless row sends nothing
-        need, row = need_of[i], flow[i]
+        need, row, todo = need_of[i], flow[i], adj[0][i] & live
         total = filled = 0.0
-        for j in (adj[i] & live).nonzero()[0].tolist():
+        while todo:
+            j = (todo & -todo).bit_length() - 1
+            todo ^= 1 << j
             total += spare[j]
             f = min(total, need)
             row[j] = sent = f - filled
             spare[j] -= sent
             filled = f
             if spare[j] <= 0.0:
-                live[j] = False
+                live ^= 1 << j
             if total >= need:
                 break
     return flow
@@ -264,98 +300,99 @@ def _greedy_fill(adj, mu, nu):
 
 def _max_flow(adj, mu, nu):
     """Maximum flow from a source through the rows (capacities ``mu``) and
-    the support ``adj`` (uncapacitated) into the columns (capacities ``nu``)
-    and on to a sink.  Returns ``(flow, reached, carry, spare)``: the (n, m)
-    flow on the support; the boolean mask of the rows reachable from the
-    source in its residual graph, the source side of a minimum cut; and
-    that residual graph's other edges, the entries that carry flow (columns
-    back to rows) and the columns with spare capacity (columns to the
-    sink).  A residual at or below 1e-12 M(mu) counts as saturated: an edge
-    saturated one ulp short is not an edge.
+    the support ``adj`` (uncapacitated; a graph of bitsets, see
+    :func:`_bitsets`) into the columns (capacities ``nu``) and on to a
+    sink.  Returns ``(flow, reached, carry, spare)``: the dense (n, m)
+    flow on the support; the bitset of the rows reachable from the source
+    in its residual graph, the source side of a minimum cut; and that
+    residual graph's other edges, the graph of bitsets of the entries that
+    carry flow (columns back to rows) and the bitset of the columns with
+    spare capacity (columns to the sink).  A residual at or below 1e-12
+    M(mu) counts as saturated: an edge saturated one ulp short is not an
+    edge.  ``carry`` follows every write of the flow that crosses it.
 
     It starts from :func:`_greedy_fill`.  Then each phase (Dinic) searches
     breadth first from every row with spare supply, rows to columns
     through the support and columns back to rows through entries that
-    carry flow, and stops at the first layer that reaches a column with
-    spare capacity; :func:`_blocking_flow` then saturates every shortest
-    augmenting path of that layered graph, so the next phase's paths are
-    longer.
+    carry flow, one OR of bitsets per layer, and stops at the first layer
+    that reaches a column with spare capacity; :func:`_blocking_flow` then
+    saturates every shortest augmenting path of that layered graph, so the
+    next phase's paths are longer.
     """
-    m = adj.shape[1]
     tol = _RESIDUAL_TOL * total_mass(mu)
     flow = _greedy_fill(adj, mu, nu)
-    spare_row = mu - flow.sum(axis=1)
-    spare_col = nu - flow.sum(axis=0)
+    carry = _bitsets(flow > tol)
+    spare_row, spare_col = (mu - flow.sum(axis=1)).tolist(), (nu - flow.sum(axis=0)).tolist()
     while True:
-        reached = spare_row > tol
-        layers = [reached.nonzero()[0]]  # rows, columns, rows, ..., columns
-        seen_col = np.zeros(m, dtype=bool)
+        reached = sum(1 << i for i, x in enumerate(spare_row) if x > tol)
+        spare = sum(1 << j for j, x in enumerate(spare_col) if x > tol)
+        layers, seen_col = [reached], 0  # layers: rows, columns, rows, ..., columns
         while True:
-            cols = (adj[layers[-1]].any(axis=0) & ~seen_col).nonzero()[0]
-            seen_col[cols] = True
+            cols = _image(layers[-1], adj[0]) & ~seen_col
+            seen_col |= cols
             layers.append(cols)
-            if not cols.size or (spare_col[cols] > tol).any():
+            if not cols or cols & spare:
                 break
-            rows = ((flow[:, cols] > tol).any(axis=1) & ~reached).nonzero()[0]
-            reached[rows] = True
+            rows = _image(cols, carry[1]) & ~reached
+            reached |= rows
             layers.append(rows)
-            if not rows.size:
+            if not rows:
                 break
-        if not layers[-1].size:  # no augmenting path is left
-            return flow, reached, flow > tol, nu - flow.sum(axis=0) > tol
-        _blocking_flow(adj, flow, spare_row, spare_col, layers, tol)
+        if not layers[-1]:  # no augmenting path is left
+            return flow, reached, carry, _bitset(nu - flow.sum(axis=0) > tol)
+        _blocking_flow(adj, flow, carry, spare_row, spare_col, layers, tol)
 
 
-def _blocking_flow(adj, flow, spare_row, spare_col, layers, tol):
-    """Augment ``flow`` in place along shortest paths of the layered graph
-    ``layers`` (rows with spare supply, then alternately columns and rows,
-    ending at the columns with spare capacity) until none is left.  Depth
-    first from each source row, each node keeps the list of its untried
-    successors, the last one being its current arc (Dinic): an arc leaves
-    the list once it is saturated or leads to a dead end.  Each
+def _blocking_flow(adj, flow, carry, spare_row, spare_col, layers, tol):
+    """Augment ``flow`` and its graph ``carry`` in place along shortest
+    paths of the layered graph ``layers`` (bitsets) until none is left.
+    Depth first from each source row, each node keeps the bitset of its
+    untried successors, the highest being its current arc (Dinic): an arc
+    leaves it once it is saturated or leads to a dead end.  Each
     augmentation empties its bottleneck exactly."""
     last = len(layers) - 1
-    members = []  # each layer as a boolean mask over the rows or the columns
-    for k, nodes in enumerate(layers):
-        mask = np.zeros(adj.shape[k % 2], dtype=bool)
-        mask[nodes] = True
-        members.append(mask)
     arcs = [{} for _ in layers]
-    for s in layers[0].tolist():
+    for s in _ones(layers[0]):
         path = [s]
         while path:
             k = len(path) - 1
             if k == last:  # forward edges path[2h] -> path[2h + 1], backward path[2h + 1] -> path[2h + 2]
                 back = list(zip(path[2::2], path[1::2]))
                 delta = min(spare_row[s], spare_col[path[-1]], *(flow[e] for e in back))
-                for e in zip(path[0::2], path[1::2]):
-                    flow[e] += delta
-                for e in back:
-                    flow[e] -= delta
+                for i, j in zip(path[0::2], path[1::2]):
+                    flow[i, j] = f = flow[i, j] + delta
+                    if f > tol:
+                        carry[0][i] |= 1 << j
+                        carry[1][j] |= 1 << i
+                for i, j in back:
+                    flow[i, j] = f = flow[i, j] - delta
+                    if f <= tol:
+                        carry[0][i] &= ~(1 << j)
+                        carry[1][j] &= ~(1 << i)
                 spare_row[s] -= delta
                 spare_col[path[-1]] -= delta
                 if spare_row[s] <= tol:
                     break
                 # go on from the tail of the first edge that went saturated
-                del path[next((2 * h + 2 for h, e in enumerate(back) if flow[e] <= tol), last):]
+                del path[next((2 * h + 2 for h, (i, j) in enumerate(back) if not carry[0][i] >> j & 1), last):]
                 continue
             v = path[-1]
             todo = arcs[k].get(v)
             if todo is None:  # columns v reaches, or rows sending flow into column v
-                link = flow[:, v] > tol if k % 2 else adj[v]
-                todo = arcs[k][v] = (link & members[k + 1]).nonzero()[0].tolist()
+                todo = (carry[1] if k % 2 else adj[0])[v] & layers[k + 1]
             while todo:
-                w = todo[-1]
-                saturated = flow[w, v] <= tol if k % 2 else k + 1 == last and spare_col[w] <= tol
-                if not saturated and arcs[k + 1].get(w) != []:
+                w = todo.bit_length() - 1
+                saturated = not carry[1][v] >> w & 1 if k % 2 else k + 1 == last and spare_col[w] <= tol
+                if not saturated and arcs[k + 1].get(w) != 0:
                     break
-                todo.pop()
+                todo ^= 1 << w
+            arcs[k][v] = todo
             if todo:
-                path.append(todo[-1])
+                path.append(w)
             else:  # v is a dead end
                 path.pop()
                 if path:
-                    arcs[k - 1][path[-1]].pop()
+                    arcs[k - 1][path[-1]] ^= 1 << v
 
 
 def _carries_mass(value, m_mu):
@@ -378,5 +415,5 @@ def feasibility_flow(r, mu, nu):
     m_mu, m_nu = total_mass(mu), total_mass(nu)
     if abs(m_mu - m_nu) > _FLOW_TOL * max(m_mu, m_nu):
         raise ValueError("feasibility_flow requires balanced masses")
-    flow, *_ = _max_flow(support_graph(r), mu, nu)
+    flow, *_ = _max_flow(_bitsets(support_graph(r)), mu, nu)
     return _carries_mass(float(flow.sum()), m_mu)

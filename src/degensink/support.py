@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import Assumption2Violated, NotConverged
 from .measures import as_coupling, as_measure, as_triple, marginal_row, total_mass
-from .scalability import _closure, _max_flow, _r0_support, _require_assumption1, connected_components
+from .scalability import (_bitset, _bitsets, _closure, _image, _max_flow, _ones, _r0_support, _require_assumption1,
+                          _unpack, connected_components)
 from .sinkhorn import StopConfig, _LogIteration, run_sinkhorn
 
 __all__ = [
@@ -75,42 +76,40 @@ def maximal_theta(r, mu, nu):
     r, mu, nu = _require_assumption1(r, mu, nu)
     if total_mass(mu) == 0:
         raise Assumption2Violated("theta_m needs mu and nu with positive mass")
-    adj = _r0_support(r, mu, nu)
+    adj = _bitsets(_r0_support(r, mu, nu))
     theta = total_mass(mu) / total_mass(nu)
     while True:
         _, reached, carry, spare = _max_flow(adj, mu, theta * nu)
-        if not reached.any():
+        if not reached:
             break
-        ratio = total_mass(mu[reached]) / total_mass(nu[adj[reached].any(axis=0)])
+        ratio = total_mass(mu[_ones(reached)]) / total_mass(nu[_ones(_image(reached, adj[0]))])
         if not ratio > theta:
             break
         theta = ratio
-    return ThetaSetResult(theta_m=theta, smallest=sorted(_sink_rows(adj, carry, spare, mu == 0)))
+    found = _sink_rows(adj, carry, spare, _bitset(mu == 0))
+    return ThetaSetResult(theta_m=theta, smallest=sorted(tuple(_ones(rows)) for rows in found))
 
 
 def _sink_rows(adj, carry, spare, skip):
-    """Row sets (sorted tuples) of the sink strongly connected components
-    of the residual graph of a flow on ``adj`` whose entries ``carry``
-    flow, among the nodes that cannot reach the sink through a column of
-    ``spare`` capacity, leaving out the rows of ``skip`` and every node
-    that reaches them: at a flow that saturates the rows of the maximal
-    ratio, the inclusion-minimal maximizers (Picard-Queyranne).  One
-    forward and one backward closure per candidate row."""
-    n, m = adj.shape
-    no_cols = np.zeros(m, dtype=bool)
+    """Row bitsets of the sink strongly connected components of the
+    residual graph of a flow on ``adj`` whose entries ``carry`` flow (both
+    graphs of bitsets), among the nodes that cannot reach the sink through
+    a column of ``spare`` capacity, leaving out the rows of ``skip`` and
+    every node that reaches them: at a flow that saturates the rows of the
+    maximal ratio, the inclusion-minimal maximizers (Picard-Queyranne).
+    One forward and one backward closure per candidate row."""
     done, _ = _closure(skip, spare, carry, adj)
+    todo = (1 << len(adj[0])) - 1 & ~done
     found = []
-    for i in range(n):
-        if done[i]:
-            continue
-        start = np.arange(n) == i
-        ahead, _ = _closure(start, no_cols, adj, carry)
-        behind, _ = _closure(start, no_cols, carry, adj)
-        if (behind | ~ahead).all():  # row i lies in a sink component
-            found.append(tuple(np.flatnonzero(ahead).tolist()))
-            done |= ahead
-        else:  # neither row i nor any row that reaches it does
-            done |= behind
+    while todo:
+        start = todo & -todo
+        ahead, _ = _closure(start, 0, adj, carry)
+        behind, _ = _closure(start, 0, carry, adj)
+        if ahead & ~behind:  # neither the row nor any row that reaches it lies in a sink component
+            todo &= ~behind
+        else:
+            found.append(ahead)
+            todo &= ~ahead
     return found
 
 
@@ -165,58 +164,61 @@ def exact_support_procedure(r, mu, nu):
     terms; so a step's theta is the one-step reduction's, bit for bit.
     """
     r, mu, nu = _require_assumption1(r, mu, nu)
-    live = _r0_support(r, mu, nu)
-    rows, cols = mu > 0, nu > 0
+    live = _bitsets(_r0_support(r, mu, nu))
+
+    def clear(xs, ys):  # the entries xs x ys of live
+        for i in _ones(xs):
+            live[0][i] &= ~ys
+        for j in _ones(ys):
+            live[1][j] &= ~xs
+
     # sub-problems (place in the tree, rows, columns), and the levels found
-    # as (place, rows, columns, removed rows, removed columns)
-    pending = [((), rows, cols)] if rows.any() else []
+    # as (place, rows, columns, removed rows, removed columns), all bitsets
+    pending = [((), _bitset(mu > 0), _bitset(nu > 0))] if (mu > 0).any() else []
     levels = []
-    no_cols = np.zeros_like(cols)
     while pending:
-        theta_nu = np.zeros_like(nu)
+        rows = sum(x for _, x, _ in pending)  # disjoint: the active rows
+        theta_nu, mu_active = np.zeros_like(nu), np.zeros_like(mu)
         for _, x, y in pending:
+            x, y = _ones(x), _ones(y)
+            mu_active[x] = mu[x]
             theta_nu[y] = total_mass(mu[x]) / total_mass(nu[y]) * nu[y]
-        mu_active = np.where(rows, mu, 0.0)
-        adj = live & rows[:, None]
+        adj = [b if rows >> i & 1 else 0 for i, b in enumerate(live[0])], [b & rows for b in live[1]]
         _, reached, carry, spare = _max_flow(adj, mu_active, theta_nu)
         tasks, pending, leaves = pending, [], []
         for key, x, y in tasks:
             above = reached & x
-            if above.any() and (x & ~above).any():  # the levels above theta, and the rest
-                image = live[above].any(axis=0)
-                live[np.ix_(x & ~above, image)] = False
+            if above and x & ~above:  # the levels above theta, and the rest
+                image = _image(above, live[0])
+                clear(x & ~above, image)
                 pending += [(key + (0,), above, image), (key + (1,), x & ~above, y & ~image)]
             else:
                 leaves.append((key, x, y))
         # a level that its root row spans both ways in the residual graph,
         # without a spare column, is one strongly connected piece: its own
         # smallest maximizer
-        roots = np.zeros_like(rows)
-        roots[[np.argmax(x) for _, x, _ in leaves]] = True
-        ahead, _ = _closure(roots, no_cols, adj, carry)
-        behind, _ = _closure(roots, no_cols, carry, adj)
+        roots = sum(x & -x for _, x, _ in leaves)  # the leaves are disjoint
+        ahead, _ = _closure(roots, 0, adj, carry)
+        behind, _ = _closure(roots, 0, carry, adj)
         for key, x, y in leaves:
             removed = x
-            if (x & ~(ahead & behind)).any() or spare[y].any():
-                removed = np.zeros_like(rows)
-                removed[[i for subset in _sink_rows(adj, carry, spare, ~x) for i in subset]] = True
-            image = live[removed].any(axis=0)
+            if x & ~(ahead & behind) or spare & y:
+                removed = sum(_sink_rows(adj, carry, spare, (1 << len(mu)) - 1 & ~x))  # disjoint
+            image = _image(removed, live[0])
             levels.append((key + (0,), x, y, removed, image))
-            rows, cols = rows & ~removed, cols & ~image
-            if (x & ~removed).any():  # the rest of the level shares its theta
-                live[np.ix_(x & ~removed, image)] = False
+            if x & ~removed:  # the rest of the level shares its theta
+                clear(x & ~removed, image)
                 pending.append((key + (1,), x & ~removed, y & ~image))
-    if cols.any():
+    if _bitset(nu > 0) & ~sum(level[4] for level in levels):  # disjoint images
         raise Assumption2Violated("columns left over after the rows were exhausted")
     levels.sort(key=lambda level: level[0])
     steps = []
-    rows, cols = np.zeros_like(rows), np.zeros_like(cols)
+    rows = cols = 0
     for _, x, y, removed, image in reversed(levels):
         rows, cols = rows | removed, cols | image
-        steps.append(ProcedureStep(*(tuple(np.flatnonzero(mask).tolist())
-                                     for mask in (rows, cols, removed, image)),
-                                   theta=total_mass(mu[x]) / total_mass(nu[y])))
-    return ProcedureTrace(steps=steps[::-1], final_mask=live)
+        steps.append(ProcedureStep(*(tuple(_ones(bits)) for bits in (rows, cols, removed, image)),
+                                   theta=total_mass(mu[_ones(x)]) / total_mass(nu[_ones(y)])))
+    return ProcedureTrace(steps=steps[::-1], final_mask=_unpack(live[0], len(nu)))
 
 
 def default_thresholds(r, mu):

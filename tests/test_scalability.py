@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,10 +29,33 @@ from conftest import (
     oracle_flow_classify,
     oracle_max_flow,
     random_instance,
+    reference_closure,
     reference_greedy_fill,
+    reference_max_flow,
     relabelled,
     saturated_staircase,
 )
+
+
+# Bitsets written and read one bit at a time, apart from the package's
+# packing: what the bitset graphs of ``scalability`` are checked against.
+
+
+def _bits(mask):
+    return sum(1 << int(i) for i in np.flatnonzero(mask))
+
+
+def _bits_to_mask(bits, count):
+    return np.array([[b >> j & 1 for j in range(count)] for b in bits], dtype=bool).reshape(len(bits), count)
+
+
+def _masks(flow, reached, carry, spare):
+    """The outputs of ``_max_flow`` with its bitsets as boolean masks;
+    the two halves of ``carry`` must agree."""
+    n, m = flow.shape
+    carry_rows = _bits_to_mask(carry[0], m)
+    assert np.array_equal(carry_rows, _bits_to_mask(carry[1], n).T)
+    return flow, _bits_to_mask([reached], n)[0], carry_rows, _bits_to_mask([spare], m)[0]
 
 
 def test_support_graph(appendix):
@@ -140,7 +164,7 @@ def test_feasible_support_contained_in_limit_support():
         if not feasibility_flow(r, mu, nu):
             continue
         found += 1
-        p, *_ = scalability._max_flow(support_graph(r), mu, nu)
+        p, *_ = scalability._max_flow(scalability._bitsets(support_graph(r)), mu, nu)
         mask, _ = detect_limit_support(r, mu, nu, max_iter=20_000)
         assert not ((p > 1e-9) & ~mask).any()
 
@@ -204,6 +228,45 @@ def test_classify_beyond_cap_runs_one_max_flow(max_flow_calls):
         assert len(max_flow_calls) == count
 
 
+def test_classify_witness_of_a_second_loose_component():
+    # a Scalable block beside an ApproximatelyScalable one, in both orders,
+    # with a massless row and a massless column that carry reference
+    # entries: the components before the loose one pass, and its witness
+    # is the oracle's, wherever relabelling puts it
+    rng = np.random.default_rng(83)
+    loose_second = set()
+    for k in range(40):
+        a, b = (int(x) for x in rng.integers(1, 6, size=2))
+        mu_s = rng.exponential(size=a)
+        scalable = rng.uniform(0.5, 2.0, size=(a, b)), mu_s, rng.dirichlet(np.ones(b)) * mu_s.sum()
+        loose = saturated_staircase(rng, [int(x) for x in rng.integers(1, 5, size=int(rng.integers(2, 4)))])
+        blocks = [scalable, loose] if k % 2 else [loose, scalable]
+        (r0, mu0, nu0), (r1, mu1, nu1) = blocks
+        r = np.ones((r0.shape[0] + r1.shape[0] + 1, r0.shape[1] + r1.shape[1] + 1))
+        r[:-1, :-1] = 0.0
+        r[:r0.shape[0], :r0.shape[1]] = r0
+        r[r0.shape[0]:-1, r0.shape[1]:-1] = r1
+        mu, nu = np.concatenate([mu0, mu1, [0.0]]), np.concatenate([nu0, nu1, [0.0]])
+        block_of = np.repeat([0, 1, 2], [r0.shape[0], r1.shape[0], 1])
+        pr, pc = rng.permutation(r.shape[0]), rng.permutation(r.shape[1])
+        r, mu, nu, block_of = r[np.ix_(pr, pc)], mu[pr], nu[pc], block_of[pr]
+        out = classify_exact(r, mu, nu)
+        assert out == oracle_flow_classify(r, mu, nu)
+        assert out.tag == "ApproximatelyScalable" and (block_of[list(out.witness)] == k % 2).all()
+        first_row = [np.flatnonzero(block_of == block)[0] for block in (0, 1)]
+        loose_second.add(bool(first_row[k % 2] > first_row[1 - k % 2]))
+    assert loose_second == {True, False}
+
+
+def test_a_column_too_light_to_carry_flow_leaves_its_component_whole():
+    # a column with less mass than the 1e-12 M(mu) saturation rule carries
+    # no flow, so it reaches no row in the residual graph and the two
+    # closures from row 0 differ; every row still lies on one cycle
+    for nu in ([2.0 - 1e-14, 1e-14], [1.5, 1.5 - 1e-14, 1e-14]):
+        r, mu, nu = np.ones((len(nu), len(nu))), np.ones(len(nu)), np.array(nu)
+        assert classify_exact(r, mu, nu) == oracle_flow_classify(r, mu, nu) == ScalabilityClass("Scalable")
+
+
 def _flow_oracle_cases():
     """Non-square random instances from sparse to dense, relabelled
     NonScalable staircases of 2-6 blocks at 50-200 rows, and random
@@ -234,7 +297,8 @@ def test_max_flow_agrees_with_networkx():
     for r, mu, nu in _flow_oracle_cases():
         tol = 1e-12 * total_mass(mu)
         value, witness = oracle_max_flow(r, mu, nu)
-        flow, reached, carry, spare = scalability._max_flow(support_graph(r), mu, nu)
+        flow, reached, carry, spare = _masks(*scalability._max_flow(
+            scalability._bitsets(support_graph(r)), mu, nu))
         assert abs(flow.sum() - value) <= tol
         assert flow.min() >= 0 and not flow[r == 0].any()
         # the residual graph at the saturation rule: 1e-12 M(mu)
@@ -310,7 +374,7 @@ def test_greedy_fill_is_the_cumsum_form():
     # the per-row scan against the vector form it replaced, bit for bit;
     # and a feasible flow on the support at the 1e-12 M(mu) rule
     for adj, mu, nu in FILL_DRAWS:
-        fill = scalability._greedy_fill(adj, mu, nu)
+        fill = scalability._greedy_fill(scalability._bitsets(adj), mu, nu)
         assert fill.tobytes() == reference_greedy_fill(adj, mu, nu).tobytes()
         tol = 1e-12 * total_mass(mu)
         assert fill.min(initial=0.0) >= 0 and not fill[~adj].any()
@@ -322,19 +386,85 @@ def test_greedy_fill_writes_no_negative_zero():
     # of the row's support made that form write -0.0 flows
     adj = np.array([[False, True], [True, True]])
     mu, nu = np.array([1.0, 2.0]), np.array([-0.0, 3.0])
-    fill = scalability._greedy_fill(adj, mu, nu)
+    fill = scalability._greedy_fill(scalability._bitsets(adj), mu, nu)
     want = reference_greedy_fill(adj, mu, nu)
     assert np.signbit(want).any() and not np.signbit(fill).any()
     assert np.array_equal(fill, want)
 
 
-def test_max_flow_is_bit_identical_from_the_cumsum_fill(monkeypatch):
-    # flow, reached rows, carrying entries and spare columns, bytes and all
-    got = [scalability._max_flow(*draw) for draw in FILL_DRAWS]
-    monkeypatch.setattr(scalability, "_greedy_fill", reference_greedy_fill)
-    for draw, outputs in zip(FILL_DRAWS, got):
-        want = scalability._max_flow(*draw)
-        assert [x.tobytes() for x in outputs] == [x.tobytes() for x in want]
+def _wide_draws(count=1500):
+    """``(adj, mu, nu)`` for the bitset max-flow: non-square supports with
+    1, 7, 8, 9 or 65 columns (widths at and off the byte boundaries) and
+    up to 24 rows, at densities from 0 to 1 with a tenth of the rows and
+    columns emptied, masses continuous with a fifth of them zero or small
+    integers, nu balanced to mu or not, both scaled by one of 10^-200,
+    1 or 10^200."""
+    rng = np.random.default_rng(67)
+    draws = []
+    for k in range(count):
+        m = (1, 7, 8, 9, 65)[k % 5]
+        n = int(rng.integers(1, 25))
+        n += n == m
+        adj = rng.random((n, m)) < rng.uniform(0.0, 1.0)
+        adj[rng.random(n) < 0.1] = False
+        adj[:, rng.random(m) < 0.1] = False
+        if k % 2:
+            mu, nu = (rng.integers(0, 4, size=size).astype(float) for size in (n, m))
+        else:
+            mu, nu = rng.exponential(size=n), rng.exponential(size=m)
+            mu[rng.random(n) < 0.2] = 0.0
+            nu[rng.random(m) < 0.2] = 0.0
+        if k % 3 and nu.any():
+            nu *= mu.sum() / nu.sum()
+        scale = 10.0 ** float(rng.choice([-200, 0, 200]))
+        draws.append((adj, mu * scale, nu * scale))
+    return draws
+
+
+def test_max_flow_is_bit_identical_from_the_cumsum_fill():
+    # flow, reached rows, carrying entries and spare columns, bytes and
+    # all, against the dense reference that starts from the cumsum fill
+    for adj, mu, nu in FILL_DRAWS + _wide_draws():
+        got = _masks(*scalability._max_flow(scalability._bitsets(adj), mu, nu))
+        want = reference_max_flow(adj, mu, nu)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def _random_adjacencies(count=300):
+    """Boolean adjacencies of up to 24 rows and 1, 7, 8, 9 or 65 columns,
+    sparse to dense, with empty rows and columns; and the empty ones."""
+    rng = np.random.default_rng(71)
+    adjs = [np.zeros(shape, dtype=bool) for shape in ((3, 0), (0, 3), (0, 0))]
+    for k in range(count):
+        adj = rng.random((int(rng.integers(0, 25)), (1, 7, 8, 9, 65)[k % 5])) < rng.uniform(0.0, 0.3)
+        adj[rng.random(adj.shape[0]) < 0.2] = False
+        adj[:, rng.random(adj.shape[1]) < 0.2] = False
+        adjs.append(adj)
+    return adjs
+
+
+def test_closure_is_the_boolean_frontier_form():
+    rng = np.random.default_rng(73)
+    for down in _random_adjacencies():
+        n, m = down.shape
+        up = down & (rng.random((n, m)) < 0.5)
+        rows, cols = rng.random(n) < 0.2, rng.random(m) < 0.1
+        got = scalability._closure(_bits(rows), _bits(cols), scalability._bitsets(down), scalability._bitsets(up))
+        want = reference_closure(rows, cols, down, up)
+        assert [_bits_to_mask([b], k)[0].tolist() for b, k in zip(got, (n, m))] == [x.tolist() for x in want]
+
+
+def test_connected_components_agrees_with_networkx():
+    # sorted tuples, components by smallest row, isolated columns last
+    for adj in _random_adjacencies():
+        n, m = adj.shape
+        g = nx.Graph()
+        g.add_nodes_from([("r", i) for i in range(n)] + [("c", j) for j in range(m)])
+        g.add_edges_from((("r", int(i)), ("c", int(j))) for i, j in zip(*np.nonzero(adj)))
+        parts = [(tuple(sorted(v[1] for v in part if v[0] == "r")), tuple(sorted(v[1] for v in part if v[0] == "c")))
+                 for part in nx.connected_components(g)]
+        want = sorted(p for p in parts if p[0]) + sorted(p for p in parts if not p[0])
+        assert connected_components(adj) == want
 
 
 # Symmetries of the classification: the worked example, the NonScalable

@@ -416,6 +416,20 @@ def test_exact_procedure_invariant_under_mass_scaling(case, k):
     assert [step.theta for step in got.steps] == pytest.approx([step.theta for step in want.steps], rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("cases", [
+    lambda: oracle_cases(404) + oracle_cases(505),
+    lambda: [relabelled(np.random.default_rng(1), *_staircase(100, b)) for b in (2, 4, 6, 10)],
+], ids=["oracle404+505", "staircase100"])
+def test_exact_procedure_commutes_with_transposition(cases):
+    # (R^T, nu, mu) has the transposed limits (P* <-> Q*^T), so the
+    # transposed support, reached in as many steps
+    for r, mu, nu in cases():
+        want = exact_support_procedure(r, mu, nu)
+        got = exact_support_procedure(r.T, nu, mu)
+        assert np.array_equal(got.final_mask, want.final_mask.T)
+        assert len(got.steps) == len(want.steps)
+
+
 def test_is_sisp_appendix(appendix):
     r, mu, nu = appendix
     assert is_sisp([2], r, mu, nu, R_STAR)
