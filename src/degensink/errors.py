@@ -20,8 +20,7 @@ class Assumption1Violated(DegensinkError):
 class Assumption2Violated(DegensinkError):
     """A triple lacks the supports an operation needs: ``default_thresholds``
     needs positive mu and positive row marginals of R, ``maximal_theta``
-    positive total mass, and ``exact_support_procedure`` raises it when
-    columns are left over once its rows run out."""
+    positive total mass."""
 
 
 class NotConverged(DegensinkError):

@@ -276,8 +276,11 @@ def _greedy_fill(adj, mu, nu):
     order, of diff(min(cumsum(spare_col adj_i), mu_i)) with spares clamped
     at 0 (a column skipped adds exactly 0 to the sum, and past mu_i every
     difference is 0), so the flow is that form's bit for bit, but for its
-    -0.0 entries next to a capacity of -0.0, which are +0.0 here."""
+    -0.0 entries next to a capacity of -0.0, which are +0.0 here.  Returns
+    ``(flow, carry)``, each bit of ``carry`` (:func:`_max_flow`) set as its entry is written."""
+    tol = _RESIDUAL_TOL * total_mass(mu)
     flow = np.zeros((len(adj[0]), len(adj[1])))
+    carry = [0] * len(adj[0]), [0] * len(adj[1])
     live = _bitset(np.asarray(nu) > 0)
     spare, need_of = np.asarray(nu, dtype=float).tolist(), np.asarray(mu, dtype=float).tolist()
     for i in np.flatnonzero(mu).tolist():  # a massless row sends nothing
@@ -289,13 +292,16 @@ def _greedy_fill(adj, mu, nu):
             total += spare[j]
             f = min(total, need)
             row[j] = sent = f - filled
+            if sent > tol:
+                carry[0][i] |= 1 << j
+                carry[1][j] |= 1 << i
             spare[j] -= sent
             filled = f
             if spare[j] <= 0.0:
                 live ^= 1 << j
             if total >= need:
                 break
-    return flow
+    return flow, carry
 
 
 def _max_flow(adj, mu, nu):
@@ -320,8 +326,7 @@ def _max_flow(adj, mu, nu):
     next phase's paths are longer.
     """
     tol = _RESIDUAL_TOL * total_mass(mu)
-    flow = _greedy_fill(adj, mu, nu)
-    carry = _bitsets(flow > tol)
+    flow, carry = _greedy_fill(adj, mu, nu)
     spare_row, spare_col = (mu - flow.sum(axis=1)).tolist(), (nu - flow.sum(axis=0)).tolist()
     while True:
         reached = sum(1 << i for i, x in enumerate(spare_row) if x > tol)

@@ -9,12 +9,13 @@ of isolated scalable problems: the limit coupling vanishes on
 (complement of A) x F(A) and keeps the full reference support on the rows
 of A, with nu* = theta_m nu on F(A) and mu* = mu / theta_m on A.  Removing
 the block and recursing reconstructs the whole limit support without ever
-running the scaling iteration.  theta_m and its minimal maximizers come
-from a few maximum flows (:func:`maximal_theta`); the whole sequence of
-removed blocks is the decomposition by decreasing ratio mu(A)/nu(F(A))
-(Fujishige's lexicographically optimal base), which
-:func:`exact_support_procedure` builds by divide and conquer on theta with
-one maximum flow per depth.  Neither has a size limit.
+running the scaling iteration.  The whole sequence of removed blocks is
+the decomposition by decreasing ratio mu(A)/nu(F(A)) (Fujishige's
+lexicographically optimal base), which one private reduction builds by
+divide and conquer on theta, one maximum flow per depth:
+:func:`exact_support_procedure` gives all its levels, and
+:func:`maximal_theta` the top one, theta_m and its minimal maximizers.
+Neither has a size limit.
 """
 
 import math
@@ -63,43 +64,27 @@ def maximal_theta(r, mu, nu):
     Raises Assumption2Violated on zero mu and nu, where no ratio is
     defined.  Rows and columns are not limited in number.
 
-    Dinkelbach iterations: from theta = M(mu)/M(nu), the ratio of all
-    rows, a maximum flow with capacities (mu, theta nu) finds the
-    inclusion-minimal maximizer A of mu(A) - theta nu(F(A)), the rows
-    reached from the source in its residual graph, and theta moves up to
-    the ratio M(mu[A]) / M(nu[F(A)]) of A until none is reached.  At
-    theta_m the inclusion-minimal maximizers are the row sets of the sink
-    strongly connected components of that residual graph among the nodes
-    that cannot reach the sink (Picard-Queyranne), with the saturation
-    rule of :func:`_max_flow`.
+    The answer is the top level of :func:`_reduction`, the first step of
+    :func:`exact_support_procedure`: its theta and its sink components.
     """
     r, mu, nu = _require_assumption1(r, mu, nu)
-    if total_mass(mu) == 0:
+    levels, _ = _reduction(r, mu, nu)
+    if not levels:
         raise Assumption2Violated("theta_m needs mu and nu with positive mass")
-    adj = _bitsets(_r0_support(r, mu, nu))
-    theta = total_mass(mu) / total_mass(nu)
-    while True:
-        _, reached, carry, spare = _max_flow(adj, mu, theta * nu)
-        if not reached:
-            break
-        ratio = total_mass(mu[_ones(reached)]) / total_mass(nu[_ones(_image(reached, adj[0]))])
-        if not ratio > theta:
-            break
-        theta = ratio
-    found = _sink_rows(adj, carry, spare, _bitset(mu == 0))
-    return ThetaSetResult(theta_m=theta, smallest=sorted(tuple(_ones(rows)) for rows in found))
+    theta, sinks, _, _ = levels[0]
+    return ThetaSetResult(theta_m=theta, smallest=sorted(tuple(_ones(rows)) for rows in sinks))
 
 
-def _sink_rows(adj, carry, spare, skip):
-    """Row bitsets of the sink strongly connected components of the
-    residual graph of a flow on ``adj`` whose entries ``carry`` flow (both
-    graphs of bitsets), among the nodes that cannot reach the sink through
-    a column of ``spare`` capacity, leaving out the rows of ``skip`` and
-    every node that reaches them: at a flow that saturates the rows of the
-    maximal ratio, the inclusion-minimal maximizers (Picard-Queyranne).
-    One forward and one backward closure per candidate row."""
-    done, _ = _closure(skip, spare, carry, adj)
-    todo = (1 << len(adj[0])) - 1 & ~done
+def _sink_rows(adj, carry, spare, rows):
+    """Row bitsets of the sink strongly connected components, among the
+    bitset ``rows`` (which no other node reaches), of the residual graph of
+    a flow on ``adj`` whose entries ``carry`` flow (both graphs of
+    bitsets), leaving out every node that reaches the sink through a column
+    of ``spare`` capacity: at a flow that saturates the rows of the maximal
+    ratio, the inclusion-minimal maximizers (Picard-Queyranne).  One
+    forward and one backward closure per candidate row."""
+    done, _ = _closure(0, spare, carry, adj)
+    todo = rows & ~done
     found = []
     while todo:
         start = todo & -todo
@@ -142,28 +127,48 @@ def exact_support_procedure(r, mu, nu):
 
     Starts from the support of R0, R with its zero-mass rows and columns
     zeroed, with the rows of mu > 0 and the columns of nu > 0 active, and
-    gives the steps of the one-step reduction: remove the union M of the
-    smallest maximal theta-sets of the active triple (:func:`maximal_theta`)
-    and F(M), after clearing (active rows minus M) x F(M).  What survives
-    is the support of the limit couplings.  Takes any triple that satisfies
-    Assumption 1 and answers in its indices.
-
-    The levels come by divide and conquer on theta, one maximum flow per
-    depth for all pending sub-problems (X, Y): they are disjoint with their
-    cross entries cleared, and each gets capacities mu on X and theta nu on
-    Y, theta = mu(X)/nu(Y).  The rows A of X that the source reaches hold
-    the levels above theta: (X - A) x F(A) is cleared, and (A, F(A)) and
-    (X - A, Y - F(A)) go on.  With none reached X is one level.  It goes
-    whole when one forward and one backward closure from a root row span it
-    and no column has spare capacity, else as the sink components of
-    :func:`_sink_rows`; rows left over (a tie) go on at the same theta,
-    their entries into F(M) cleared.  Steps follow the tree, upper before
-    lower and a level before its tie continuation.  Every ratio, in the
-    capacities and in a step, is M(mu[X]) / M(nu[Y]) with both masses
-    summed by math.fsum, whose result does not depend on the order of the
-    terms; so a step's theta is the one-step reduction's, bit for bit.
+    gives the steps of the one-step reduction, the levels of
+    :func:`_reduction`: remove the union M of the smallest maximal
+    theta-sets of the active triple and F(M), after clearing (active rows
+    minus M) x F(M).  What survives is the support of the limit couplings.
+    Takes any triple that satisfies Assumption 1 and answers in its indices.
     """
     r, mu, nu = _require_assumption1(r, mu, nu)
+    levels, live = _reduction(r, mu, nu)
+    steps = []
+    rows = cols = 0
+    for theta, _, removed, image in reversed(levels):
+        rows, cols = rows | removed, cols | image
+        steps.append(ProcedureStep(*(tuple(_ones(bits)) for bits in (rows, cols, removed, image)), theta=theta))
+    return ProcedureTrace(steps=steps[::-1], final_mask=_unpack(live[0], len(nu)))
+
+
+def _reduction(r, mu, nu):
+    """``(levels, live)`` for a validated triple: its levels in step order
+    (upper before lower, a level before its tie continuation) and the
+    graph of bitsets of the limit support.  A level (X, Y) is ``(theta,
+    sinks, removed, image)``: theta = M(mu[X]) / M(nu[Y]), both masses a
+    math.fsum, which does not depend on the order of the terms (so theta
+    is the one-step reduction's, bit for bit), and the bitsets of its sink
+    components, of the rows M it removes and of their image F(M).
+
+    Divide and conquer on theta, one maximum flow per depth for all
+    pending sub-problems (X, Y): they are disjoint with their cross entries
+    cleared, and each gets capacities mu on X and theta nu on Y.  The rows
+    A of X that the source reaches hold the levels above theta:
+    (X - A) x F(A) is cleared, and (A, F(A)) and (X - A, Y - F(A)) go on.
+    With none reached X is one level, and one :func:`_sink_rows` call
+    gives the sink components of every level of a depth; M is their union.
+    Rows left over (a tie) go on at the same theta, their entries into
+    F(M) cleared.  A row whose entries all lie in F(A) (or F(M)) goes with
+    A (or M), as it does in exact arithmetic, where it raises the ratio;
+    the flow's saturation rule (:func:`_max_flow`) hides that for a row
+    lighter than 1e-12 M(mu).  A level without a sink component, where
+    that rule lets every row reach a spare column, goes whole.  So every
+    depth shrinks every sub-problem, and every row ends in a block that
+    keeps its entries.  Under Assumption 1 each column with nu > 0 keeps an
+    entry to a row of its sub-problem, so the images cover those columns.
+    """
     live = _bitsets(_r0_support(r, mu, nu))
 
     def clear(xs, ys):  # the entries xs x ys of live
@@ -172,53 +177,42 @@ def exact_support_procedure(r, mu, nu):
         for j in _ones(ys):
             live[1][j] &= ~xs
 
-    # sub-problems (place in the tree, rows, columns), and the levels found
-    # as (place, rows, columns, removed rows, removed columns), all bitsets
+    def within(xs, ys):  # the rows of xs whose entries all lie in ys
+        return sum(1 << i for i in _ones(xs) if not live[0][i] & ~ys)
+
+    # sub-problems (place in the tree, rows, columns) and levels (place, level)
     pending = [((), _bitset(mu > 0), _bitset(nu > 0))] if (mu > 0).any() else []
     levels = []
     while pending:
         rows = sum(x for _, x, _ in pending)  # disjoint: the active rows
-        theta_nu, mu_active = np.zeros_like(nu), np.zeros_like(mu)
+        theta_nu, mu_active, thetas = np.zeros_like(nu), np.zeros_like(mu), []
         for _, x, y in pending:
             x, y = _ones(x), _ones(y)
             mu_active[x] = mu[x]
-            theta_nu[y] = total_mass(mu[x]) / total_mass(nu[y]) * nu[y]
+            thetas.append(total_mass(mu[x]) / total_mass(nu[y]))
+            theta_nu[y] = thetas[-1] * nu[y]
         adj = [b if rows >> i & 1 else 0 for i, b in enumerate(live[0])], [b & rows for b in live[1]]
         _, reached, carry, spare = _max_flow(adj, mu_active, theta_nu)
         tasks, pending, leaves = pending, [], []
-        for key, x, y in tasks:
-            above = reached & x
+        for (key, x, y), theta in zip(tasks, thetas):
+            image = _image(reached & x, live[0])
+            above = within(x, image)
             if above and x & ~above:  # the levels above theta, and the rest
-                image = _image(above, live[0])
                 clear(x & ~above, image)
                 pending += [(key + (0,), above, image), (key + (1,), x & ~above, y & ~image)]
             else:
-                leaves.append((key, x, y))
-        # a level that its root row spans both ways in the residual graph,
-        # without a spare column, is one strongly connected piece: its own
-        # smallest maximizer
-        roots = sum(x & -x for _, x, _ in leaves)  # the leaves are disjoint
-        ahead, _ = _closure(roots, 0, adj, carry)
-        behind, _ = _closure(roots, 0, carry, adj)
-        for key, x, y in leaves:
-            removed = x
-            if x & ~(ahead & behind) or spare & y:
-                removed = sum(_sink_rows(adj, carry, spare, (1 << len(mu)) - 1 & ~x))  # disjoint
-            image = _image(removed, live[0])
-            levels.append((key + (0,), x, y, removed, image))
+                leaves.append((key, x, y, theta))
+        sinks = _sink_rows(adj, carry, spare, sum(leaf[1] for leaf in leaves))  # the leaves are disjoint
+        for key, x, y, theta in leaves:
+            found = [part for part in sinks if part & x] or [x]
+            image = _image(sum(found), live[0])
+            removed = within(x, image)
+            levels.append((key + (0,), (theta, found, removed, image)))
             if x & ~removed:  # the rest of the level shares its theta
                 clear(x & ~removed, image)
                 pending.append((key + (1,), x & ~removed, y & ~image))
-    if _bitset(nu > 0) & ~sum(level[4] for level in levels):  # disjoint images
-        raise Assumption2Violated("columns left over after the rows were exhausted")
     levels.sort(key=lambda level: level[0])
-    steps = []
-    rows = cols = 0
-    for _, x, y, removed, image in reversed(levels):
-        rows, cols = rows | removed, cols | image
-        steps.append(ProcedureStep(*(tuple(_ones(bits)) for bits in (rows, cols, removed, image)),
-                                   theta=total_mass(mu[_ones(x)]) / total_mass(nu[_ones(y)])))
-    return ProcedureTrace(steps=steps[::-1], final_mask=_unpack(live[0], len(nu)))
+    return [level for _, level in levels], live
 
 
 def default_thresholds(r, mu):

@@ -1,22 +1,30 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from degensink import appendix_a_instance
+from degensink import Assumption2Violated, appendix_a_instance
 from degensink.measures import as_coupling, as_triple, total_mass, tv_distance
 from degensink.scalability import (
     _UNBALANCED_TAG,
     ScalabilityClass,
+    _bitset,
+    _bitsets,
+    _image,
+    _max_flow,
+    _ones,
+    _r0_support,
+    _require_assumption1,
     check_assumption1,
     connected_components,
     support_graph,
 )
 from degensink import sinkhorn
-from degensink.support import ProcedureStep, ProcedureTrace, ThetaSetResult
+from degensink.support import ProcedureStep, ProcedureTrace, ThetaSetResult, _sink_rows
 from degensink.sinkhorn import _ZERO_STREAK, StopConfig, _LogIteration, run_sinkhorn
 from degensink.instances import (
     InstanceSpec,
@@ -319,11 +327,39 @@ def oracle_peel(r, mu, nu):
     return ThetaSetResult(theta_m, [tuple(rows[list(s)].tolist()) for s in smallest])
 
 
+def dinkelbach_peel(r, mu, nu):
+    """``maximal_theta`` by Dinkelbach iterations (Dinkelbach, Management
+    Sci. 1967), the reference peel of :func:`one_step_reduction`, with the
+    same inputs, answers and errors.  From theta = M(mu)/M(nu), the ratio
+    of all rows, a maximum flow with capacities (mu, theta nu) finds the
+    inclusion-minimal maximizer A of mu(A) - theta nu(F(A)), the rows
+    reached from the source in its residual graph, and theta moves up to
+    the ratio M(mu[A]) / M(nu[F(A)]) of A until none is reached.  At
+    theta_m the inclusion-minimal maximizers are the row sets of the sink
+    strongly connected components of that residual graph among the nodes
+    that cannot reach the sink (Picard-Queyranne)."""
+    r, mu, nu = _require_assumption1(r, mu, nu)
+    if total_mass(mu) == 0:
+        raise Assumption2Violated("theta_m needs mu and nu with positive mass")
+    adj = _bitsets(_r0_support(r, mu, nu))
+    theta = total_mass(mu) / total_mass(nu)
+    while True:
+        _, reached, carry, spare = _max_flow(adj, mu, theta * nu)
+        if not reached:
+            break
+        ratio = total_mass(mu[_ones(reached)]) / total_mass(nu[_ones(_image(reached, adj[0]))])
+        if not ratio > theta:
+            break
+        theta = ratio
+    found = _sink_rows(adj, carry, spare, _bitset(mu > 0))
+    return ThetaSetResult(theta_m=theta, smallest=sorted(tuple(_ones(rows)) for rows in found))
+
+
 def one_step_reduction(r, mu, nu, peel):
     """The exact reduction one step at a time, the reference of
     ``exact_support_procedure``: from the support of R0 with the rows of
-    mu > 0 and the columns of nu > 0 active, ``peel`` (``maximal_theta`` or
-    :func:`oracle_peel`) on the active triple gives theta and the smallest
+    mu > 0 and the columns of nu > 0 active, ``peel`` (:func:`dinkelbach_peel`
+    or :func:`oracle_peel`) on the active triple gives theta and the smallest
     maximizers, whose union M the step removes with F(M), after clearing
     (active rows minus M) x F(M).  A ``ProcedureTrace``."""
     r, mu, nu = (np.asarray(x, dtype=float) for x in (r, mu, nu))
@@ -342,6 +378,77 @@ def one_step_reduction(r, mu, nu, peel):
         live[np.ix_(rows, removed_cols)] = False
     assert not cols.any()
     return ProcedureTrace(steps=steps, final_mask=live)
+
+
+# ---------------------------------------------------------------------------
+# The reduction of an increasing reference in closed form, in exact
+# rational arithmetic: the reference of the structure layer at any size.
+
+
+def increasing_reduction(mu, nu):
+    """The exact reduction of the n x n increasing reference (R_ij > 0 iff
+    i <= j) with positive masses ``mu`` and ``nu``: ``(steps, mask)``, the
+    steps as ``(k, e, theta)``, each removing the rows and columns [k, e)
+    at the ratio theta, a ``Fraction``, and the limit support.
+
+    From the rows and columns [0, e) still active, a row set A whose
+    smallest row is k has the image F(A) = [k, e), so mu(A)/nu(F(A)) is at
+    most mu([k, e))/nu([k, e)), with equality only for A = [k, e): the
+    maximizers are the suffixes of largest ratio.  They are nested, so the
+    union of the inclusion-minimal ones is the shortest, [k, e).  The step
+    removes it, rows < k x columns >= k are cleared, and [0, k) stays
+    active.  The limit support is the upper triangle of each block [k, e).
+    Each ratio is compared exactly, every mass converted by ``Fraction``."""
+    n = len(mu)
+    mu_tail, nu_tail = [Fraction(0)] * (n + 1), [Fraction(0)] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        mu_tail[i], nu_tail[i] = mu_tail[i + 1] + Fraction(float(mu[i])), nu_tail[i + 1] + Fraction(float(nu[i]))
+    steps, mask, e = [], np.zeros((n, n), dtype=bool), n
+    while e:
+        k = max(range(e - 1, -1, -1), key=lambda i: (mu_tail[i] - mu_tail[e]) / (nu_tail[i] - nu_tail[e]))
+        steps.append((k, e, (mu_tail[k] - mu_tail[e]) / (nu_tail[k] - nu_tail[e])))
+        mask[k:e, k:e] = np.triu(np.ones((e - k, e - k), dtype=bool))
+        e = k
+    return steps, mask
+
+
+def increasing_tag(mu, nu):
+    """``classify_exact``'s tag of an increasing reference with positive
+    masses, from :func:`increasing_reduction`: Scalable with one block,
+    ApproximatelyScalable with several at one ratio (M(mu)/M(nu)),
+    NonScalable otherwise; Unbalanced* when M(mu) != M(nu), both masses
+    summed exactly."""
+    steps, _ = increasing_reduction(mu, nu)
+    tag = ("Scalable" if len(steps) == 1 else
+           "ApproximatelyScalable" if len({theta for _, _, theta in steps}) == 1 else "NonScalable")
+    balanced = sum(map(Fraction, map(float, mu))) == sum(map(Fraction, map(float, nu)))
+    return tag if balanced else _UNBALANCED_TAG[tag]
+
+
+def increasing_draw(rng, n):
+    """Positive integer masses (mu, nu) for the n x n increasing reference,
+    with ties built in: blocks of random sizes, each with mu = c nu for a c
+    drawn from {1, 2, 3} (so neighbouring blocks often share a ratio), or
+    c = 1 throughout in a quarter of the draws, one unit of mu moved from
+    a block's last row to its first where that leaves it positive; a
+    third of the draws then balanced by adding |M(mu) - M(nu)| to one
+    mass of the lighter side."""
+    nu = rng.integers(1, 5, n)
+    mu = np.empty(n, dtype=np.int64)
+    top = 1 if rng.random() < 1 / 4 else 3
+    start = 0
+    while start < n:
+        end = min(n, start + int(rng.integers(1, max(2, n // 3) + 1)))
+        mu[start:end] = int(rng.integers(1, top + 1)) * nu[start:end]
+        if mu[end - 1] > 1 and end - start > 1:
+            mu[start] += 1
+            mu[end - 1] -= 1
+        start = end
+    gap = int(mu.sum() - nu.sum())
+    if rng.random() < 1 / 3:
+        light = nu if gap > 0 else mu
+        light[int(rng.integers(n))] += abs(gap)
+    return mu.astype(float), nu.astype(float)
 
 
 # ---------------------------------------------------------------------------

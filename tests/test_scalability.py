@@ -372,11 +372,13 @@ FILL_DRAWS = _fill_draws()
 
 def test_greedy_fill_is_the_cumsum_form():
     # the per-row scan against the vector form it replaced, bit for bit;
-    # and a feasible flow on the support at the 1e-12 M(mu) rule
+    # and a feasible flow on the support at the 1e-12 M(mu) rule, with
+    # the graph of the entries it carries
     for adj, mu, nu in FILL_DRAWS:
-        fill = scalability._greedy_fill(scalability._bitsets(adj), mu, nu)
+        fill, carry = scalability._greedy_fill(scalability._bitsets(adj), mu, nu)
         assert fill.tobytes() == reference_greedy_fill(adj, mu, nu).tobytes()
         tol = 1e-12 * total_mass(mu)
+        assert carry == scalability._bitsets(fill > tol)
         assert fill.min(initial=0.0) >= 0 and not fill[~adj].any()
         assert (fill.sum(axis=1) <= mu + tol).all() and (fill.sum(axis=0) <= nu + tol).all()
 
@@ -386,7 +388,7 @@ def test_greedy_fill_writes_no_negative_zero():
     # of the row's support made that form write -0.0 flows
     adj = np.array([[False, True], [True, True]])
     mu, nu = np.array([1.0, 2.0]), np.array([-0.0, 3.0])
-    fill = scalability._greedy_fill(scalability._bitsets(adj), mu, nu)
+    fill = scalability._greedy_fill(scalability._bitsets(adj), mu, nu)[0]
     want = reference_greedy_fill(adj, mu, nu)
     assert np.signbit(want).any() and not np.signbit(fill).any()
     assert np.array_equal(fill, want)

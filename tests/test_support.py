@@ -36,6 +36,7 @@ from conftest import (
     R_STAR,
     S_MASK,
     detect_limit_support,
+    dinkelbach_peel,
     is_sisp,
     one_step_reduction,
     oracle_cases,
@@ -88,7 +89,7 @@ def _assert_theta_matches_oracle(r, mu, nu):
 
 
 def test_maximal_theta_agrees_with_enumeration_oracle():
-    # the staircase takes several Dinkelbach flows, each from the greedy fill
+    # the staircase's reduction takes several flows, each from the greedy fill
     cases = oracle_cases(405) + [staircase_instance(16, [6, 5, 5], block_ratio_schedule(3))[:3]]
     for r, mu, nu in cases:
         _assert_theta_matches_oracle(r, mu, nu)
@@ -131,14 +132,53 @@ def _staircase(n, n_blocks):
     lambda: [relabelled(np.random.default_rng(b), *_staircase(16, b)) for b in (3, 4, 5)],
 ], ids=["oracle404", "oracle505", "staircase16"])
 def test_exact_procedure_is_the_one_step_reduction(cases):
-    # bit for bit the reduction that runs maximal_theta once per step,
-    # theta included: on the oracle triples (29 of them tied, with two
-    # steps at one theta) and on relabelled 16-row staircases
+    # bit for bit the reduction that runs the Dinkelbach loop once per
+    # step, theta included: on the oracle triples (29 of them tied, with
+    # two steps at one theta) and on relabelled 16-row staircases
     for r, mu, nu in cases():
         got = exact_support_procedure(r, mu, nu)
-        want = one_step_reduction(r, mu, nu, maximal_theta)
+        want = one_step_reduction(r, mu, nu, dinkelbach_peel)
         assert got.steps == want.steps
         assert np.array_equal(got.final_mask, want.final_mask)
+
+
+def _doubled_triples(rng, count):
+    """Random triples laid twice along the diagonal, relabelled: each
+    maximizer of one copy has its twin, so theta_m has at least two
+    inclusion-minimal maximizers."""
+    cases = []
+    for _ in range(count):
+        r, mu, nu = random_instance(rng, max_n=6, balanced=False, full_support=True)
+        n, m = r.shape
+        double = np.zeros((2 * n, 2 * m))
+        double[:n, :m] = double[n:, m:] = r
+        cases.append(relabelled(rng, double, np.tile(mu, 2), np.tile(nu, 2)))
+    return cases
+
+
+def _outcome(peel, r, mu, nu):
+    try:
+        return peel(r, mu, nu)
+    except Exception as exc:  # the type and the message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cases", [
+    lambda: oracle_cases(404) + oracle_cases(505) + oracle_cases(406) + oracle_cases(507),
+    lambda: [relabelled(np.random.default_rng(b), *_staircase(n, b)) for n in (16, 100) for b in (2, 3, 4, 5, 10)],
+    lambda: _zero_mass_triples(np.random.default_rng(2023), 40) + [
+        (np.diag([1.0, 0.0]), [1.0, 1.0], [1.0, 1.0]), (np.ones((2, 3)), np.zeros(2), np.zeros(3)),
+        (np.ones((2, 2)), [0.0, 0.0], [1.0, 1.0])],
+    lambda: _doubled_triples(np.random.default_rng(2024), 30),
+], ids=["oracle", "staircase16+100", "zero_mass+raising", "doubled"])
+def test_maximal_theta_is_the_dinkelbach_loop(cases):
+    # the reduction's top level is what Dinkelbach iterations end on:
+    # theta_m bit for bit, the same smallest maximizers, the same errors
+    for r, mu, nu in cases():
+        got, want = _outcome(maximal_theta, r, mu, nu), _outcome(dinkelbach_peel, r, mu, nu)
+        assert got == want
+        if isinstance(want, ThetaSetResult):
+            assert got.theta_m.hex() == want.theta_m.hex()
 
 
 @pytest.mark.parametrize("n_blocks, flows", [(4, 3), (6, 4), (10, 5)])
@@ -215,6 +255,50 @@ def test_exact_procedure_staircase_block_order():
     assert thetas == sorted(thetas, reverse=True)
     assert thetas == pytest.approx(ratios)
     assert np.array_equal(trace.final_mask, support)
+
+
+def test_exact_procedure_keeps_a_row_too_light_for_the_flow():
+    # row 1 is lighter than the flow's 1e-12 M(mu) saturation rule, and its
+    # entry lies in the image of row 0: it goes with row 0, as in exact
+    # arithmetic, and keeps its entry.  It used to be left over without a
+    # column, and the procedure raised ZeroDivisionError
+    r = np.array([[1.0, 1.0], [1.0, 0.0]])
+    trace = exact_support_procedure(r, np.array([1.0, 1e-14]), np.array([0.5, 0.5 + 1e-14]))
+    assert [(s.sisp_rows, s.sisp_cols, s.theta) for s in trace.steps] == [((0, 1), (0, 1), 1.0)]
+    assert np.array_equal(trace.final_mask, r > 0)
+
+
+def _wide_mass_triples(rng, count):
+    """Random triples of up to 8 x 8 satisfying Assumption 1, masses
+    10^U(-16, 0) with a tenth of them zero, every other one balanced."""
+    cases = []
+    while len(cases) < count:
+        n, m = (int(k) for k in rng.integers(1, 9, 2))
+        r = (rng.random((n, m)) < 0.6).astype(float)
+        mu, nu = (10.0 ** rng.uniform(-16, 0, k) * (rng.random(k) < 0.9) for k in (n, m))
+        if len(cases) % 2 and nu.sum() > 0:
+            nu *= mu.sum() / nu.sum()
+        if mu.sum() > 0 and scalability.check_assumption1(r, mu, nu):
+            cases.append((r, mu, nu))
+    return cases
+
+
+def test_exact_procedure_on_masses_across_sixteen_decades():
+    # every run ends, and every row and column with mass keeps an entry of
+    # the limit support.  The procedure used to raise ZeroDivisionError on
+    # 86 of these 400, to leave a row with mass but no entry on 19 more,
+    # and never to end on the 8 x 5 triple, where the saturation rule let
+    # every row of the level reach a spare column
+    cases = _wide_mass_triples(np.random.default_rng(3), 400) + [(
+        np.array([[1, 0, 0, 0, 1], [1, 1, 1, 1, 0], [1, 1, 1, 1, 0], [0, 1, 1, 1, 1],
+                  [1, 1, 0, 0, 1], [1, 1, 0, 1, 0], [1, 0, 1, 0, 0], [1, 0, 0, 0, 1]], dtype=float),
+        np.array([7.554073967932916e-13, 0.0673028853414541, 0.0019462092002760182, 0.0015677060231567375,
+                  5.789125835252823e-06, 6.447550472867791e-14, 1.687901044258649e-14, 1.665632694833136e-13]),
+        np.array([0.0, 2.5981722912972127e-05, 3.2983348233600754e-12, 7.03448444231808e-14,
+                  3.914498342652114e-08]))]
+    for r, mu, nu in cases:
+        mask = exact_support_procedure(r, mu, nu).final_mask
+        assert mask[mu > 0].any(axis=1).all() and mask[:, nu > 0].any(axis=0).all()
 
 
 def _zero_mass_triples(rng, count):
