@@ -268,22 +268,26 @@ def _loose_rows(adj, carry):
 def _greedy_fill(adj, mu, nu):
     """A feasible flow on the support ``adj`` (a graph of bitsets) with
     row capacities ``mu`` and column capacities ``nu``: each row with
-    mass, in index order, scans its support columns that still have spare
-    capacity in index order, keeping a running sum ``total`` of their
-    spares; each takes ``min(total, mu_i)`` less what the row sent before
-    it, until ``total`` reaches ``mu_i``, and drops out once its spare
-    falls to 0 or below.  These are the IEEE operations, in the same
-    order, of diff(min(cumsum(spare_col adj_i), mu_i)) with spares clamped
-    at 0 (a column skipped adds exactly 0 to the sum, and past mu_i every
-    difference is 0), so the flow is that form's bit for bit, but for its
-    -0.0 entries next to a capacity of -0.0, which are +0.0 here.  Returns
-    ``(flow, carry)``, each bit of ``carry`` (:func:`_max_flow`) set as its entry is written."""
+    mass, smallest support first and ties by index, scans its support
+    columns that still have spare capacity in index order, keeping a
+    running sum ``total`` of their spares; each takes ``min(total, mu_i)``
+    less what the row sent before it, until ``total`` reaches ``mu_i``, and
+    drops out once its spare falls to 0 or below.  These are the IEEE
+    operations, in the same order, of diff(min(cumsum(spare_col adj_i),
+    mu_i)) with spares clamped at 0 (a column skipped adds exactly 0 to the
+    sum, and past mu_i every difference is 0), so the flow is that form's
+    bit for bit, but for its -0.0 entries next to a capacity of -0.0,
+    which are +0.0 here.  On nested supports (of any two rows, one support
+    holds the other) it is a maximum flow: a row left short found its
+    columns full, filled only by it and by earlier rows, whose supports it holds.
+    Returns ``(flow, carry)``, each bit of ``carry`` set as its entry is written."""
     tol = _RESIDUAL_TOL * total_mass(mu)
     flow = np.zeros((len(adj[0]), len(adj[1])))
     carry = [0] * len(adj[0]), [0] * len(adj[1])
     live = _bitset(np.asarray(nu) > 0)
     spare, need_of = np.asarray(nu, dtype=float).tolist(), np.asarray(mu, dtype=float).tolist()
-    for i in np.flatnonzero(mu).tolist():  # a massless row sends nothing
+    degree = list(map(int.bit_count, adj[0]))
+    for i in sorted(np.flatnonzero(mu).tolist(), key=degree.__getitem__):  # a massless row sends nothing
         need, row, todo = need_of[i], flow[i], adj[0][i] & live
         total = filled = 0.0
         while todo:
@@ -317,13 +321,14 @@ def _max_flow(adj, mu, nu):
     M(mu) counts as saturated: an edge saturated one ulp short is not an
     edge.  ``carry`` follows every write of the flow that crosses it.
 
-    It starts from :func:`_greedy_fill`.  Then each phase (Dinic) searches
-    breadth first from every row with spare supply, rows to columns
-    through the support and columns back to rows through entries that
-    carry flow, one OR of bitsets per layer, and stops at the first layer
-    that reaches a column with spare capacity; :func:`_blocking_flow` then
-    saturates every shortest augmenting path of that layered graph, so the
-    next phase's paths are longer.
+    It starts from :func:`_greedy_fill`, a maximum flow when the row
+    supports are nested.  Then each phase (Dinic) searches breadth first
+    from every row with spare supply, rows to columns through the support
+    and columns back to rows through entries that carry flow, one OR of
+    bitsets per layer, and stops at the first layer that reaches a column
+    with spare capacity; :func:`_blocking_flow` then saturates every
+    shortest augmenting path of that layered graph, so the next phase's
+    paths are longer.
     """
     tol = _RESIDUAL_TOL * total_mass(mu)
     flow, carry = _greedy_fill(adj, mu, nu)

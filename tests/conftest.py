@@ -73,6 +73,23 @@ def max_flow_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def blocking_flow_calls(monkeypatch):
+    """Records the arguments of each call of ``scalability._blocking_flow``,
+    one per Dinic phase of ``scalability._max_flow``."""
+    from degensink import scalability
+
+    calls = []
+    blocking_flow = scalability._blocking_flow
+
+    def counting(*args):
+        calls.append(args)
+        return blocking_flow(*args)
+
+    monkeypatch.setattr(scalability, "_blocking_flow", counting)
+    return calls
+
+
 # Iterate values as printed in the worked example, keyed by half-step.
 # The b-vector printed at half-step 81 repeats the one of half-step 80;
 # near-zero coupling entries appear as 0 here and are asserted to be
@@ -456,8 +473,9 @@ def increasing_draw(rng, n):
 # reference its per-row scan is checked against, bit for bit.
 
 
-def reference_greedy_fill(adj, mu, nu):
-    """Each row with mass, in index order, fills its support columns in
+def reference_greedy_fill(adj, mu, nu, order="degree"):
+    """Each row with mass, smallest support first with ties by index (or,
+    with ``order="index"``, in index order), fills its support columns in
     index order up to their spare capacity, written as
     diff(min(cumsum(spare_col adj_i), mu_i)); a spare capacity that
     rounding leaves negative is clamped to 0."""
@@ -465,7 +483,10 @@ def reference_greedy_fill(adj, mu, nu):
     flow = np.zeros((n, m))
     spare_col = np.array(nu, dtype=float)
     filled = np.empty(m)
-    for i in np.flatnonzero(mu).tolist():
+    rows = np.flatnonzero(mu)
+    if order == "degree":
+        rows = rows[np.argsort(adj[rows].sum(axis=1), kind="stable")]
+    for i in rows.tolist():
         np.minimum(np.add.accumulate(spare_col * adj[i]), mu[i], out=filled)
         row = flow[i]
         row[:1] = filled[:1]
@@ -495,15 +516,16 @@ def reference_closure(rows, cols, down, up):
     return rows, cols
 
 
-def reference_max_flow(adj, mu, nu):
+def reference_max_flow(adj, mu, nu, order="degree"):
     """``(flow, reached, carry, spare)`` of ``scalability._max_flow`` on
     the dense support ``adj``, the last three as boolean masks: the greedy
-    fill (:func:`reference_greedy_fill`), then Dinic phases whose layers
-    are index arrays, each a breadth-first search by boolean frontier
-    steps and a blocking flow (:func:`reference_blocking_flow`)."""
+    fill (:func:`reference_greedy_fill`, its rows in ``order``), then Dinic
+    phases whose layers are index arrays, each a breadth-first search by
+    boolean frontier steps and a blocking flow
+    (:func:`reference_blocking_flow`)."""
     m = adj.shape[1]
     tol = 1e-12 * total_mass(mu)
-    flow = reference_greedy_fill(adj, mu, nu)
+    flow = reference_greedy_fill(adj, mu, nu, order)
     spare_row = mu - flow.sum(axis=1)
     spare_col = nu - flow.sum(axis=0)
     while True:

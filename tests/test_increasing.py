@@ -11,7 +11,7 @@ import pytest
 
 from degensink import classify_exact, exact_support_procedure, maximal_theta
 from degensink.instances import block_ratio_schedule, staircase_instance
-from conftest import increasing_draw, increasing_reduction, increasing_tag
+from conftest import increasing_draw, increasing_reduction, increasing_tag, relabelled
 
 # a ratio of two correctly rounded sums (math.fsum), correctly rounded:
 # within 3u of the exact one, so within 3 ulps of it
@@ -101,3 +101,27 @@ def test_staircase_support_is_the_rules(n):
         steps, mask = increasing_reduction(mu, nu)
         assert np.array_equal(support, mask)
         assert [(k, e) for k, e, _ in steps] == sorted(bounds, reverse=True)
+
+
+def _nested_cases():
+    """Relabelled staircases of 16 to 200 rows with 1 to 10 blocks and the
+    increasing draws of ``DRAWS``, each with its transpose: every row's
+    support contains or lies in every other's."""
+    rng = np.random.default_rng(13)
+    cases = []
+    for n in (16, 40, 100, 200):
+        for n_blocks in range(1, 11):
+            sizes = [n // n_blocks + (i < n % n_blocks) for i in range(n_blocks)]
+            cases.append(staircase_instance(n, sizes, block_ratio_schedule(n_blocks))[:3])
+    cases += DRAWS
+    cases += [(r.T, nu, mu) for r, mu, nu in cases]
+    return [relabelled(rng, *case) for case in cases]
+
+
+def test_nested_supports_need_no_dinic_phase(blocking_flow_calls):
+    # the greedy fill, smallest support first, is a maximum flow on nested
+    # supports, at every depth of the reduction and whatever the labels
+    for r, mu, nu in _nested_cases():
+        classify_exact(r, mu, nu)
+        exact_support_procedure(r, mu, nu)
+        assert not blocking_flow_calls

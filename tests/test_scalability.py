@@ -423,13 +423,26 @@ def _wide_draws(count=1500):
     return draws
 
 
+WIDE_DRAWS = _wide_draws()
+
+
 def test_max_flow_is_bit_identical_from_the_cumsum_fill():
     # flow, reached rows, carrying entries and spare columns, bytes and
     # all, against the dense reference that starts from the cumsum fill
-    for adj, mu, nu in FILL_DRAWS + _wide_draws():
+    for adj, mu, nu in FILL_DRAWS + WIDE_DRAWS:
         got = _masks(*scalability._max_flow(scalability._bitsets(adj), mu, nu))
         want = reference_max_flow(adj, mu, nu)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_max_flow_cut_does_not_depend_on_the_fill_order():
+    # from the fill in index order, Dinic's phases end on another maximum
+    # flow, with the same minimum cut and the same value
+    for adj, mu, nu in FILL_DRAWS + WIDE_DRAWS:
+        flow, reached, _, _ = _masks(*scalability._max_flow(scalability._bitsets(adj), mu, nu))
+        want_flow, want_reached, _, _ = reference_max_flow(adj, mu, nu, order="index")
+        assert np.array_equal(reached, want_reached)
+        assert abs(flow.sum() - want_flow.sum()) <= 1e-12 * total_mass(mu)
 
 
 def _random_adjacencies(count=300):
