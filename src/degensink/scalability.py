@@ -325,10 +325,10 @@ def _max_flow(adj, mu, nu):
     supports are nested.  Then each phase (Dinic) searches breadth first
     from every row with spare supply, rows to columns through the support
     and columns back to rows through entries that carry flow, one OR of
-    bitsets per layer, and stops at the first layer that reaches a column
-    with spare capacity; :func:`_blocking_flow` then saturates every
-    shortest augmenting path of that layered graph, so the next phase's
-    paths are longer.
+    bitsets per layer, up to the first layer with a column of spare
+    capacity, cut down to those columns; :func:`_blocking_flow` then
+    saturates every shortest augmenting path of that layered graph, each
+    traced back from its sink column, so the next phase's paths are longer.
     """
     tol = _RESIDUAL_TOL * total_mass(mu)
     flow, carry = _greedy_fill(adj, mu, nu)
@@ -348,6 +348,7 @@ def _max_flow(adj, mu, nu):
             layers.append(rows)
             if not rows:
                 break
+        layers[-1] &= spare
         if not layers[-1]:  # no augmenting path is left
             return flow, reached, carry, _bitset(nu - flow.sum(axis=0) > tol)
         _blocking_flow(adj, flow, carry, spare_row, spare_col, layers, tol)
@@ -355,54 +356,45 @@ def _max_flow(adj, mu, nu):
 
 def _blocking_flow(adj, flow, carry, spare_row, spare_col, layers, tol):
     """Augment ``flow`` and its graph ``carry`` in place along shortest
-    paths of the layered graph ``layers`` (bitsets) until none is left.
-    Depth first from each source row, each node keeps the bitset of its
-    untried successors, the highest being its current arc (Dinic): an arc
-    leaves it once it is saturated or leads to a dead end.  Each
-    augmentation empties its bottleneck exactly."""
-    last = len(layers) - 1
-    arcs = [{} for _ in layers]
-    for s in _ones(layers[0]):
-        path = [s]
-        while path:
-            k = len(path) - 1
-            if k == last:  # forward edges path[2h] -> path[2h + 1], backward path[2h + 1] -> path[2h + 2]
-                back = list(zip(path[2::2], path[1::2]))
-                delta = min(spare_row[s], spare_col[path[-1]], *(flow[e] for e in back))
-                for i, j in zip(path[0::2], path[1::2]):
-                    flow[i, j] = f = flow[i, j] + delta
-                    if f > tol:
-                        carry[0][i] |= 1 << j
-                        carry[1][j] |= 1 << i
-                for i, j in back:
-                    flow[i, j] = f = flow[i, j] - delta
-                    if f <= tol:
-                        carry[0][i] &= ~(1 << j)
-                        carry[1][j] &= ~(1 << i)
-                spare_row[s] -= delta
-                spare_col[path[-1]] -= delta
-                if spare_row[s] <= tol:
-                    break
-                # go on from the tail of the first edge that went saturated
-                del path[next((2 * h + 2 for h, (i, j) in enumerate(back) if not carry[0][i] >> j & 1), last):]
-                continue
-            v = path[-1]
-            todo = arcs[k].get(v)
-            if todo is None:  # columns v reaches, or rows sending flow into column v
-                todo = (carry[1] if k % 2 else adj[0])[v] & layers[k + 1]
-            while todo:
-                w = todo.bit_length() - 1
-                saturated = not carry[1][v] >> w & 1 if k % 2 else k + 1 == last and spare_col[w] <= tol
-                if not saturated and arcs[k + 1].get(w) != 0:
-                    break
-                todo ^= 1 << w
-            arcs[k][v] = todo
-            if todo:
-                path.append(w)
-            else:  # v is a dead end
-                path.pop()
-                if path:
-                    arcs[k - 1][path[-1]] ^= 1 << v
+    paths of the layered graph ``layers`` (bitsets; the last layer holds
+    only columns with spare capacity) until none is left.  Each path is
+    traced back from the highest column of the last layer, at each layer to
+    the highest predecessor left there: a support row of a column, a column
+    a row sends flow into.  A node without one, and a source row or sink
+    column once saturated, is cleared from its layer for the phase: forward
+    edges never saturate and a new carrying entry points back one layer, so
+    no edge appears.  Each augmentation empties its bottleneck exactly."""
+    k = end = len(layers)  # path[k:] is traced back from the sink
+    path = [0] * end
+    while layers[-1]:
+        ahead = layers[-1] if k == end else (adj[1] if k % 2 else carry[0])[path[k]] & layers[k - 1]
+        if not ahead:  # path[k] is a dead end
+            layers[k] ^= 1 << path[k]
+            k += 1
+            continue
+        k -= 1
+        path[k] = ahead.bit_length() - 1
+        if not k:  # path holds a source row, then columns and rows, then a sink column
+            s, t = path[0], path[-1]
+            back = list(zip(path[2::2], path[1::2]))  # backward edges path[2h + 1] -> path[2h + 2]
+            delta = min(spare_row[s], spare_col[t], *(flow[e] for e in back))
+            for i, j in zip(path[0::2], path[1::2]):  # forward edges path[2h] -> path[2h + 1]
+                flow[i, j] = f = flow[i, j] + delta
+                if f > tol:
+                    carry[0][i] |= 1 << j
+                    carry[1][j] |= 1 << i
+            for i, j in back:
+                flow[i, j] = f = flow[i, j] - delta
+                if f <= tol:
+                    carry[0][i] &= ~(1 << j)
+                    carry[1][j] &= ~(1 << i)
+            spare_row[s] -= delta
+            spare_col[t] -= delta
+            if spare_row[s] <= tol:
+                layers[0] ^= 1 << s
+            if spare_col[t] <= tol:
+                layers[-1] ^= 1 << t
+            k = end
 
 
 def _carries_mass(value, m_mu):

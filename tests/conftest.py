@@ -520,9 +520,9 @@ def reference_max_flow(adj, mu, nu, order="degree"):
     """``(flow, reached, carry, spare)`` of ``scalability._max_flow`` on
     the dense support ``adj``, the last three as boolean masks: the greedy
     fill (:func:`reference_greedy_fill`, its rows in ``order``), then Dinic
-    phases whose layers are index arrays, each a breadth-first search by
-    boolean frontier steps and a blocking flow
-    (:func:`reference_blocking_flow`)."""
+    phases whose layers are boolean masks, each a breadth-first search by
+    boolean frontier steps, its last layer cut down to the columns with
+    spare capacity, and a blocking flow (:func:`reference_blocking_flow`)."""
     m = adj.shape[1]
     tol = 1e-12 * total_mass(mu)
     flow = reference_greedy_fill(adj, mu, nu, order)
@@ -530,71 +530,55 @@ def reference_max_flow(adj, mu, nu, order="degree"):
     spare_col = nu - flow.sum(axis=0)
     while True:
         reached = spare_row > tol
-        layers = [reached.nonzero()[0]]  # rows, columns, rows, ..., columns
+        layers = [reached.copy()]  # rows, columns, rows, ..., columns
         seen_col = np.zeros(m, dtype=bool)
         while True:
-            cols = (adj[layers[-1]].any(axis=0) & ~seen_col).nonzero()[0]
-            seen_col[cols] = True
+            cols = adj[layers[-1]].any(axis=0) & ~seen_col
+            seen_col |= cols
             layers.append(cols)
-            if not cols.size or (spare_col[cols] > tol).any():
+            if not cols.any() or (spare_col[cols] > tol).any():
                 break
-            rows = ((flow[:, cols] > tol).any(axis=1) & ~reached).nonzero()[0]
-            reached[rows] = True
+            rows = (flow[:, cols] > tol).any(axis=1) & ~reached
+            reached |= rows
             layers.append(rows)
-            if not rows.size:
+            if not rows.any():
                 break
-        if not layers[-1].size:  # no augmenting path is left
+        if not layers[-1].any():  # no augmenting path is left
             return flow, reached, flow > tol, nu - flow.sum(axis=0) > tol
+        layers[-1] &= spare_col > tol
         reference_blocking_flow(adj, flow, spare_row, spare_col, layers, tol)
 
 
 def reference_blocking_flow(adj, flow, spare_row, spare_col, layers, tol):
     """Augment ``flow`` in place along shortest paths of the layered graph
-    ``layers`` until none is left: depth first from each source row, each
-    node keeps the list of its untried successors, the last one being its
-    current arc."""
-    last = len(layers) - 1
-    members = []  # each layer as a boolean mask over the rows or the columns
-    for k, nodes in enumerate(layers):
-        mask = np.zeros(adj.shape[k % 2], dtype=bool)
-        mask[nodes] = True
-        members.append(mask)
-    arcs = [{} for _ in layers]
-    for s in layers[0].tolist():
-        path = [s]
-        while path:
-            k = len(path) - 1
-            if k == last:  # forward edges path[2h] -> path[2h + 1], backward path[2h + 1] -> path[2h + 2]
-                back = list(zip(path[2::2], path[1::2]))
-                delta = min(spare_row[s], spare_col[path[-1]], *(flow[e] for e in back))
-                for e in zip(path[0::2], path[1::2]):
-                    flow[e] += delta
-                for e in back:
-                    flow[e] -= delta
-                spare_row[s] -= delta
-                spare_col[path[-1]] -= delta
-                if spare_row[s] <= tol:
-                    break
-                # go on from the tail of the first edge that went saturated
-                del path[next((2 * h + 2 for h, e in enumerate(back) if flow[e] <= tol), last):]
-                continue
-            v = path[-1]
-            todo = arcs[k].get(v)
-            if todo is None:  # columns v reaches, or rows sending flow into column v
-                link = flow[:, v] > tol if k % 2 else adj[v]
-                todo = arcs[k][v] = (link & members[k + 1]).nonzero()[0].tolist()
-            while todo:
-                w = todo[-1]
-                saturated = flow[w, v] <= tol if k % 2 else k + 1 == last and spare_col[w] <= tol
-                if not saturated and arcs[k + 1].get(w) != []:
-                    break
-                todo.pop()
-            if todo:
-                path.append(todo[-1])
-            else:  # v is a dead end
-                path.pop()
-                if path:
-                    arcs[k - 1][path[-1]].pop()
+    ``layers`` (boolean masks) until none is left: each path traced back
+    from the highest column of the last layer, at each layer to the
+    highest predecessor still in it, a row of ``adj[:, v]`` for a column
+    v and a column of ``flow[v] > tol`` for a row v.  A node without one,
+    and a source row or sink column once saturated, leaves its layer."""
+    k = end = len(layers)  # path[k:] is traced back from the sink
+    path = [0] * end
+    while layers[-1].any():
+        ahead = layers[-1] if k == end else (adj[:, path[k]] if k % 2 else flow[path[k]] > tol) & layers[k - 1]
+        if not ahead.any():  # path[k] is a dead end
+            layers[k][path[k]] = False
+            k += 1
+            continue
+        k -= 1
+        path[k] = int(ahead.nonzero()[0][-1])
+        if not k:  # forward edges path[2h] -> path[2h + 1], backward path[2h + 1] -> path[2h + 2]
+            s, t = path[0], path[-1]
+            back = list(zip(path[2::2], path[1::2]))
+            delta = min(spare_row[s], spare_col[t], *(flow[e] for e in back))
+            for e in zip(path[0::2], path[1::2]):
+                flow[e] += delta
+            for e in back:
+                flow[e] -= delta
+            spare_row[s] -= delta
+            spare_col[t] -= delta
+            layers[0][s] = spare_row[s] > tol
+            layers[-1][t] = spare_col[t] > tol
+            k = end
 
 
 # ---------------------------------------------------------------------------

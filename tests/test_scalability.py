@@ -269,8 +269,10 @@ def test_a_column_too_light_to_carry_flow_leaves_its_component_whole():
 
 def _flow_oracle_cases():
     """Non-square random instances from sparse to dense, relabelled
-    NonScalable staircases of 2-6 blocks at 50-200 rows, and random
-    instances with massless rows and columns."""
+    NonScalable staircases of 2-6 blocks at 50-200 rows, random instances
+    with massless rows and columns, and sparse random supports of 400 and
+    1,000 rows, where the blocking flows trace hundreds of augmenting
+    paths back past dead ends."""
     rng = np.random.default_rng(31)
     cases = []
     for density, shape in ((0.05, (150, 120)), (0.1, (40, 90)), (0.2, (90, 35)),
@@ -287,6 +289,8 @@ def _flow_oracle_cases():
         mu[rng.random(mu.size) < 0.2] = 0.0
         nu[rng.random(nu.size) < 0.2] = 0.0
         cases.append((r, mu, nu * (mu.sum() / nu.sum())))
+    cases += [gen_instance(InstanceSpec(KIND_RANDOM, n, n, density=density, seed=1))
+              for n, density in ((400, 0.05), (1000, 0.01))]
     return cases
 
 
@@ -304,6 +308,9 @@ def test_max_flow_agrees_with_networkx():
         # the residual graph at the saturation rule: 1e-12 M(mu)
         assert np.array_equal(carry, flow > tol)
         assert np.array_equal(spare, nu - flow.sum(axis=0) > tol)
+        # the rows reachable from the source in the residual graph
+        hall = tuple(np.flatnonzero(reached).tolist())
+        assert hall == witness
         feasible = feasibility_flow(r, mu, nu)
         assert feasible == scalability._carries_mass(value, total_mass(mu))
         outcomes.add(feasible)
@@ -311,9 +318,6 @@ def test_max_flow_agrees_with_networkx():
             assert np.abs(flow.sum(axis=1) - mu).max() <= tol
             assert np.abs(flow.sum(axis=0) - nu).max() <= tol
             continue
-        # the rows reachable from the source in the residual graph
-        hall = tuple(np.flatnonzero(reached).tolist())
-        assert hall == witness
         assert mu[list(hall)].sum() > nu[support_graph(r)[list(hall)].any(axis=0)].sum()
         if check_assumption1(r, mu, nu):
             assert classify_exact(r, mu, nu).witness == hall
@@ -426,10 +430,19 @@ def _wide_draws(count=1500):
 WIDE_DRAWS = _wide_draws()
 
 
+# A 4 x 4 unbalanced triple whose two Dinic phases push one augmenting
+# path each, across one back edge (a column to a row through an entry
+# that carries flow) in the first phase and two in the second; the back
+# trace meets two dead ends
+BACK_EDGE_TRIPLE = (np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 0, 1]], dtype=float),
+                    np.array([4.0, 2.0, 4.0, 2.0]), np.array([2.0, 4.0, 1.0, 4.0]))
+
+
 def test_max_flow_is_bit_identical_from_the_cumsum_fill():
     # flow, reached rows, carrying entries and spare columns, bytes and
     # all, against the dense reference that starts from the cumsum fill
-    for adj, mu, nu in FILL_DRAWS + WIDE_DRAWS:
+    r, mu, nu = BACK_EDGE_TRIPLE
+    for adj, mu, nu in FILL_DRAWS + WIDE_DRAWS + [(r > 0, mu, nu)]:
         got = _masks(*scalability._max_flow(scalability._bitsets(adj), mu, nu))
         want = reference_max_flow(adj, mu, nu)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
@@ -443,6 +456,17 @@ def test_max_flow_cut_does_not_depend_on_the_fill_order():
         want_flow, want_reached, _, _ = reference_max_flow(adj, mu, nu, order="index")
         assert np.array_equal(reached, want_reached)
         assert abs(flow.sum() - want_flow.sum()) <= 1e-12 * total_mass(mu)
+
+
+def test_blocking_flow_through_dead_ends_and_back_edges(blocking_flow_calls):
+    r, mu, nu = BACK_EDGE_TRIPLE
+    flow, reached, _, _ = scalability._max_flow(scalability._bitsets(r > 0), mu, nu)
+    # two phases, whose layers (rows, columns, ..., columns) make paths
+    # with one and two back edges
+    assert [len(args[5]) for args in blocking_flow_calls] == [4, 6]
+    value, witness = oracle_max_flow(r, mu, nu)
+    assert flow.sum() == value == 11
+    assert tuple(scalability._ones(reached)) == witness == (2,)
 
 
 def _random_adjacencies(count=300):

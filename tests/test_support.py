@@ -199,6 +199,14 @@ def test_exact_procedure_dinic_phases(blocking_flow_calls, n_blocks, phases):
     assert len(blocking_flow_calls) == phases
 
 
+def test_classify_dinic_phases_on_a_sparse_random_support(blocking_flow_calls):
+    # the staircases above are nested, so the greedy fill leaves no phase;
+    # on this sparse random support it leaves work to the blocking flow,
+    # and a change to its back trace or to the fill moves this count
+    classify_exact(*gen_instance(InstanceSpec(KIND_RANDOM, 400, 400, density=0.05, seed=1)))
+    assert len(blocking_flow_calls) == 1
+
+
 @pytest.mark.parametrize("n, blocks", [(16, (3, 4, 5)), (40, (2, 3, 4, 5, 10)), (100, (2, 4, 6, 10))])
 def test_exact_procedure_theta_is_the_block_ratio(n, blocks):
     # one rule for every step, wherever it sits in its level: M(mu)/M(nu)
