@@ -45,8 +45,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-_FLOW_TOL = 1e-9
-_RESIDUAL_TOL = 1e-12
+_TOL = 1e-12  # relative to the masses: the saturation rule and the balance test
 _BITS_OF_BYTE = [tuple(j for j in range(8) if byte >> j & 1) for byte in range(256)]
 
 SCALABLE = "Scalable"
@@ -200,10 +199,11 @@ def classify_exact(r, mu, nu):
     solution has strictly smaller support than r, so a feasible instance
     cannot be better than approximately scalable.
 
-    The instance is NonScalable when the flow of :func:`_max_flow` falls
-    short of the mass of mu by more than 1e-9 of it (:func:`_carries_mass`).
-    The witness is then the set of rows reached from the source in its
-    residual graph: the inclusion-minimal maximizer of mu(A) - nu(F(A)).
+    The instance is NonScalable exactly when the source side of the
+    minimum cut of :func:`_max_flow` holds a row, that is when some row
+    keeps a spare supply above 1e-12 M(mu), the flow's one saturation rule.
+    The witness is that source side, the rows reached from the source in
+    the residual graph: the inclusion-minimal maximizer of mu(A) - nu(F(A)).
     A feasible instance is Scalable when every connected component of the
     support is strongly connected in that residual graph (rows to columns
     through the support, columns back to rows through the entries that
@@ -212,7 +212,7 @@ def classify_exact(r, mu, nu):
     """
     r, mu, nu = _require_assumption1(r, mu, nu)
     m_mu, m_nu = total_mass(mu), total_mass(nu)
-    unbalanced = abs(m_mu - m_nu) > 1e-12 * max(m_mu, m_nu)
+    unbalanced = abs(m_mu - m_nu) > _TOL * max(m_mu, m_nu)
     if unbalanced:  # both masses are positive: Assumption 1 ties a zero one to the other
         mu = mu / m_mu
         nu = nu / m_nu
@@ -227,8 +227,8 @@ def classify_exact(r, mu, nu):
 
     adj = _r0_support(r, mu, nu)
     graph = _bitsets(adj)
-    flow, reached, carry, _ = _max_flow(graph, mu, nu)
-    if not _carries_mass(float(flow.sum()), total_mass(mu)):
+    _, reached, carry, _ = _max_flow(graph, mu, nu)
+    if reached:
         return finish(NON_SCALABLE, _ones(reached))
     loose = _loose_rows(graph, carry)
     if loose is not None:
@@ -281,7 +281,7 @@ def _greedy_fill(adj, mu, nu):
     holds the other) it is a maximum flow: a row left short found its
     columns full, filled only by it and by earlier rows, whose supports it holds.
     Returns ``(flow, carry)``, each bit of ``carry`` set as its entry is written."""
-    tol = _RESIDUAL_TOL * total_mass(mu)
+    tol = _TOL * total_mass(mu)
     flow = np.zeros((len(adj[0]), len(adj[1])))
     carry = [0] * len(adj[0]), [0] * len(adj[1])
     live = _bitset(np.asarray(nu) > 0)
@@ -330,7 +330,7 @@ def _max_flow(adj, mu, nu):
     saturates every shortest augmenting path of that layered graph, each
     traced back from its sink column, so the next phase's paths are longer.
     """
-    tol = _RESIDUAL_TOL * total_mass(mu)
+    tol = _TOL * total_mass(mu)
     flow, carry = _greedy_fill(adj, mu, nu)
     spare_row, spare_col = (mu - flow.sum(axis=1)).tolist(), (nu - flow.sum(axis=0)).tolist()
     while True:
@@ -397,25 +397,20 @@ def _blocking_flow(adj, flow, carry, spare_row, spare_col, layers, tol):
             k = end
 
 
-def _carries_mass(value, m_mu):
-    """Whether a max-flow ``value`` carries the whole mass ``m_mu`` of mu,
-    up to 1e-9 of it: the feasibility test of every flow here."""
-    return value >= m_mu - _FLOW_TOL * m_mu
-
-
 def feasibility_flow(r, mu, nu):
     """True iff some coupling dominated by ``r`` has marginals (mu, nu).
 
     Decided by maximum flow (:func:`_max_flow`) on the source -> rows ->
     columns -> sink network with capacities mu_i and nu_j (support edges
-    uncapacitated): feasible iff the max flow carries the whole mass of
-    mu, and that flow is then such a coupling.  Requires masses balanced
-    to 1e-9 of the larger one.  Raises ValueError on inconsistent shapes
-    and on NaN, infinite or negative input.
+    uncapacitated): infeasible iff the source side of its minimum cut holds
+    a row, the rule of :func:`classify_exact`.  Returns a bool, not the
+    flow.  Requires masses balanced to 1e-12 of the larger one, as
+    :func:`classify_exact` counts them balanced.  Raises ValueError on
+    inconsistent shapes and on NaN, infinite or negative input.
     """
     r, mu, nu = as_triple(r, mu, nu)
     m_mu, m_nu = total_mass(mu), total_mass(nu)
-    if abs(m_mu - m_nu) > _FLOW_TOL * max(m_mu, m_nu):
+    if abs(m_mu - m_nu) > _TOL * max(m_mu, m_nu):
         raise ValueError("feasibility_flow requires balanced masses")
-    flow, *_ = _max_flow(_bitsets(support_graph(r)), mu, nu)
-    return _carries_mass(float(flow.sum()), m_mu)
+    _, reached, *_ = _max_flow(_bitsets(support_graph(r)), mu, nu)
+    return not reached

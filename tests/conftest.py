@@ -239,9 +239,9 @@ def oracle_classify(r, mu, nu):
     """``classify_exact`` by explicit enumeration, under its rules.
 
     NonScalable when the largest deficiency mu(A) - nu(F(A)) exceeds
-    1e-9 M(mu); the witness is the smallest subset whose deficiency is
-    within 1e-12 M(mu) of it.  Otherwise a subset is tight when its
-    deficiency is at least -1e-12 M(mu), and the first component (by
+    ``tol``, 1e-12 M(mu); the witness is the smallest subset whose
+    deficiency is within ``tol`` of it.  Otherwise a subset is tight when
+    its deficiency is at least -``tol``, and the first component (by
     smallest row rho) with a proper tight subset is loose.  Its witness is
     the smallest tight set containing rho when that is proper, else the
     smallest tight set containing the smallest row that lies in a tight
@@ -274,7 +274,7 @@ def oracle_classify(r, mu, nu):
 
     deficiency = deficiencies(range(rr.shape[0]))
     worst = max(deficiency.values())
-    if worst > 1e-9 * total_mass(mur):
+    if worst > tol:
         return finish("NonScalable", smallest(s for s, d in deficiency.items() if d >= worst - tol))
     for comp_rows, _ in connected_components(adj):
         tight = [s for s, d in deficiencies(comp_rows).items() if d >= -tol]
@@ -624,13 +624,13 @@ def oracle_max_flow(r, mu, nu):
 
 def oracle_flow_classify(r, mu, nu):
     """``classify_exact`` from the networkx maximum flow of
-    :func:`_nx_residual`, at any size.  NonScalable when the flow falls
-    short of M(mu) by more than 1e-9 of it, witnessed by the rows reachable
-    from the source.  Otherwise the first connected component of the
-    support (by smallest row rho) whose rows do not lie in one strongly
-    connected component of the residual graph is loose; its witness is
-    the rows rho reaches when they are a proper subset of it, else the rows
-    reached from the smallest row that cannot reach rho."""
+    :func:`_nx_residual`, at any size.  NonScalable when the source reaches
+    a row in the residual graph, witnessed by the rows it reaches.
+    Otherwise the first connected component of the support (by smallest
+    row rho) whose rows do not lie in one strongly connected component of
+    the residual graph is loose; its witness is the rows rho reaches when
+    they are a proper subset of it, else the rows reached from the
+    smallest row that cannot reach rho."""
     r, mu, nu = (np.asarray(x, dtype=float) for x in (r, mu, nu))
     m_mu, m_nu = total_mass(mu), total_mass(nu)
     unbalanced = abs(m_mu - m_nu) > 1e-12 * max(m_mu, m_nu)
@@ -643,9 +643,10 @@ def oracle_flow_classify(r, mu, nu):
 
     row_map, col_map = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
     rr, mur, nur = r[np.ix_(row_map, col_map)], mu[row_map], nu[col_map]
-    value, residual = _nx_residual(rr, mur, nur)
-    if value < (1 - 1e-9) * total_mass(mur):
-        return finish("NonScalable", _rows_of(nx.descendants(residual, "s")))
+    _, residual = _nx_residual(rr, mur, nur)
+    reached = _rows_of(nx.descendants(residual, "s"))
+    if reached:
+        return finish("NonScalable", reached)
     inner = residual.subgraph(v for v in residual if v not in ("s", "t"))
     scc = {v: k for k, part in enumerate(nx.strongly_connected_components(inner)) for v in part}
     # the support, since every support edge is residual row -> column

@@ -9,6 +9,7 @@ from degensink import (
     check_assumption1,
     classify_exact,
     connected_components,
+    exact_support_procedure,
     feasibility_flow,
     support_graph,
 )
@@ -113,6 +114,28 @@ def test_feasibility_flow(appendix):
     assert feasibility_flow(np.eye(3), [1.0, 2, 3], [1.0, 2, 3])
     with pytest.raises(ValueError):
         feasibility_flow(np.eye(2), [1.0, 1.0], [3.0, 3.0])
+    # balanced means within 1e-12 of the larger mass, as in classify_exact
+    with pytest.raises(ValueError):
+        feasibility_flow(np.eye(3), [1.0, 2, 3], np.array([1.0, 2, 3]) * (1 + 1e-10))
+
+
+@pytest.mark.parametrize("delta", [1e-13, 5e-13, 2e-12, 1e-11, 1e-10, 5e-10])
+def test_one_infeasibility_rule_on_a_near_tie(delta):
+    # R = [[1, 0], [1, 1]], nu = (1/2, 1/2), mu = (1/2 + delta, 1/2 - delta):
+    # row 0 is short by delta, so the instance is NonScalable with witness
+    # (0,) once delta exceeds 1e-12 M(mu), and the reduction's first step
+    # then has theta = 1 + 2 delta; below that it is a tie at theta = 1
+    r = np.array([[1.0, 0.0], [1.0, 1.0]])
+    mu, nu = np.array([0.5 + delta, 0.5 - delta]), np.array([0.5, 0.5])
+    theta = exact_support_procedure(r, mu, nu).steps[0].theta
+    if delta > 1e-12:
+        assert classify_exact(r, mu, nu) == ScalabilityClass("NonScalable", (0,))
+        assert not feasibility_flow(r, mu, nu)
+        assert theta > 1
+    else:
+        assert classify_exact(r, mu, nu).tag != "NonScalable"
+        assert feasibility_flow(r, mu, nu)
+        assert theta == 1
 
 
 def test_classify_agrees_with_flow_randomized():
@@ -312,7 +335,7 @@ def test_max_flow_agrees_with_networkx():
         hall = tuple(np.flatnonzero(reached).tolist())
         assert hall == witness
         feasible = feasibility_flow(r, mu, nu)
-        assert feasible == scalability._carries_mass(value, total_mass(mu))
+        assert feasible == (not hall)
         outcomes.add(feasible)
         if feasible:
             assert np.abs(flow.sum(axis=1) - mu).max() <= tol
@@ -572,13 +595,14 @@ def test_nonscalable_witness_follows_relabelling(case, seed):
 def test_near_ties_classify_agrees_with_feasibility(sizes, k, seed):
     # every trailing union of blocks is exactly saturated; moving k 1e-11 of
     # the mass from a column of the last block to the first column leaves
-    # the last block short by that much, on both sides of the 1e-9 rule
+    # the last block short by that much, above the 1e-12 rule for every
+    # k > 0, and the reduction's top theta above 1 with it
     r, mu, nu = saturated_staircase(np.random.default_rng(seed), sizes)
     degree = (r > 0).sum(axis=0)
     delta = k * 1e-11 * nu.sum()
     nu[degree.argmax()] -= delta
     nu[degree.argmin()] += delta
     infeasible = classify_exact(r, mu, nu).tag == "NonScalable"
-    assert infeasible == (not feasibility_flow(r, mu, nu))
-    if abs(k - 100) > 1:
-        assert infeasible == (k > 100)
+    assert infeasible == (not feasibility_flow(r, mu, nu)) == (k > 0)
+    theta = exact_support_procedure(r, mu, nu).steps[0].theta
+    assert theta > 1 if k > 0 else theta <= 1 + 1e-14
